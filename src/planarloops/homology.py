@@ -3,12 +3,14 @@
 Boundary data is held as sparse matrices whose entries live in one of the
 coeff domains.  Integral homology goes through Smith normal form with a
 unit-pivot sweep first (boundary matrices are overwhelmingly unimodular), so
-only a small residual core ever sees the gcd-based reduction.  Field ranks
+only a small residual core ever sees the gcd-based reduction; integral
+solves, kernels and representatives replay the sweep's record.  Field ranks
 use sparse elimination with Markowitz pivoting.  Everything is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -198,21 +200,21 @@ class SmithForm:
                 raise LinearAlgebraError("invariants violate the divisibility chain")
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 class _SparseSNF:
-    """Unit-pivot sweep; the residual core goes to the dense textbook pass."""
+    """Unit-pivot sweep with a replayable record, then the dense residual core.
 
-    def __init__(self, A: SparseMatrix):
+    The sweep applies row operations row_r -= q * row_r0, recorded in ops as
+    (r, r0, q), that clear the column of each unit pivot outside its pivot
+    row; it then drops the pivot row, kept in pivots as (r0, c0, entries).
+    With L the recorded operations, L A has pivot rows, residual rows whose
+    entries lie in the residual columns and form the core, and zero rows.
+    No operation reads a non-pivot row, so L and its inverse are the
+    identity on vectors supported there.  Only the core is reduced densely,
+    with transforms when an integral solve needs them.  Non-pivot columns
+    outside the core are free.
+    """
+
+    def __init__(self, A: SparseMatrix, transforms: bool = False):
         if A.domain.kind != INTEGERS:
             raise DomainError("Smith normal form needs integer entries")
         self.nrows, self.ncols = A.rows, A.cols
@@ -221,7 +223,27 @@ class _SparseSNF:
         for r, row in self.R.items():
             for c in row:
                 self.C.setdefault(c, set()).add(r)
-        self.unit_count = 0
+        self.ops: list[tuple[int, int, int]] = []
+        self.pivots: list[tuple[int, int, dict[int, int]]] = []
+        self._unit_sweep()
+        self.res_rows = sorted(r for r, row in self.R.items() if row)
+        self.res_cols = sorted({c for r in self.res_rows for c in self.R[r]})
+        cmap = {c: j for j, c in enumerate(self.res_cols)}
+        self.core = _dense_snf(
+            len(self.res_rows), len(self.res_cols),
+            ((i, cmap[c], v) for i, r in enumerate(self.res_rows)
+             for c, v in self.R[r].items()),
+            transforms)
+
+    @functools.cached_property
+    def free_cols(self) -> list[int]:
+        bound = {c0 for _, c0, _ in self.pivots}.union(self.res_cols)
+        return [c for c in range(self.ncols) if c not in bound]
+
+    @functools.cached_property
+    def zero_rows(self) -> list[int]:
+        bound = {r0 for r0, _, _ in self.pivots}.union(self.res_rows)
+        return [r for r in range(self.nrows) if r not in bound]
 
     def _push_candidates(self, heap, rows):
         for r in rows:
@@ -234,7 +256,7 @@ class _SparseSNF:
                     cost = (rl - 1) * (len(self.C[c]) - 1)
                     heapq.heappush(heap, (cost, r, c))
 
-    def unit_sweep(self):
+    def _unit_sweep(self):
         heap: list = []
         self._push_candidates(heap, list(self.R))
         while heap:
@@ -262,6 +284,7 @@ class _SparseSNF:
                     elif c in row:
                         del row[c]
                         self.C[c].discard(r)
+                self.ops.append((r, r0, q))
                 touched.append(r)
             # column c0 is now supported on r0 only; removing the pivot row
             # and column performs the (trivial) clearing column operations
@@ -270,139 +293,157 @@ class _SparseSNF:
                 if not self.C[c]:
                     del self.C[c]
             del self.R[r0]
-            self.unit_count += 1
+            self.pivots.append((r0, c0, row0))
             self._push_candidates(heap, touched)
 
-    def residual(self) -> tuple[list[list[int]], int, int]:
-        rows = sorted(r for r, row in self.R.items() if row)
-        cols = sorted({c for r in rows for c in self.R[r]})
-        cmap = {c: j for j, c in enumerate(cols)}
-        dense = [[0] * len(cols) for _ in rows]
-        for i, r in enumerate(rows):
-            for c, v in self.R[r].items():
-                dense[i][cmap[c]] = v
-        return dense, len(rows), len(cols)
+    def _lift(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """Complete x, given on the non-pivot columns, by back-substitution
+        so that every pivot row of L A x equals y there."""
+        for r0, c0, row in reversed(self.pivots):
+            s = y.get(r0, 0)
+            for c, w in row.items():
+                if c != c0:
+                    s -= w * x.get(c, 0)
+            if s:
+                x[c0] = s * row[c0]  # a unit is its own inverse
+        return x
+
+    def solve(self, b: dict[int, int]) -> dict[int, int] | None:
+        """One integral x with A x = b, or None when there is none."""
+        y = dict(b)
+        for r, r0, q in self.ops:
+            v = y.get(r0)
+            if v:
+                y[r] = y.get(r, 0) - q * v
+        if any(y.get(r) for r in self.zero_rows):
+            return None
+        core = self.core
+        t = []
+        for i, Ui in enumerate(core.U):
+            s = sum(u * y.get(r, 0) for u, r in zip(Ui, self.res_rows))
+            if i < core.rank:
+                if s % core.invariants[i]:
+                    return None
+                t.append(s // core.invariants[i])
+            elif s:
+                return None
+        x = {}
+        for c, Vc in zip(self.res_cols, core.V):
+            s = sum(v * w for v, w in zip(Vc, t))
+            if s:
+                x[c] = s
+        return self._lift(x, y)
+
+    @property
+    def kernel_rank(self) -> int:
+        return len(self.free_cols) + len(self.res_cols) - self.core.rank
+
+    def kernel_vector(self, coords: dict[int, int]) -> dict[int, int]:
+        """The kernel vector with these coordinates in the kernel basis.
+
+        Coordinate t < len(free_cols) is the entry on free column t; the
+        rest are coefficients of the core's kernel columns of V.  A kernel
+        vector is fixed by its non-pivot entries, and its residual entries
+        must lie in the kernel of the core, so this basis spans the whole
+        kernel lattice.
+        """
+        nf = len(self.free_cols)
+        x = {self.free_cols[t]: v for t, v in coords.items() if t < nf}
+        core = [(self.core.rank + t - nf, v) for t, v in coords.items() if t >= nf]
+        if core:
+            for c, Vc in zip(self.res_cols, self.core.V):
+                s = sum(Vc[j] * v for j, v in core)
+                if s:
+                    x[c] = s
+        return self._lift(x, {})
+
+    def kernel_coords(self, vecs):
+        """Coordinates of kernel vectors in the basis of kernel_vector."""
+        index = {c: t for t, c in enumerate(self.free_cols)}
+        nf, kvinv = len(self.free_cols), self.core.vinv[self.core.rank:]
+        for vec in vecs:
+            out = {index[c]: v for c, v in vec.items() if c in index and v}
+            for j, row in enumerate(kvinv):
+                s = sum(w * vec.get(c, 0) for w, c in zip(row, self.res_cols))
+                if s:
+                    out[nf + j] = s
+            yield out
+
+    def cokernel_free_generators(self) -> list[dict[int, int]]:
+        """Vectors whose classes generate the free part of coker A.
+
+        e_i for each zero row of L A, and the core's columns of uinv past
+        its rank on the residual rows; both are supported on non-pivot rows,
+        where L^-1 is the identity.
+        """
+        gens = [{i: 1} for i in self.zero_rows]
+        for i in range(self.core.rank, len(self.res_rows)):
+            gens.append({r: row[i] for r, row in zip(self.res_rows, self.core.uinv)
+                         if row[i]})
+        return gens
 
 
-def _dense_snf_invariants(M: list[list[int]]) -> list[int]:
-    """Textbook Smith reduction returning the nontrivial invariant chain."""
-    m = [row[:] for row in M]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    invs = []
-    k = 0
-    while True:
-        pr = pc = None
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if pr is None:
-            break
-        m[k], m[pr] = m[pr], m[k]
-        for row in m:
-            row[k], row[pc] = row[pc], row[k]
-        while True:
-            for i in range(k + 1, nr):
-                if m[i][k]:
-                    q = m[i][k] // m[k][k]
-                    for j in range(k, nc):
-                        m[i][j] -= q * m[k][j]
-                    if m[i][k]:  # remainder left: swap to shrink the pivot
-                        m[k], m[i] = m[i], m[k]
-            if any(m[i][k] for i in range(k + 1, nr)):
-                continue
-            for j in range(k + 1, nc):
-                if m[k][j]:
-                    q = m[k][j] // m[k][k]
-                    for i in range(k, nr):
-                        m[i][j] -= q * m[i][k]
-                    if m[k][j]:
-                        for i in range(k, nr):
-                            m[i][k], m[i][j] = m[i][j], m[i][k]
-            if any(m[k][j] for j in range(k + 1, nc)):
-                continue
-            bad = None
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if m[i][j] % m[k][k]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(k, nc):
-                m[k][j] += m[bad][j]
-        invs.append(abs(m[k][k]))
-        k += 1
-        if k >= nr or k >= nc:
-            break
-    return invs
+# Cells allowed in each dense transform matrix; beyond it a dense reduction
+# with transforms raises instead of exhausting memory.  The certificate paths
+# only densify the residual core of the unit-pivot sweep.
+_DENSE_TRANSFORM_CELLS = 1_000_000
 
 
-def smith_normal_form(A: SparseMatrix, transforms: bool = False) -> SmithForm:
-    """Invariant factors of an integer matrix; transforms on request.
-
-    The sparse path handles the bulk of combinatorial boundary matrices via
-    unit pivots; transforms use a dense elimination and are meant for the
-    small complexes where representatives or integral solving are needed.
-    """
-    if transforms:
-        return _dense_snf_with_transforms(A)
-    work = _SparseSNF(A)
-    work.unit_sweep()
-    dense, nr, nc = work.residual()
-    rest = _dense_snf_invariants(dense) if nr and nc else []
-    invariants = tuple([1] * work.unit_count + rest)
-    return SmithForm(invariants, len(invariants))
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _dense_snf_with_transforms(A: SparseMatrix) -> SmithForm:
-    nr, nc = A.rows, A.cols
+def _dense_snf(nr: int, nc: int, entries, transforms: bool = False) -> SmithForm:
+    """Textbook Smith reduction of the nr x nc matrix with these (r, c, v)
+    entries, carrying U, V and their inverses along when transforms is set."""
+    if transforms and max(nr, nc) ** 2 > _DENSE_TRANSFORM_CELLS:
+        raise LinearAlgebraError(
+            f"dense Smith transforms of a {nr}x{nc} matrix exceed the budget "
+            f"of {_DENSE_TRANSFORM_CELLS} cells per transform")
     m = [[0] * nc for _ in range(nr)]
-    for r, c, v in A.entries:
+    for r, c, v in entries:
         m[r][c] = v
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    uinv = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    U = uinv = V = vinv = None
+    if transforms:
+        U, uinv, V, vinv = _identity(nr), _identity(nr), _identity(nc), _identity(nc)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for t in range(nc):
             m[i][t] -= q * m[j][t]
-        for t in range(nr):
-            U[i][t] -= q * U[j][t]
-            uinv[t][j] += q * uinv[t][i]
+        if transforms:
+            for t in range(nr):
+                U[i][t] -= q * U[j][t]
+                uinv[t][j] += q * uinv[t][i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for t in range(nr):
             m[t][i] -= q * m[t][j]
-        for t in range(nc):
-            V[t][i] -= q * V[t][j]
-            vinv[j][t] += q * vinv[i][t]
+        if transforms:
+            for t in range(nc):
+                V[t][i] -= q * V[t][j]
+                vinv[j][t] += q * vinv[i][t]
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
-        U[i], U[j] = U[j], U[i]
-        for t in range(nr):
-            uinv[t][i], uinv[t][j] = uinv[t][j], uinv[t][i]
+        if transforms:
+            U[i], U[j] = U[j], U[i]
+            for t in range(nr):
+                uinv[t][i], uinv[t][j] = uinv[t][j], uinv[t][i]
 
     def col_swap(i, j):
         for t in range(nr):
             m[t][i], m[t][j] = m[t][j], m[t][i]
-        for t in range(nc):
-            V[t][i], V[t][j] = V[t][j], V[t][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        if transforms:
+            for t in range(nc):
+                V[t][i], V[t][j] = V[t][j], V[t][i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_negate(i):
-        for t in range(nc):
-            m[i][t] = -m[i][t]
-        for t in range(nr):
-            U[i][t] = -U[i][t]
-            uinv[t][i] = -uinv[t][i]
+        m[i] = [-x for x in m[i]]
+        if transforms:
+            U[i] = [-x for x in U[i]]
+            for t in range(nr):
+                uinv[t][i] = -uinv[t][i]
 
     invs = []
     k = 0
@@ -422,27 +463,22 @@ def _dense_snf_with_transforms(A: SparseMatrix) -> SmithForm:
             progress = False
             for i in range(k + 1, nr):
                 if m[i][k]:
-                    q = m[i][k] // m[k][k]
-                    row_op(i, k, q)
-                    if m[i][k]:
+                    row_op(i, k, m[i][k] // m[k][k])
+                    if m[i][k]:  # remainder left: swap to shrink the pivot
                         row_swap(k, i)
                         progress = True
-            if progress or any(m[i][k] for i in range(k + 1, nr)):
+            if progress:
                 continue
             for j in range(k + 1, nc):
                 if m[k][j]:
-                    q = m[k][j] // m[k][k]
-                    col_op(j, k, q)
+                    col_op(j, k, m[k][j] // m[k][k])
                     if m[k][j]:
                         col_swap(k, j)
                         progress = True
-            if progress or any(m[k][j] for j in range(k + 1, nc)):
+            if progress:
                 continue
-            bad = None
-            for i in range(k + 1, nr):
-                if any(m[i][j] % m[k][k] for j in range(k + 1, nc)):
-                    bad = i
-                    break
+            bad = next((i for i in range(k + 1, nr)
+                        if any(m[i][j] % m[k][k] for j in range(k + 1, nc))), None)
             if bad is None:
                 break
             row_op(k, bad, -1)  # add the offending row to the pivot row
@@ -451,6 +487,26 @@ def _dense_snf_with_transforms(A: SparseMatrix) -> SmithForm:
         invs.append(m[k][k])
         k += 1
     return SmithForm(tuple(invs), len(invs), U, V, uinv, vinv)
+
+
+def smith_normal_form(A: SparseMatrix, transforms: bool = False) -> SmithForm:
+    """Invariant factors of an integer matrix; transforms on request.
+
+    Without transforms the unit-pivot sweep takes the bulk of a
+    combinatorial boundary matrix and only its residual core is reduced
+    densely.  With transforms the whole matrix is reduced densely, so that
+    U, V and their inverses are explicit; that needs O(n^2) memory and
+    raises LinearAlgebraError past _DENSE_TRANSFORM_CELLS.  The integral
+    solvers (solve_integer, integer_kernel_basis, representatives) never
+    take that path: they replay the sweep instead.
+    """
+    if A.domain.kind != INTEGERS:
+        raise DomainError("Smith normal form needs integer entries")
+    if transforms:
+        return _dense_snf(A.rows, A.cols, A.entries, transforms=True)
+    work = _SparseSNF(A)
+    invariants = (1,) * len(work.pivots) + work.core.invariants
+    return SmithForm(invariants, len(invariants))
 
 
 def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
@@ -592,77 +648,31 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
 
 
 def integer_kernel_basis(A: SparseMatrix) -> list[dict[int, int]]:
-    """Basis of the integer kernel lattice (columns of V past the rank)."""
-    sf = smith_normal_form(A, transforms=True)
-    out = []
-    for j in range(sf.rank, A.cols):
-        vec = {i: sf.V[i][j] for i in range(A.cols) if sf.V[i][j]}
-        out.append(vec)
-    return out
+    """Basis of the integer kernel lattice, every vector checked against A.
+
+    One back-substitution through the unit pivots per free column, and one
+    per kernel column of the residual core.
+    """
+    work = _SparseSNF(A, transforms=True)
+    basis = [work.kernel_vector({t: 1}) for t in range(work.kernel_rank)]
+    for vec in basis:
+        if A.apply(vec):
+            raise LinearAlgebraError("kernel basis vector failed its check A k = 0")
+    return basis
 
 
 def solve_integer(A: SparseMatrix, b: dict[int, int]) -> dict[int, int] | None:
-    """One integral solution of A x = b, or None when none exists."""
-    sf = smith_normal_form(A, transforms=True)
-    y = [0] * A.rows
-    for i in range(A.rows):
-        y[i] = sum(sf.U[i][r] * v for r, v in b.items())
-    x_t = [0] * A.cols
-    for i in range(A.rows):
-        if i < sf.rank:
-            if y[i] % sf.invariants[i]:
-                return None
-            if i < A.cols:
-                x_t[i] = y[i] // sf.invariants[i]
-        elif y[i]:
-            return None
-    sol = {}
-    for i in range(A.cols):
-        s = sum(sf.V[i][j] * x_t[j] for j in range(min(sf.rank, A.cols)))
-        if s:
-            sol[i] = s
-    return sol
+    """One integral solution of A x = b, or None when none exists.
 
-
-def _solve_field(A: SparseMatrix, b: dict, fld: CoefficientDomain):
-    """One field solution of A x = b, or None (dense elimination)."""
-    if A.domain.kind == INTEGERS:
-        A = A.map_domain(fld)
-    nr, nc = A.rows, A.cols
-    m = [[fld.zero()] * (nc + 1) for _ in range(nr)]
-    for r, c, v in A.entries:
-        m[r][c] = v
-    for r, v in b.items():
-        m[r][nc] = v if not isinstance(v, int) or fld.kind == INTEGERS else fld.from_int(v)
-    pivots = []
-    row = 0
-    for col in range(nc):
-        sel = None
-        for i in range(row, nr):
-            if not fld.is_zero(m[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = fld.inv(m[row][col])
-        m[row] = [fld.mul(inv, x) for x in m[row]]
-        for i in range(nr):
-            if i != row and not fld.is_zero(m[i][col]):
-                q = m[i][col]
-                m[i] = [fld.sub(x, fld.mul(q, y)) for x, y in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    for i in range(row, nr):
-        if not fld.is_zero(m[i][nc]):
-            return None
-    sol = {}
-    for i, col in enumerate(pivots):
-        if not fld.is_zero(m[i][nc]):
-            sol[col] = m[i][nc]
-    return sol
+    Replays the unit-pivot sweep on b, solves the residual core densely and
+    back-substitutes the unit pivots; a solution is checked against A.
+    """
+    if any(not 0 <= r < A.rows for r in b):
+        raise LinearAlgebraError("vector index out of range")
+    x = _SparseSNF(A, transforms=True).solve(b)
+    if x is not None and A.apply(x) != {r: v for r, v in b.items() if v}:
+        raise LinearAlgebraError("integral solution failed its check A x = b")
+    return x
 
 
 def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
@@ -673,7 +683,11 @@ def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
 
 
 def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
-    """Exact solvability of d_{p+1} w = vec in the coefficient ring."""
+    """Exact solvability of d_{p+1} w = vec in the coefficient ring.
+
+    Over Z by a certified integral solve; over a field by comparing the rank
+    of d_{p+1} with the rank of d_{p+1} with vec appended as a column.
+    """
     if p + 1 > c.max_degree:
         raise LinearAlgebraError("degree out of trusted range for is_boundary")
     dom = c.ring.domain
@@ -684,59 +698,37 @@ def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     if dom.kind == INTEGERS:
         return solve_integer(A, vec) is not None
     if dom.is_field():
-        return _solve_field(A, vec, dom) is not None
+        data = {(r, col): v for r, col, v in A.entries}
+        data.update({(i, A.cols): dom.from_int(v) if isinstance(v, int) else v
+                     for i, v in vec.items()})
+        augmented = SparseMatrix.from_dict(A.rows, A.cols + 1, data, dom)
+        return rank_over_field(augmented, dom) == rank_over_field(A, dom)
     raise DomainError("is_boundary needs Z or field coefficients")
 
 
 def _integral_representatives(c: ChainComplexData, p: int):
-    """Representative cycles for the free part and torsion part of H_p.
+    """Representative cycles for the free part of H_p; torsion is reported
+    by the invariants alone.
 
-    Kernel coordinates come from the SNF of d_p; the boundary image is
-    rewritten in those coordinates (integrally exact, since the SNF kernel
-    basis spans the full kernel lattice) and a second SNF reads off cokernel
-    generators.
+    The columns of d_{p+1} are rewritten in the kernel-lattice coordinates
+    of d_p (integrally exact: that basis spans the whole kernel lattice).
+    The free cokernel generators of the result, mapped back through the
+    kernel basis, are the representatives; each is checked to be a cycle.
     """
-    dom = c.ring.domain
-    if dom.kind != INTEGERS:
+    if c.ring.domain.kind != INTEGERS:
         raise DomainError("representatives are computed over Z")
-    n_p = c.dim(p)
-    if p >= 1:
-        low = smith_normal_form(c.boundary(p), transforms=True)
-        kernel_cols = list(range(low.rank, n_p))
-        K = [[low.V[i][j] for j in kernel_cols] for i in range(n_p)]
-        # coordinates of a kernel vector: rows rank.. of vinv applied to it
-        def coords(vec):
-            return [sum(low.vinv[j][i] * vec.get(i, 0) for i in vec)
-                    for j in kernel_cols]
-    else:
-        kernel_cols = list(range(n_p))
-        K = [[int(i == j) for j in range(n_p)] for i in range(n_p)]
-
-        def coords(vec):
-            return [vec.get(j, 0) for j in range(n_p)]
-    kdim = len(kernel_cols)
+    low = _SparseSNF(c.boundary(p), transforms=True)
     high = c.boundary(p + 1)
-    bcols = high.col_dicts()
-    data = {}
-    for j in range(high.cols):
-        col = bcols.get(j, {})
-        if not col:
-            continue
-        for i, v in enumerate(coords(col)):
-            if v:
-                data[(i, j)] = v
-    X = SparseMatrix.from_dict(kdim, high.cols, data, ZZ)
-    xs = smith_normal_form(X, transforms=True)
-    reps = []
-    for i in range(xs.rank, kdim):  # free part only; torsion is reported as invariants
-        gen_coords = [xs.uinv[t][i] for t in range(kdim)]
-        vec = {}
-        for row in range(n_p):
-            s = sum(K[row][t] * gen_coords[t] for t in range(kdim))
-            if s:
-                vec[row] = s
-        reps.append(vec)
-    return tuple(reps)
+    cols = high.col_dicts()
+    data = {(i, j): v for j, coords in zip(cols, low.kernel_coords(cols.values()))
+            for i, v in coords.items()}
+    X = SparseMatrix.from_dict(low.kernel_rank, high.cols, data, ZZ)
+    reps = tuple(low.kernel_vector(g)
+                 for g in _SparseSNF(X, transforms=True).cokernel_free_generators())
+    for rep in reps:
+        if not is_cycle(c, rep, p):
+            raise LinearAlgebraError(f"representative in degree {p} is not a cycle")
+    return reps
 
 
 # ---------------------------------------------------------------------------

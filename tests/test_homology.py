@@ -1,17 +1,23 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from planarloops import (ChainComplexData, ComplexSpec, DomainError,
+from planarloops import (Chain, ChainComplexData, ComplexSpec, DomainError,
                          PointedRing, QQ, SparseMatrix, ZA, ZZ,
                          build_complex, build_word_complex, homology,
                          integer_kernel_basis, is_boundary, is_cycle,
-                         minimal_model, prime_field, rank_over_field,
+                         minimal_model, phi, prime_field, rank_over_field,
                          smith_normal_form, solve_integer, truncated_complex,
                          validate_d_squared, weight_decompose)
-from planarloops.homology import LinearAlgebraError, zero_matrix
+from planarloops.homology import (_DENSE_TRANSFORM_CELLS, LinearAlgebraError,
+                                  zero_matrix)
 from planarloops.loops import CLOSED
+from planarloops.verify import _generated_by
+
+from conftest import PHI_X
 
 Z0 = PointedRing.make(ZZ, 0)
 
@@ -46,6 +52,117 @@ def matmul_dense(A, B):
     n, k, m = len(A), len(B), len(B[0])
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
+
+
+def to_dense(A):
+    m = [[0] * A.cols for _ in range(A.rows)]
+    for r, c, v in A.entries:
+        m[r][c] = v
+    return m
+
+
+def textbook_snf(m, cols):
+    """Dense Smith form with transforms: (invariants, U, V), U m V = diag."""
+    m = [row[:] for row in m]
+    nr, nc = len(m), cols
+    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        for t in range(nc):
+            m[i][t] -= q * m[j][t]
+        for t in range(nr):
+            U[i][t] -= q * U[j][t]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for t in range(nr):
+            m[t][i] -= q * m[t][j]
+        for t in range(nc):
+            V[t][i] -= q * V[t][j]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for t in range(nr):
+            m[t][i], m[t][j] = m[t][j], m[t][i]
+        for t in range(nc):
+            V[t][i], V[t][j] = V[t][j], V[t][i]
+
+    invs = []
+    k = 0
+    while k < nr and k < nc:
+        nonzero = [(abs(m[i][j]), i, j) for i in range(k, nr)
+                   for j in range(k, nc) if m[i][j]]
+        if not nonzero:
+            break
+        _, pr, pc = min(nonzero)
+        row_swap(k, pr)
+        col_swap(k, pc)
+        while True:
+            progress = False
+            for i in range(k + 1, nr):
+                if m[i][k]:
+                    row_op(i, k, m[i][k] // m[k][k])
+                    if m[i][k]:
+                        row_swap(k, i)
+                        progress = True
+            if progress:
+                continue
+            for j in range(k + 1, nc):
+                if m[k][j]:
+                    col_op(j, k, m[k][j] // m[k][k])
+                    if m[k][j]:
+                        col_swap(k, j)
+                        progress = True
+            if progress:
+                continue
+            bad = next((i for i in range(k + 1, nr)
+                        if any(m[i][j] % m[k][k] for j in range(k + 1, nc))), None)
+            if bad is None:
+                break
+            row_op(k, bad, -1)
+        if m[k][k] < 0:
+            for t in range(nc):
+                m[k][t] = -m[k][t]
+            U[k] = [-x for x in U[k]]
+        invs.append(m[k][k])
+        k += 1
+    return invs, U, V
+
+
+def oracle_solve(m, cols, b):
+    """An integral solution of m x = b (b a dense list), or None."""
+    invs, U, V = textbook_snf(m, cols)
+    y = [sum(u * w for u, w in zip(row, b)) for row in U]
+    rank = len(invs)
+    if any(y[i] % invs[i] for i in range(rank)) or any(y[rank:]):
+        return None
+    t = [y[i] // invs[i] for i in range(rank)]
+    return [sum(V[i][j] * t[j] for j in range(rank)) for i in range(cols)]
+
+
+def oracle_kernel(m, cols):
+    invs, _, V = textbook_snf(m, cols)
+    return [[V[i][j] for i in range(cols)] for j in range(len(invs), cols)]
+
+
+def spans(basis, vectors, n):
+    """Every vector is an integral combination of the basis (dense, length n)."""
+    B = [[vec[i] for vec in basis] for i in range(n)]
+    return all(oracle_solve(B, len(basis), v) is not None for v in vectors)
+
+
+# entries other than units leave the sweep a residual core to reduce
+ENTRY = st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-6, 6))
+
+
+@st.composite
+def int_matrices(draw, max_dim=6):
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    return M(rows, cols, {(r, c): draw(ENTRY)
+                          for r in range(rows) for c in range(cols)})
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -143,6 +260,96 @@ def test_solve_integer_and_kernel():
     assert solve_integer(A, {0: 1}) is None
     for k in integer_kernel_basis(A):
         assert A.apply(k) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.data())
+def test_solve_integer_finds_preimages(A, data):
+    x0 = {c: data.draw(st.integers(-4, 4)) for c in range(A.cols)}
+    b = A.apply({c: v for c, v in x0.items() if v})
+    x = solve_integer(A, b)
+    assert x is not None and A.apply(x) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.data())
+def test_solvability_matches_dense_oracle(A, data):
+    b = [data.draw(st.integers(-6, 6)) for _ in range(A.rows)]
+    x = solve_integer(A, {r: v for r, v in enumerate(b) if v})
+    assert (x is None) == (oracle_solve(to_dense(A), A.cols, b) is None)
+    assert smith_normal_form(A).invariants == \
+        tuple(textbook_snf(to_dense(A), A.cols)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_kernel_basis_matches_dense_oracle(A):
+    basis = integer_kernel_basis(A)
+    assert len(basis) == A.cols - dense_rank_q(A.rows, A.cols, A.entries)
+    assert all(A.apply(k) == {} for k in basis)
+    mine = [[k.get(i, 0) for i in range(A.cols)] for k in basis]
+    theirs = oracle_kernel(to_dense(A), A.cols)
+    assert spans(mine, theirs, A.cols) and spans(theirs, mine, A.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(max_dim=5), st.data())
+def test_representatives_generate_free_homology(A, data):
+    """On C_2 -> C_1 -> C_0 with d_1 = A and d_2 = K R (K a kernel basis,
+    R random), the representatives of H_1 together with the boundaries
+    span a lattice whose index in ker A is exactly the torsion of H_1, which
+    holds precisely when their classes generate H_1 modulo torsion."""
+    K = oracle_kernel(to_dense(A), A.cols)
+    k = data.draw(st.integers(0, 5))
+    R = [[data.draw(ENTRY) for _ in range(k)] for _ in K]
+    d2 = {(i, j): sum(K[t][i] * R[t][j] for t in range(len(K)))
+          for i in range(A.cols) for j in range(k)}
+    cx = ChainComplexData(
+        Z0, 2, {p: tuple(map(str, range(n))) for p, n in
+                enumerate((A.rows, A.cols, k))},
+        {1: A, 2: M(A.cols, k, d2)})
+    (h,) = homology(cx, [1], representatives=True)
+    assert len(h.representatives) == h.free_rank
+
+    Kcols = [[vec[i] for vec in K] for i in range(A.cols)]
+
+    def coords(vec):
+        x = oracle_solve(Kcols, len(K), [vec.get(i, 0) for i in range(A.cols)])
+        assert x is not None
+        return x
+
+    W = [coords({i: d2[i, j] for i in range(A.cols)}) for j in range(k)]
+    W += [coords(rep) for rep in h.representatives]
+    invs = textbook_snf([[w[t] for w in W] for t in range(len(K))], len(W))[0]
+    assert len(invs) == len(K)
+    assert math.prod(invs) == math.prod(h.torsion)
+
+
+def test_dense_transform_budget_fails_fast():
+    n = math.isqrt(_DENSE_TRANSFORM_CELLS) + 1
+    with pytest.raises(LinearAlgebraError, match=f"1x{n} matrix"):
+        smith_normal_form(zero_matrix(1, n), transforms=True)
+    # no unit pivot at all, so the whole matrix is the residual core
+    twice = M(n, n, {(i, i): 2 for i in range(n)})
+    with pytest.raises(LinearAlgebraError, match=f"{n}x{n} matrix"):
+        solve_integer(twice, {0: 2})
+
+
+def test_integral_certificates_at_degree_6():
+    """The generator checks of criterion 6 at max_degree 6 over Z, and
+    boundary decisions against the two-loop row's d_6, whose dense
+    transforms would be far past the budget."""
+    def row(w):
+        return build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=6, weight=w,
+                                         dividers=0, subquotient=True))
+    assert _generated_by(row(1), Chain.of(Z0, PHI_X), 1)
+    cx = row(2)
+    assert _generated_by(cx, phi(Z0).images["y"], 3)
+    d6 = cx.boundary(6)
+    assert max(d6.rows, d6.cols) ** 2 > _DENSE_TRANSFORM_CELLS
+    assert is_boundary(cx, d6.apply({0: 1, 5: -2, 100: 3}), 5)
+    non_cycle = cx.boundary(5).entries[0][1]
+    assert not is_boundary(cx, {non_cycle: 1}, 5)
 
 
 def test_validate_d_squared_catches_corruption():
