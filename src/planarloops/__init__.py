@@ -2,7 +2,7 @@
 free dga models, and integral homology."""
 
 from .coeff import (CoefficientDomain, DomainError, PointedRing, QQ, Scalar,
-                    ZA, ZZ, arith, prime_field, specialize)
+                    ZA, ZZ, arith, parse_ring, prime_field, specialize)
 from .diagram import (DiagramError, Letter, LinkState, TLDiagram, cell_basis,
                       close_up, compose, enumerate_diagrams, enumerate_letters,
                       identity_diagram, new_diagram, parse_diagram,

@@ -12,7 +12,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .coeff import QQ, ZA, ZZ, DomainError, PointedRing, prime_field
+from .coeff import DomainError, parse_ring
 from .diagram import DiagramError, enumerate_diagrams, enumerate_letters, parse_diagram
 from .freedga import minimal_model, truncated_complex
 from .homology import build_word_complex, homology, weight_decompose
@@ -23,19 +23,6 @@ from . import render
 from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
-
-
-def _parse_ring(code: str, a: int) -> PointedRing:
-    code = code.lower()
-    if code == "z":
-        return PointedRing.make(ZZ, a)
-    if code == "q":
-        return PointedRing.make(QQ, a)
-    if code == "za":
-        return PointedRing.make(ZA)
-    if code.startswith("f") and code[1:].isdigit():
-        return PointedRing.make(prime_field(int(code[1:])), a)
-    raise DomainError(f"unknown ring {code!r} (use z, q, f<p>, za)")
 
 
 def _cmd_enum(args) -> int:
@@ -67,7 +54,7 @@ def _cmd_enum(args) -> int:
 
 
 def _build_requested_complex(args):
-    ring = _parse_ring(args.ring, args.a)
+    ring = parse_ring(args.ring, args.a)
     name = args.complex
     if name == "model":
         return truncated_complex(minimal_model(args.two_n, ring),
@@ -94,7 +81,7 @@ def _build_requested_complex(args):
 
 
 def _cmd_homology(args) -> int:
-    ring = _parse_ring(args.ring, args.a)
+    ring = parse_ring(args.ring, args.a)
     if ring.domain.kind == "int_poly_a":
         raise DomainError("homology is computed over Z or a field; "
                           "pick a specialization (--ring z --a 0, ...)")
@@ -150,7 +137,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    ring = _parse_ring(args.ring, args.a)
+    ring = parse_ring(args.ring, args.a)
     text = args.encoding
     if args.target == "diagram":
         obj = parse_diagram(text)

@@ -352,6 +352,20 @@ class PointedRing:
         return f"({self.domain!r}, a={self.domain.format(self.a_value)})"
 
 
+def parse_ring(code: str, a: int = 0) -> PointedRing:
+    """The pointed ring named by code: z, q or f<p> with loop value a, or za."""
+    code = code.lower()
+    if code == "za":
+        return PointedRing.make(ZA)
+    if code == "z":
+        return PointedRing.make(ZZ, a)
+    if code == "q":
+        return PointedRing.make(QQ, a)
+    if code.startswith("f") and code[1:].isdigit():
+        return PointedRing.make(prime_field(int(code[1:])), a)
+    raise DomainError(f"unknown ring {code!r} (use z, q, f<p>, za)")
+
+
 def specialize(s: Scalar, target: PointedRing) -> Scalar:
     """Evaluate a Z[a] scalar at the marked element of the target ring.
 

@@ -14,7 +14,8 @@ import functools
 import heapq
 from dataclasses import dataclass, field
 
-from .coeff import (INTEGERS, CoefficientDomain, DomainError, PointedRing, ZZ)
+from .coeff import (INT_POLY_A, INTEGERS, CoefficientDomain, DomainError,
+                     PointedRing, ZZ)
 
 
 class LinearAlgebraError(ValueError):
@@ -31,17 +32,19 @@ class SparseMatrix:
     domain: CoefficientDomain = ZZ
 
     def __post_init__(self):
-        seen = set()
+        # one pass: strictly increasing (r, c) keys rule out duplicates and
+        # misordering alike
+        pr, pc = -1, -1
         for r, c, v in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise LinearAlgebraError(f"entry ({r},{c}) out of range")
-            if (r, c) in seen:
-                raise LinearAlgebraError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
+            if r < pr or (r == pr and c <= pc):
+                if (r, c) == (pr, pc):
+                    raise LinearAlgebraError(f"duplicate entry at ({r},{c})")
+                raise LinearAlgebraError("entries not in row-major order")
             if self.domain.is_zero(v):
                 raise LinearAlgebraError(f"stored zero at ({r},{c})")
-        if tuple(sorted(self.entries, key=lambda e: (e[0], e[1]))) != self.entries:
-            raise LinearAlgebraError("entries not in row-major order")
+            pr, pc = r, c
 
     @classmethod
     def from_dict(cls, rows, cols, data: dict, domain=ZZ) -> "SparseMatrix":
@@ -149,6 +152,55 @@ class ChainComplexData:
         }
 
 
+# ---------------------------------------------------------------------------
+# Graded entries: n * a^(w_col - w_row)
+# ---------------------------------------------------------------------------
+# Over a pointed ring (R, a), every boundary entry of a loop-count-labelled
+# complex is an integer n times a^(w_col - w_row): each term pays one factor
+# of a per loop it closes.  The integer matrix of the n and the labels
+# determine the boundary over every ring; these two functions convert in
+# each direction.
+
+def graded_matrix(rows: int, cols: int, coeffs: dict[tuple[int, int], int],
+                  row_weights, col_weights, ring: PointedRing) -> SparseMatrix:
+    """The matrix with entry n * a^(w_col - w_row) wherever coeffs holds n.
+
+    Each distinct (n, w_col - w_row) is converted into the ring once; entries
+    that vanish there (n = 0, p | n, a = 0) are dropped.
+    """
+    dom = ring.domain
+    scalars: dict[tuple[int, int], object] = {}
+    data = {}
+    for (r, c), n in coeffs.items():
+        key = (n, col_weights[c] - row_weights[r])
+        v = scalars.get(key)
+        if v is None:
+            if key[1] < 0:
+                raise LinearAlgebraError(
+                    f"entry ({r},{c}) would need a negative power of a")
+            v = scalars[key] = dom.mul(dom.from_int(n), ring.a_power(key[1]))
+        data[(r, c)] = v
+    return SparseMatrix.from_dict(rows, cols, data, dom)
+
+
+def integer_coefficients(mat: SparseMatrix, row_weights,
+                         col_weights) -> SparseMatrix:
+    """The integers n of a Z[a] matrix whose entries are n * a^(w_col - w_row).
+
+    Raises LinearAlgebraError on any entry of another form: more than one
+    term, or a power of a that disagrees with the weight gap.
+    """
+    ents = []
+    for r, c, v in mat.entries:
+        gap = col_weights[c] - row_weights[r]
+        if len(v) != 1 or v[0][0] != gap:
+            raise LinearAlgebraError(
+                f"entry ({r},{c}) = {mat.domain.format(v)} is not an integer "
+                f"times a^{gap}")
+        ents.append((r, c, v[0][1]))
+    return SparseMatrix(mat.rows, mat.cols, tuple(ents), ZZ)
+
+
 @dataclass(frozen=True)
 class DSquaredReport:
     ok: bool
@@ -162,10 +214,26 @@ class DSquaredReport:
 
 
 def validate_d_squared(c: ChainComplexData) -> DSquaredReport:
-    """Check d_{p-1} d_p = 0 for every composable pair of boundaries."""
+    """Check d_{p-1} d_p = 0 for every composable pair of boundaries.
+
+    A Z[a] complex with loop-count labels is checked on its integer
+    coefficients (see integer_coefficients): every term of (d_{p-1} d_p)_{rc}
+    carries the same factor a^(w_c - w_r), so that entry vanishes over Z[a]
+    exactly when its integer sum does.
+    """
+    graded = c.weights is not None and c.ring.domain.kind == INT_POLY_A
+
+    def boundary(p):
+        mat = c.boundary(p)
+        if graded:
+            mat = integer_coefficients(mat, c.weights.get(p - 1, ()),
+                                       c.weights.get(p, ()))
+        return mat
+
+    mats = {p: boundary(p) for p in range(1, c.max_degree + 1)}
     failures = []
     for p in range(2, c.max_degree + 1):
-        a, b = c.boundary(p - 1), c.boundary(p)
+        a, b = mats[p - 1], mats[p]
         if a.cols != b.rows:
             raise LinearAlgebraError(
                 f"boundary shapes disagree between degrees {p} and {p - 1}")

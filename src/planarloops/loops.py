@@ -19,7 +19,7 @@ from .coeff import PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
-from .homology import ChainComplexData, SparseMatrix
+from .homology import ChainComplexData, SparseMatrix, graded_matrix
 
 
 class GraffitoError(ValueError):
@@ -654,10 +654,8 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     """
     ends = spec.ends
     ring = spec.ring
-    dom = ring.domain
     (first, inner, last, start, step, finish, is_div,
      enc_first, enc_inner, enc_last) = _machine(spec.two_n, ends)
-    n_first, n_inner_pool, n_last = len(first), len(inner), len(last)
 
     # merge tables in id space; None marks a cell-quotient kill
     inner_index = {d: j for j, d in enumerate(inner)}
@@ -736,14 +734,18 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                 m = merge_inner(w[i], w[i + 1])
                 yield i, w[:i] + (m[0],) + w[i + 2:], m[1]
 
+    # integer assembly: each deletion adds its sign; graded_matrix turns the
+    # sums into n * a^(loops closed), and the loops are checked against the
+    # weight labels on the way
+    a_is_zero = ring.a_is_zero
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, spec.max_degree + 1):
         index = {w: k for k, w in enumerate(words.get(p - 1, []))}
-        data: dict[tuple[int, int], object] = {}
+        row_w, col_w = weights[p - 1], weights[p]
+        coeffs: dict[tuple[int, int], int] = {}
         for col, w in enumerate(words[p]):
             for i, nw, loops in word_faces(w):
-                coeff = ring.a_power(loops)
-                if dom.is_zero(coeff):
+                if loops and a_is_zero:
                     continue
                 if p == 1:
                     if not ends.augmented:
@@ -755,13 +757,14 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                     row = index.get(nw)
                     if row is None:
                         continue
-                if i % 2:
-                    coeff = dom.neg(coeff)
+                if loops != col_w[col] - row_w[row]:
+                    raise GraffitoError(
+                        f"deletion {i} of word {w} closes {loops} loops, but "
+                        f"the weights differ by {col_w[col] - row_w[row]}")
                 key = (row, col)
-                prev = data.get(key, dom.zero())
-                data[key] = dom.add(prev, coeff)
-        matrices[p] = SparseMatrix.from_dict(
-            len(basis[p - 1]), len(basis[p]), data, dom)
+                coeffs[key] = coeffs.get(key, 0) + (-1 if i % 2 else 1)
+        matrices[p] = graded_matrix(len(basis[p - 1]), len(basis[p]), coeffs,
+                                    row_w, col_w, ring)
 
     label = f"loops(2n={spec.two_n}, ends={ends.code}"
     if ends.augmented:

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .coeff import QQ, ZA, ZZ, PointedRing, prime_field
+from .coeff import ZA, ZZ, PointedRing, parse_ring
 from .diagram import (Letter, catalan, cell_basis, enumerate_diagrams,
                       enumerate_letters, parse_diagram, slice_diagram,
                       unslice)
@@ -73,19 +73,6 @@ class _Collector:
         except Exception as e:  # a crash is a failure with the message attached
             ok, detail = False, f"{type(e).__name__}: {e}"
         self.checks.append(CheckResult(name, ok, detail, time.time() - t0))
-
-
-def _ring(code: str, a: int = 0) -> PointedRing:
-    code = code.lower()
-    if code == "z":
-        return PointedRing.make(ZZ, a)
-    if code == "q":
-        return PointedRing.make(QQ, a)
-    if code == "za":
-        return PointedRing.make(ZA)
-    if code.startswith("f"):
-        return PointedRing.make(prime_field(int(code[1:])), a)
-    raise ValueError(f"unknown ring code {code!r}")
 
 
 def _random_graffiti(rng, degrees, count, **filters):
@@ -298,7 +285,7 @@ def suite_psi_chain_map(rings=("za", "z", "f2"), **_):
     col = _Collector()
     for code in rings:
         def chk(code=code):
-            rep = check_chain_map(psi(_ring(code)))
+            rep = check_chain_map(psi(parse_ring(code)))
             return rep.ok, f"over {code}: {rep}"
         col.run(f"psi-chain-map-{code}", chk)
     return SuiteReport("psi-chain-map", col.checks)
@@ -308,7 +295,7 @@ def suite_phi_chain_map(rings=("za", "z", "f2"), **_):
     col = _Collector()
     for code in rings:
         def chk(code=code):
-            rep = check_chain_map(phi(_ring(code)))
+            rep = check_chain_map(phi(parse_ring(code)))
             return rep.ok, f"over {code}: {rep}"
         col.run(f"phi-chain-map-{code}", chk)
 
@@ -325,7 +312,7 @@ def suite_alpha_boundary(**_):
     col = _Collector()
     for code in ("z", "f2", "f3", "q"):
         def chk(code=code):
-            rep = alpha_boundary_check(_ring(code, 0))
+            rep = alpha_boundary_check(parse_ring(code))
             return rep.ok, f"boundary identity over {code} at a=0"
         col.run(f"alpha-boundary-{code}", chk)
     return SuiteReport("alpha-boundary", col.checks)
@@ -352,7 +339,7 @@ def _generated_by(cx, chain, degree):
 def suite_main_technical(max_degree=5, rings=("z", "f2"), **_):
     col = _Collector()
     for code in rings:
-        ring = _ring(code, 0)
+        ring = parse_ring(code)
 
         def one_loop(ring=ring, code=code):
             cx = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=max_degree,
@@ -581,7 +568,7 @@ def suite_model_vs_complex(rings=("z", "q", "f2", "f3"), max_degree=5, **_):
     col = _Collector()
     for code in rings:
         def chk(code=code):
-            ring = _ring(code, 0)
+            ring = parse_ring(code)
             big = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=max_degree))
             per_degree = {p: [0, []] for p in range(1, max_degree)}
             for w, cx in weight_decompose(big):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from planarloops import (DomainError, PointedRing, QQ, Scalar, ZA, ZZ, arith,
-                         prime_field, specialize)
+                         parse_ring, prime_field, specialize)
 
 
 def S(domain, text):
@@ -93,3 +93,13 @@ def test_za_pointed_ring_marks_generator():
     assert ring.a_power(3) == ((3, 1),)
     with pytest.raises(DomainError):
         PointedRing.make(ZA, 5)
+
+
+def test_parse_ring_codes():
+    assert parse_ring("z") == PointedRing.make(ZZ, 0)
+    assert parse_ring("Q", 1) == PointedRing.make(QQ, 1)
+    assert parse_ring("f3", 1) == PointedRing.make(prime_field(3), 1)
+    assert parse_ring("za") == PointedRing.make(ZA)
+    for bad in ("r", "f", "fx", "f4"):
+        with pytest.raises(DomainError):
+            parse_ring(bad)

@@ -13,7 +13,7 @@ from planarloops import (Chain, ChainComplexData, ComplexSpec, DomainError,
                          smith_normal_form, solve_integer, truncated_complex,
                          validate_d_squared, weight_decompose)
 from planarloops.homology import (_DENSE_TRANSFORM_CELLS, LinearAlgebraError,
-                                  zero_matrix)
+                                  graded_matrix, zero_matrix)
 from planarloops.loops import CLOSED
 from planarloops.verify import _generated_by
 
@@ -367,6 +367,45 @@ def test_validate_d_squared_catches_corruption():
     assert rep.failures[0][0] == 3  # located in the composite leaving degree 3
 
 
+def _with_first_entry(mat, change):
+    """mat with its first stored value v replaced by change(v)."""
+    data = {(r, c): v for r, c, v in mat.entries}
+    r0, c0, v0 = mat.entries[0]
+    data[(r0, c0)] = change(v0)
+    return SparseMatrix.from_dict(mat.rows, mat.cols, data, mat.domain)
+
+
+def test_integer_d_squared_locates_failures_like_the_generic_product():
+    za = PointedRing.make(ZA)
+    cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
+    bad = dict(cx.matrices)
+    bad[2] = _with_first_entry(bad[2], ZA.neg)
+    weighted = ChainComplexData(za, 3, cx.basis, bad, weights=cx.weights)
+    generic = ChainComplexData(za, 3, cx.basis, bad, weights=None)
+    rep = validate_d_squared(weighted)
+    assert not rep.ok
+    assert rep.failures == validate_d_squared(generic).failures
+
+
+def test_integer_d_squared_rejects_misgraded_entries():
+    za = PointedRing.make(ZA)
+    cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
+    bad = dict(cx.matrices)
+    # one power of a too many
+    bad[3] = _with_first_entry(bad[3], lambda v: ZA.mul(v, ZA.parse("a")))
+    with pytest.raises(LinearAlgebraError, match="not an integer times"):
+        validate_d_squared(ChainComplexData(za, 3, cx.basis, bad,
+                                            weights=cx.weights))
+    with pytest.raises(LinearAlgebraError, match="negative power"):
+        graded_matrix(1, 1, {(0, 0): 1}, (1,), (0,), za)
+
+
+def test_unweighted_za_complex_keeps_generic_d_squared():
+    wc = build_word_complex(2, 3, ring=PointedRing.make(ZA))
+    assert wc.weights is None
+    assert validate_d_squared(wc).ok
+
+
 def test_homology_examples():
     wc = build_word_complex(2, 4)
     hs = homology(wc, range(1, 4))
@@ -454,6 +493,17 @@ def test_universal_coefficients_on_model():
     q = truncated_complex(minimal_model(4, PointedRing.make(QQ, 0)), 5)
     for h in homology(q, range(1, 5)):
         assert h.free_rank == integral[h.degree].free_rank
+
+
+@pytest.mark.parametrize("entries, message", [
+    (((0, 2, 1),), "out of range"),
+    (((0, 0, 1), (0, 0, 2)), "duplicate entry"),
+    (((0, 1, 0),), "stored zero"),
+    (((1, 0, 1), (0, 1, 1)), "row-major order"),
+])
+def test_sparse_matrix_rejects_malformed_entries(entries, message):
+    with pytest.raises(LinearAlgebraError, match=message):
+        SparseMatrix(2, 2, entries, ZZ)
 
 
 def test_matrix_domain_errors():

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
-                         PointedRing, ZA, ZZ, build_complex, close_ends,
-                         differential, divider_count, empty_system,
-                         enumerate_graffiti, face, from_word, identity_diagram,
+                         PointedRing, QQ, ZA, ZZ, build_complex,
+                         chain_to_vector, close_ends, differential,
+                         divider_count, empty_system, enumerate_graffiti, face, from_word, identity_diagram,
                          involution_lr, involution_tb, loop_count,
                          new_graffito, nondivider_count, parse_chain,
                          parse_diagram, parse_graffito, pivot_sequence,
-                         product, to_word)
+                         prime_field, product, to_word)
+from planarloops import loops as loops_module
 from planarloops.loops import CLOSED, chain_involution_lr, chain_involution_tb
 from planarloops.homology import validate_d_squared
 
@@ -233,6 +234,46 @@ def test_augmented_d_squared():
     assert validate_d_squared(cx).ok
     d1 = cx.boundary(1)
     assert d1.nnz() == 4  # every one-bar system hits the empty system
+
+
+# every end behaviour, and rings where a is 0, a unit, 2, or the generator
+ORACLE_ENDS = (CLOSED, EndSpec(augmented=True),
+               *(EndSpec.from_code(code) for code in ("oo", "oc", "co")))
+ORACLE_RINGS = (ZAU, Z0, PointedRing.make(ZZ, 2), PointedRing.make(QQ, 0),
+                PointedRing.make(prime_field(2), 0),
+                PointedRing.make(prime_field(3), 1))
+
+
+@pytest.mark.parametrize("ends", ORACLE_ENDS,
+                         ids=lambda e: e.code + ("+aug" if e.augmented else ""))
+def test_build_complex_matches_chain_differential(ends):
+    # the Chain/face layer is an independent route to every column
+    systems = {p: enumerate_graffiti(p, ends=ends) for p in range(1, 4)}
+    for ring in ORACLE_RINGS:
+        cx = build_complex(ComplexSpec(4, ring, ends, max_degree=3))
+        for p in range(1, 4):
+            assert cx.basis[p] == tuple(g.encode() for g in systems[p])
+            cols = cx.boundary(p).col_dicts()
+            for j, g in enumerate(systems[p]):
+                d = differential(Chain.of(ring, g))
+                if p == 1 and not ends.augmented:
+                    # the reduced complex drops the merge to the empty system
+                    assert set(d.terms) <= {empty_system()} and j not in cols
+                    continue
+                assert chain_to_vector(d, cx, p - 1) == cols.get(j, {}), (ring, g)
+
+
+def test_assembly_checks_loops_against_weights(monkeypatch):
+    loops_module.count_graffiti(1)  # fill the weight machine before the patch
+    real = loops_module.compose
+
+    def one_loop_too_many(x, y):
+        res, loops = real(x, y)
+        return res, loops + 1
+
+    monkeypatch.setattr(loops_module, "compose", one_loop_too_many)
+    with pytest.raises(GraffitoError, match="weights differ"):
+        build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
 
 
 def test_chain_codec():
