@@ -2,7 +2,7 @@
 free dga models, and integral homology."""
 
 from .coeff import (CoefficientDomain, DomainError, PointedRing, QQ, Scalar,
-                    ZA, ZZ, arith, parse_ring, prime_field, specialize)
+                    ZA, ZZ, parse_ring, prime_field, specialize)
 from .diagram import (DiagramError, Letter, LinkState, TLDiagram, cell_basis,
                       close_up, compose, enumerate_diagrams, enumerate_letters,
                       identity_diagram, new_diagram, parse_diagram,
@@ -16,9 +16,9 @@ from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
                     vector_to_chain)
 from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       NCPoly, alpha_boundary_check, check_chain_map,
-                      check_involution_relations, dga_differential, four_model,
+                      check_involution_relations, four_model,
                       minimal_model, model_involutions, parse_poly, phi,
-                      poly_arith, psi, specialize_complex, truncated_complex)
+                      psi, specialize_complex, truncated_complex)
 from .homology import (ChainComplexData, HomologyGroup, SmithForm,
                        SparseMatrix, build_word_complex, homology,
                        integer_kernel_basis, is_boundary, is_cycle,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .coeff import DomainError, parse_ring
 from .diagram import DiagramError, enumerate_diagrams, enumerate_letters, parse_diagram
@@ -124,11 +123,7 @@ def _cmd_verify(args) -> int:
         params["max_degree"] = args.max_degree
     if args.rings:
         params["rings"] = tuple(args.rings.split(","))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            report = pool.submit(run_suite, args.suite, **params).result()
-    else:
-        report = run_suite(args.suite, **params)
+    report = run_suite(args.suite, **params)
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -163,8 +158,6 @@ def make_parser() -> argparse.ArgumentParser:
                     "model algebras, and exact homology.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for verification suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     enum = sub.add_parser("enum", help="list diagrams, letters, or loop systems")

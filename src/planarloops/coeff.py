@@ -304,21 +304,6 @@ class Scalar:
         return cls(domain, domain.from_int(n))
 
 
-def arith(op: str, s: Scalar, t: Scalar):
-    """Dispatch table form of scalar arithmetic; op in add/mul/neg/eq/is_zero."""
-    if op == "neg":
-        return -s
-    if op == "is_zero":
-        return s.is_zero()
-    s._check(t)
-    if op == "add":
-        return s + t
-    if op == "mul":
-        return s * t
-    if op == "eq":
-        return s == t
-    raise ValueError(f"unknown op {op!r}")
-
 
 @dataclass(frozen=True)
 class PointedRing:

@@ -437,11 +437,3 @@ def enumerate_letters(kl: int, kr: int) -> tuple[Letter, ...]:
     rights = cell_basis(4, kr, LEFT_CELL)
     out = [Letter(ls.diagram, rs.diagram) for ls in lefts for rs in rights]
     return tuple(sorted(out, key=Letter.encode))
-
-
-def all_letters() -> tuple[Letter, ...]:
-    out = []
-    for kl in (0, 2):
-        for kr in (0, 2):
-            out.extend(enumerate_letters(kl, kr))
-    return tuple(sorted(out, key=Letter.encode))

@@ -138,16 +138,6 @@ class NCPoly:
         return f"NCPoly({self.encode()})"
 
 
-def poly_arith(op: str, p: NCPoly, q=None) -> NCPoly:
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        return p.scale(q)
-    raise ValueError(f"unknown op {op!r}")
-
-
 _TERM_SPLIT = re.compile(r"(?<![\^(])([+-])")
 
 
@@ -292,10 +282,6 @@ class FreeDGA:
                     out = out + piece
                 sign_deg += gm[g].degree
         return out
-
-
-def dga_differential(algebra: FreeDGA, p: NCPoly) -> NCPoly:
-    return algebra.differential(p)
 
 
 def minimal_model(two_n: int, ring: PointedRing) -> FreeDGA:

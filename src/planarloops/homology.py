@@ -1,11 +1,12 @@
 """Ring-agnostic chain-complex linear algebra over exact domains.
 
 Boundary data is held as sparse matrices whose entries live in one of the
-coeff domains.  Integral homology goes through Smith normal form with a
-unit-pivot sweep first (boundary matrices are overwhelmingly unimodular), so
-only a small residual core ever sees the gcd-based reduction; integral
-solves, kernels and representatives replay the sweep's record.  Field ranks
-use sparse elimination with Markowitz pivoting.  Everything is exact.
+coeff domains.  One sparse elimination with Markowitz pivoting serves every
+ring.  Over Z it pivots on units only (boundary matrices are overwhelmingly
+unimodular), so only a small residual core ever sees the gcd-based Smith
+reduction; integral solves, kernels and representatives replay the sweep's
+record.  Over a field it pivots on any nonzero and its pivot count is the
+rank.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -101,11 +102,6 @@ class SparseMatrix:
             if not target.is_zero(w):
                 data[(r, c)] = w
         return SparseMatrix.from_dict(self.rows, self.cols, data, target)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_dict(
-            self.cols, self.rows,
-            {(c, r): v for r, c, v in self.entries}, self.domain)
 
     def to_triples(self) -> list[list]:
         return [[r, c, self.domain.format(v)] for r, c, v in self.entries]
@@ -269,31 +265,38 @@ class SmithForm:
 
 
 class _SparseSNF:
-    """Unit-pivot sweep with a replayable record, then the dense residual core.
+    """Markowitz sweep with a replayable record, then the dense residual core.
 
-    The sweep applies row operations row_r -= q * row_r0, recorded in ops as
-    (r, r0, q), that clear the column of each unit pivot outside its pivot
-    row; it then drops the pivot row, kept in pivots as (r0, c0, entries).
-    With L the recorded operations, L A has pivot rows, residual rows whose
-    entries lie in the residual columns and form the core, and zero rows.
-    No operation reads a non-pivot row, so L and its inverse are the
-    identity on vectors supported there.  Only the core is reduced densely,
-    with transforms when an integral solve needs them.  Non-pivot columns
-    outside the core are free.
+    The sweep pivots on a unit over Z and on any nonzero over a field,
+    always on a candidate of least (len(row) - 1) * (len(col) - 1), ties
+    broken by (row, col).  Row operations row_r -= q * row_r0 clear the
+    pivot column outside the pivot row, which is then dropped.  Over a
+    field that empties the matrix: the pivot count is the rank and the core
+    is 0 x 0.  Over Z the rows left over form the residual core, reduced
+    densely.
+
+    With transforms (over Z only) the sweep records its operations in ops
+    as (r, r0, q) and its pivot rows in pivots as (r0, c0, entries).  With L
+    the recorded operations, L A has pivot rows, residual rows whose entries
+    lie in the residual columns and form the core, and zero rows.  No
+    operation reads a non-pivot row, so L and its inverse are the identity
+    on vectors supported there.  The core is reduced with transforms too,
+    for the integral solves.  Non-pivot columns outside the core are free.
     """
 
     def __init__(self, A: SparseMatrix, transforms: bool = False):
-        if A.domain.kind != INTEGERS:
+        dom = A.domain
+        if dom.kind != INTEGERS and (transforms or not dom.is_field()):
             raise DomainError("Smith normal form needs integer entries")
         self.nrows, self.ncols = A.rows, A.cols
-        self.R: dict[int, dict[int, int]] = A.row_dicts()
+        self.R: dict[int, dict[int, object]] = A.row_dicts()
         self.C: dict[int, set[int]] = {}
         for r, row in self.R.items():
             for c in row:
                 self.C.setdefault(c, set()).add(r)
         self.ops: list[tuple[int, int, int]] = []
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
-        self._unit_sweep()
+        self.npivots = self._sweep(dom, transforms)
         self.res_rows = sorted(r for r, row in self.R.items() if row)
         self.res_cols = sorted({c for r in self.res_rows for c in self.R[r]})
         cmap = {c: j for j, c in enumerate(self.res_cols)}
@@ -313,56 +316,71 @@ class _SparseSNF:
         bound = {r0 for r0, _, _ in self.pivots}.union(self.res_rows)
         return [r for r in range(self.nrows) if r not in bound]
 
-    def _push_candidates(self, heap, rows):
+    def _push_candidates(self, heap, rows, units):
         for r in rows:
             row = self.R.get(r)
             if not row:
                 continue
-            rl = len(row)
+            rl = len(row) - 1
             for c, v in row.items():
-                if v in (1, -1):
-                    cost = (rl - 1) * (len(self.C[c]) - 1)
-                    heapq.heappush(heap, (cost, r, c))
+                if not units or v in (1, -1):
+                    heapq.heappush(heap, (rl * (len(self.C[c]) - 1), r, c))
 
-    def _unit_sweep(self):
+    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> int:
+        """Eliminate pivots until none is left; returns their number."""
+        units = dom.kind == INTEGERS
+        p = dom.p  # entries are reduced mod p over F_p
+        R, C = self.R, self.C
         heap: list = []
-        self._push_candidates(heap, list(self.R))
+        self._push_candidates(heap, list(R), units)
+        npivots = 0
         while heap:
             cost, r0, c0 = heapq.heappop(heap)
-            row0 = self.R.get(r0)
-            if not row0 or c0 not in row0 or row0[c0] not in (1, -1):
+            row0 = R.get(r0)
+            v = row0.get(c0) if row0 else None
+            if not v or (units and v not in (1, -1)):
                 continue
-            cur = (len(row0) - 1) * (len(self.C[c0]) - 1)
+            cur = (len(row0) - 1) * (len(C[c0]) - 1)
             if cur > cost:
                 heapq.heappush(heap, (cur, r0, c0))
                 continue
-            v = row0[c0]
+            # a unit is its own inverse; dom.inv keeps a plain int pivot of
+            # a QQ matrix exact
+            inv = v if v in (1, -1) else dom.inv(v)
             touched = []
-            for r in list(self.C[c0]):
+            for r in list(C[c0]):
                 if r == r0:
                     continue
-                q = self.R[r][c0] * v  # v in {1,-1} so q*v == entry
-                row = self.R[r]
+                row = R[r]
+                q = row[c0] * inv
+                if p:
+                    q %= p
                 for c, w in row0.items():
                     nv = row.get(c, 0) - q * w
+                    if p:
+                        nv %= p
                     if nv:
                         if c not in row:
-                            self.C[c].add(r)
+                            C[c].add(r)
                         row[c] = nv
                     elif c in row:
                         del row[c]
-                        self.C[c].discard(r)
-                self.ops.append((r, r0, q))
+                        C[c].discard(r)
+                if transforms:
+                    self.ops.append((r, r0, q))
                 touched.append(r)
             # column c0 is now supported on r0 only; removing the pivot row
-            # and column performs the (trivial) clearing column operations
+            # and column performs the clearing column operations
             for c in row0:
-                self.C[c].discard(r0)
-                if not self.C[c]:
-                    del self.C[c]
-            del self.R[r0]
-            self.pivots.append((r0, c0, row0))
-            self._push_candidates(heap, touched)
+                C[c].discard(r0)
+                if not C[c]:
+                    del C[c]
+            del R[r0]
+            npivots += 1
+            if transforms:
+                self.pivots.append((r0, c0, row0))
+            self._push_candidates(heap, touched, units)
+        return npivots
 
     def _lift(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """Complete x, given on the non-pivot columns, by back-substitution
@@ -573,72 +591,19 @@ def smith_normal_form(A: SparseMatrix, transforms: bool = False) -> SmithForm:
     if transforms:
         return _dense_snf(A.rows, A.cols, A.entries, transforms=True)
     work = _SparseSNF(A)
-    invariants = (1,) * len(work.pivots) + work.core.invariants
+    invariants = (1,) * work.npivots + work.core.invariants
     return SmithForm(invariants, len(invariants))
 
 
 def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
-    """Exact rank by sparse elimination with Markowitz pivoting."""
+    """Exact rank: the number of pivots of the sparse Markowitz sweep."""
     if not fld.is_field():
         raise DomainError(f"{fld!r} is not a field")
-    if A.domain.kind == INTEGERS and fld.is_field():
+    if A.domain.kind == INTEGERS:
         A = A.map_domain(fld)
     elif A.domain != fld:
         raise DomainError("matrix domain disagrees with requested field")
-    R = A.row_dicts()
-    C: dict[int, set[int]] = {}
-    for r, row in R.items():
-        for c in row:
-            C.setdefault(c, set()).add(r)
-    heap: list = []
-
-    def push(rows):
-        for r in rows:
-            row = R.get(r)
-            if not row:
-                continue
-            rl = len(row) - 1
-            for c in row:
-                heapq.heappush(heap, (rl * (len(C[c]) - 1), r, c))
-
-    push(list(R))
-    rank = 0
-    while heap:
-        cost, r0, c0 = heapq.heappop(heap)
-        row0 = R.get(r0)
-        if not row0 or c0 not in row0:
-            continue
-        col0 = C[c0]
-        cur = (len(row0) - 1) * (len(col0) - 1)
-        if cur > cost:
-            heapq.heappush(heap, (cur, r0, c0))
-            continue
-        piv_inv = fld.inv(row0[c0])
-        touched = []
-        for r in list(col0):
-            if r == r0:
-                continue
-            row = R[r]
-            q = fld.mul(row[c0], piv_inv)
-            for c, w in row0.items():
-                nv = fld.sub(row.get(c, fld.zero()), fld.mul(q, w))
-                if fld.is_zero(nv):
-                    if c in row:
-                        del row[c]
-                        C[c].discard(r)
-                else:
-                    if c not in row:
-                        C[c].add(r)
-                    row[c] = nv
-            touched.append(r)
-        for c in row0:
-            C[c].discard(r0)
-            if not C[c]:
-                del C[c]
-        del R[r0]
-        rank += 1
-        push(touched)
-    return rank
+    return _SparseSNF(A).npivots
 
 
 # ---------------------------------------------------------------------------
@@ -679,39 +644,30 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
         if p < 0:
             raise LinearAlgebraError("negative degree")
     dom = c.ring.domain
-    out = []
     if dom.kind == INTEGERS:
-        snf_cache: dict[int, SmithForm] = {}
-
-        def snf_of(p):
-            if p not in snf_cache:
-                snf_cache[p] = smith_normal_form(c.boundary(p))
-            return snf_cache[p]
-
-        for p in degrees:
-            n_p = c.dim(p)
-            r_low = snf_of(p).rank if p >= 1 else 0
-            high = snf_of(p + 1)
-            tors = tuple(d for d in high.invariants if d > 1)
-            free = n_p - r_low - high.rank
-            reps = _integral_representatives(c, p) if representatives else None
-            out.append(HomologyGroup(p, free, tors, n_p, reps))
-        return out
-    if not dom.is_field():
+        def reduce(A):
+            snf = smith_normal_form(A)
+            return snf.rank, tuple(d for d in snf.invariants if d > 1)
+    elif dom.is_field():
+        def reduce(A):
+            return rank_over_field(A, dom), ()
+    else:
         raise DomainError(
             "homology is computed over Z or a field; specialize first")
-    rank_cache: dict[int, int] = {}
 
-    def rank_of(p):
-        if p not in rank_cache:
-            rank_cache[p] = rank_over_field(c.boundary(p), dom)
-        return rank_cache[p]
+    @functools.cache
+    def reduced(p):
+        """(rank, torsion invariants) of the boundary leaving degree p."""
+        return reduce(c.boundary(p))
 
+    out = []
     for p in degrees:
         n_p = c.dim(p)
-        r_low = rank_of(p) if p >= 1 else 0
-        free = n_p - r_low - rank_of(p + 1)
-        out.append(HomologyGroup(p, free, (), n_p))
+        r_low = reduced(p)[0] if p >= 1 else 0
+        rank, tors = reduced(p + 1)
+        reps = (_integral_representatives(c, p)
+                if representatives and dom.kind == INTEGERS else None)
+        out.append(HomologyGroup(p, n_p - r_low - rank, tors, n_p, reps))
     return out
 
 

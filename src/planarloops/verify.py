@@ -20,7 +20,7 @@ from .diagram import (Letter, catalan, cell_basis, enumerate_diagrams,
 from .freedga import (alpha_boundary_check, check_chain_map,
                       check_involution_relations, four_model,
                       loop_involution_relations, minimal_model, phi, psi,
-                      specialize_complex, truncated_complex)
+                      truncated_complex)
 from .homology import (build_word_complex, homology, is_boundary, is_cycle,
                        validate_d_squared, weight_decompose)
 from .loops import (CLOSED, Chain, ComplexSpec, EndSpec, Graffito,
@@ -584,12 +584,6 @@ def suite_model_vs_complex(rings=("z", "q", "f2", "f3"), max_degree=5, **_):
     return SuiteReport("model-vs-complex", col.checks)
 
 
-def suite_e1_tensor_dims(max_degree=4, **_):
-    rep = suite_filtration_properties(samples=1, seed=0, max_degree=max_degree)
-    dims = [c for c in rep.checks if c.name == "filtration-dimension-identity"]
-    return SuiteReport("e1-tensor-dims", dims)
-
-
 SUITES = {
     "d-squared": suite_d_squared,
     "leibniz": suite_leibniz,
@@ -606,7 +600,6 @@ SUITES = {
     "pivot-properties": suite_pivot_properties,
     "filtration-properties": suite_filtration_properties,
     "model-vs-complex": suite_model_vs_complex,
-    "e1-tensor-dims": suite_e1_tensor_dims,
 }
 
 

@@ -87,11 +87,6 @@ def test_verify_json_schema(capsys):
     assert names == sorted(names)
 
 
-def test_verify_threads_flag(capsys):
-    code, out, _ = run(capsys, "--threads", "2", "verify", "slicing")
-    assert code == 0 and "[PASS] suite slicing" in out
-
-
 def test_export_determinism(capsys, tmp_path):
     code, out1, _ = run(capsys, "export", "--target", "graffito",
                         "--format", "ascii", PHI_X_TEXT)

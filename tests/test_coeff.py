@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planarloops import (DomainError, PointedRing, QQ, Scalar, ZA, ZZ, arith,
+from planarloops import (DomainError, PointedRing, QQ, Scalar, ZA, ZZ,
                          parse_ring, prime_field, specialize)
 
 
@@ -13,7 +13,7 @@ def S(domain, text):
 
 def test_prime_field_arith():
     f5 = prime_field(5)
-    assert arith("mul", Scalar.of(f5, 3), Scalar.of(f5, 4)) == Scalar.of(f5, 2)
+    assert Scalar.of(f5, 3) * Scalar.of(f5, 4) == Scalar.of(f5, 2)
     assert str(Scalar.of(f5, 7)) == "2 mod 5"
 
 
@@ -35,7 +35,7 @@ def test_composite_modulus_rejected():
 
 def test_mixed_domains_rejected():
     with pytest.raises(DomainError):
-        arith("add", Scalar.of(ZZ, 1), Scalar.of(QQ, 1))
+        Scalar.of(ZZ, 1) + Scalar.of(QQ, 1)
 
 
 def test_specialize_examples():

@@ -48,6 +48,26 @@ def dense_rank_q(rows, cols, entries):
     return rank
 
 
+def dense_rank_mod_p(rows, cols, entries, p):
+    m = [[0] * cols for _ in range(rows)]
+    for r, c, v in entries:
+        m[r][c] = v % p
+    rank = 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, rows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][col]:
+                q = m[i][col]
+                m[i] = [(x - q * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def matmul_dense(A, B):
     n, k, m = len(A), len(B), len(B[0])
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
@@ -158,10 +178,15 @@ def spans(basis, vectors, n):
 ENTRY = st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-6, 6))
 
 
+# about half zeros; most nonzero entries are non-units, which force non-unit
+# pivots over a field
+SPARSE_ENTRY = st.one_of(st.just(0), st.integers(-6, 6))
+
+
 @st.composite
-def int_matrices(draw, max_dim=6):
+def int_matrices(draw, max_dim=6, entry=ENTRY):
     rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
-    return M(rows, cols, {(r, c): draw(ENTRY)
+    return M(rows, cols, {(r, c): draw(entry)
                           for r in range(rows) for c in range(cols)})
 
 
@@ -250,6 +275,20 @@ def test_rank_matches_snf_mod_p():
             assert rank_over_field(A, prime_field(p)) == expected
         assert rank_over_field(A, QQ) == len(invs)
         assert rank_over_field(A, QQ) == dense_rank_q(rows, cols, A.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_dim=8, entry=SPARSE_ENTRY))
+def test_field_rank_matches_dense_oracles(A):
+    """The sweep pivots on non-units over a field; its pivot count is the
+    rank over F2, F3, F5 and Q, and stays exact on a QQ matrix holding
+    plain int entries."""
+    for p in (2, 3, 5):
+        assert rank_over_field(A, prime_field(p)) == \
+            dense_rank_mod_p(A.rows, A.cols, A.entries, p)
+    rank_q = dense_rank_q(A.rows, A.cols, A.entries)
+    assert rank_over_field(A, QQ) == rank_q
+    assert rank_over_field(SparseMatrix(A.rows, A.cols, A.entries, QQ), QQ) == rank_q
 
 
 def test_solve_integer_and_kernel():

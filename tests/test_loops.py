@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -23,9 +24,14 @@ ZAU = PointedRing.make(ZA)
 rng = random.Random(0)
 
 
+@functools.cache
+def graffiti_pool(p):
+    return enumerate_graffiti(p)
+
+
 def rand_graffito(pmax=3, pmin=1):
     p = rng.randint(pmin, pmax)
-    return rng.choice(enumerate_graffiti(p))
+    return rng.choice(graffiti_pool(p))
 
 
 def test_new_graffito_examples():
