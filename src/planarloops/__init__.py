@@ -12,8 +12,7 @@ from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
                     divider_count, empty_system, enumerate_graffiti, face,
                     from_word, involution_lr, involution_tb, loop_count,
                     new_graffito, nondivider_count, parse_chain,
-                    parse_graffito, pivot_sequence, product, to_word,
-                    vector_to_chain)
+                    parse_graffito, pivot_sequence, product, to_word)
 from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       NCPoly, alpha_boundary_check, check_chain_map,
                       check_involution_relations, four_model,

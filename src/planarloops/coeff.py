@@ -123,9 +123,6 @@ class CoefficientDomain:
             return s == ()
         return s == 0
 
-    def eq(self, s, t) -> bool:
-        return s == t
-
     def is_field(self) -> bool:
         return self.kind in (RATIONALS, PRIME_FIELD)
 
@@ -359,12 +356,8 @@ def specialize(s: Scalar, target: PointedRing) -> Scalar:
     """
     if s.domain.kind != INT_POLY_A:
         raise DomainError("specialize is defined on Z[a] scalars")
-    return Scalar(target.domain, specialize_raw(s.value, target))
-
-
-def specialize_raw(poly: tuple, target: PointedRing):
     dom = target.domain
     acc = dom.zero()
-    for e, c in poly:
+    for e, c in s.value:
         acc = dom.add(acc, dom.mul(dom.from_int(c), target.a_power(e)))
-    return acc
+    return Scalar(dom, acc)

@@ -15,9 +15,10 @@ import math
 import re
 from dataclasses import dataclass
 
-from .coeff import DomainError, PointedRing, specialize_raw
+from .coeff import INT_POLY_A, DomainError, PointedRing
 from .diagram import parse_diagram
-from .homology import ChainComplexData, SparseMatrix
+from .homology import (ChainComplexData, SparseMatrix, graded_matrix,
+                       integer_coefficients)
 from .loops import (Chain, chain_involution_lr, chain_involution_tb,
                     differential as loops_differential, empty_system,
                     new_graffito, zero_chain)
@@ -573,23 +574,17 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
     """
     ring = algebra.ring
     dom = ring.domain
-    gen_index = {g.name: i for i, g in enumerate(algebra.generators)}
     words: dict[int, list[tuple[str, ...]]] = {p: [] for p in range(max_degree + 1)}
     if not nonunital:
         words[0].append(())
-
-    def grow(word, deg):
-        for g in algebra.generators:
-            nd = deg + g.degree
-            if nd > max_degree:
-                continue
-            nw = word + (g.name,)
-            words[nd].append(nw)
-            grow(nw, nd)
-
-    grow((), 0)
-    for p in words:
-        words[p].sort(key=lambda w: (len(w), tuple(gen_index[g] for g in w)))
+    # breadth first, one letter per round in generator order: each degree
+    # receives its words by length, then generator index
+    frontier = [((), 0)]
+    while frontier:
+        frontier = [(w + (g.name,), d + g.degree) for w, d in frontier
+                    for g in algebra.generators if d + g.degree <= max_degree]
+        for w, d in frontier:
+            words[d].append(w)
     basis = {p: tuple(".".join(w) if w else "1" for w in words[p])
              for p in range(max_degree + 1)}
     weights = {p: tuple(algebra.word_weight(w) for w in words[p])
@@ -614,18 +609,20 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
 
 
 def specialize_complex(c: ChainComplexData, target: PointedRing) -> ChainComplexData:
-    """Entrywise substitution a -> a_value, taking a Z[a] complex to (R, a)."""
-    from .coeff import INT_POLY_A
+    """Substitute a -> a_value in a weight-labelled Z[a] complex.
+
+    Each entry n * a^(w_col - w_row) becomes that value in (R, a); an entry
+    of another form raises LinearAlgebraError.
+    """
     if c.ring.domain.kind != INT_POLY_A:
         raise AlgebraError("specialize_complex starts from a Z[a] complex")
-    dom = target.domain
+    if c.weights is None:
+        raise AlgebraError("specialize_complex needs weight labels")
     mats = {}
     for p, mat in c.matrices.items():
-        data = {}
-        for r, col, v in mat.entries:
-            w = specialize_raw(v, target)
-            if not dom.is_zero(w):
-                data[(r, col)] = w
-        mats[p] = SparseMatrix.from_dict(mat.rows, mat.cols, data, dom)
+        rw, cw = c.weights[p - 1], c.weights[p]
+        coeffs = {(r, col): n for r, col, n
+                  in integer_coefficients(mat, rw, cw).entries}
+        mats[p] = graded_matrix(mat.rows, mat.cols, coeffs, rw, cw, target)
     return ChainComplexData(target, c.max_degree, dict(c.basis), mats,
                             weights=c.weights, description=c.description)

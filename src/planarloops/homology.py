@@ -96,11 +96,7 @@ class SparseMatrix:
         """Reinterpret integer entries in another domain (Z -> Q, F_p, ...)."""
         if self.domain.kind != INTEGERS:
             raise DomainError("map_domain starts from integer matrices")
-        data = {}
-        for r, c, v in self.entries:
-            w = target.from_int(v)
-            if not target.is_zero(w):
-                data[(r, c)] = w
+        data = {(r, c): target.from_int(v) for r, c, v in self.entries}
         return SparseMatrix.from_dict(self.rows, self.cols, data, target)
 
     def to_triples(self) -> list[list]:
@@ -813,7 +809,6 @@ def build_word_complex(alphabet_size: int, max_degree: int,
     for p in range(1, max_degree + 1):
         cur = [(i,) for i in range(1, alphabet_size + 1)] if p == 1 else \
             [w + (i,) for w in words[p - 1] for i in range(1, alphabet_size + 1)]
-        cur.sort()
         words[p] = cur
         basis[p] = tuple(".".join(map(str, w)) for w in cur)
     mats = {}

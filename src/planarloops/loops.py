@@ -542,7 +542,7 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
     """All degree-p basis systems passing the filters, canonical order."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
-    words = _enumerate_words(degree, two_n, ends, weight, dividers)
+    words, _ = _raw_words(degree, two_n, ends, weight, dividers)
     first, inner, last = _slot_pools(two_n, ends)
     out = []
     for w in words:
@@ -596,12 +596,19 @@ def _word_encoding(w, enc_first, enc_inner, enc_last, ends_code):
 
 
 def _raw_words(degree, two_n, ends, weight, dividers):
-    """Depth-first enumeration of basis words, with on-the-fly filters."""
+    """Basis words passing the filters, in canonical order, and their loop counts.
+
+    Returns two parallel lists: the id-words, and the loop count of each.
+    Each slot pool (first, inner, last) is in encoding order, and every
+    diagram encoding ends in its only '}', so no encoding is a proper prefix
+    of another.  String order of 'G(..)[a | b | ...]' is therefore the
+    lexicographic order of the slot ids, which is the order this depth-first
+    walk visits them.
+    """
     if degree < 1:
-        return []
-    (first, inner, last, start, step, finish, is_div,
-     _ef, _ei, _el) = _machine(two_n, ends)
-    out = []
+        return [], []
+    first, inner, last, start, step, finish, is_div, *_ = _machine(two_n, ends)
+    out, counts = [], []
     n_inner = degree - 1
 
     def extend(prefix, state, loops, divs):
@@ -618,6 +625,7 @@ def _raw_words(degree, two_n, ends, weight, dividers):
                 if weight is not None and total != weight:
                     continue
                 out.append(prefix + (j,))
+                counts.append(total)
             return
         for j in range(len(inner)):
             ns, dl = step[(state, j)]
@@ -625,7 +633,7 @@ def _raw_words(degree, two_n, ends, weight, dividers):
 
     for f in range(len(first)):
         extend((f,), start[f], 0, 0)
-    return out
+    return out, counts
 
 
 def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
@@ -633,29 +641,22 @@ def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
     """Number of degree-p basis systems passing the filters (no objects built)."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
-    return len(_raw_words(degree, two_n, ends, weight, dividers))
-
-
-def _enumerate_words(degree, two_n, ends, weight, dividers):
-    (first, inner, last, start, step, finish, is_div,
-     enc_first, enc_inner, enc_last) = _machine(two_n, ends)
-    out = _raw_words(degree, two_n, ends, weight, dividers)
-    code = ends.code
-    out.sort(key=lambda w: _word_encoding(w, enc_first, enc_inner, enc_last, code))
-    return out
+    return len(_raw_words(degree, two_n, ends, weight, dividers)[0])
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplexData:
     """Bases and boundary matrices of the requested complex, degrees 0..max.
 
-    The basis in each degree is ordered by canonical encoding.  Bar deletions
-    whose coefficient vanishes, whose target leaves an open-end cell module,
-    or (in subquotient mode) whose target gains a divider contribute nothing.
+    The basis in each degree is in canonical encoding order, as the
+    enumeration emits it; each basis word is encoded once, and its weight
+    label is the loop count the enumeration computed.  Bar deletions whose
+    coefficient vanishes, whose target leaves an open-end cell module, or
+    (in subquotient mode) whose target gains a divider contribute nothing.
     """
     ends = spec.ends
     ring = spec.ring
-    (first, inner, last, start, step, finish, is_div,
-     enc_first, enc_inner, enc_last) = _machine(spec.two_n, ends)
+    first, inner, last, *_, enc_first, enc_inner, enc_last = _machine(
+        spec.two_n, ends)
 
     # merge tables in id space; None marks a cell-quotient kill
     inner_index = {d: j for j, d in enumerate(inner)}
@@ -689,29 +690,18 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     basis: dict[int, tuple[str, ...]] = {}
     weights: dict[int, tuple[int, ...]] = {}
     words: dict[int, list[tuple[int, ...]]] = {}
-    stats: dict[int, list[tuple[int, int]]] = {}
     if ends.augmented:
         basis[0] = (empty_system(spec.two_n).encode(),)
         weights[0] = (0,)
     else:
         basis[0], weights[0] = (), ()
     for p in range(1, spec.max_degree + 1):
-        ws = _enumerate_words(p, spec.two_n, ends, spec.weight, spec.dividers)
+        ws, counts = _raw_words(p, spec.two_n, ends, spec.weight, spec.dividers)
         words[p] = ws
         basis[p] = tuple(
             _word_encoding(w, enc_first, enc_inner, enc_last, ends.code)
             for w in ws)
-        st = []
-        for w in ws:
-            state, loops, divs = start[w[0]], 0, 0
-            for j in w[1:-1]:
-                state, dl = step[(state, j)]
-                loops += dl
-                divs += is_div[j]
-            loops += finish[(state, w[-1])]
-            st.append((loops, divs))
-        stats[p] = st
-        weights[p] = tuple(s[0] for s in st)
+        weights[p] = tuple(counts)
 
     def word_faces(w):
         """Nonzero bar deletions of an id-word: (index, new word, loops)."""
@@ -791,8 +781,3 @@ def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, 
         out[idx[key]] = v
     return out
 
-
-def vector_to_chain(vec: dict[int, object], data: ChainComplexData,
-                    degree: int) -> Chain:
-    enc = data.basis[degree]
-    return Chain(data.ring, {parse_graffito(enc[i]): v for i, v in vec.items()})

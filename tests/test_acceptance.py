@@ -12,22 +12,19 @@ import pytest
 
 from planarloops import (Chain, ComplexSpec, EndSpec, PointedRing, QQ, ZA, ZZ,
                          build_complex, build_word_complex, chain_to_vector,
-                         check_chain_map, differential, divider_count,
-                         enumerate_diagrams, enumerate_graffiti,
-                         enumerate_letters, face, homology, is_boundary,
-                         is_cycle, loop_count, minimal_model,
-                         nondivider_count, phi, pivot_sequence, prime_field,
-                         product, psi, to_word, truncated_complex,
+                         check_chain_map, differential, enumerate_diagrams,
+                         enumerate_graffiti, enumerate_letters, homology,
+                         is_boundary, is_cycle, minimal_model, phi,
+                         prime_field, psi, to_word, truncated_complex,
                          validate_d_squared, weight_decompose)
 from planarloops.diagram import RIGHT_CELL, cell_basis
 from planarloops.freedga import alpha_boundary_check
 from planarloops.loops import (CLOSED, chain_involution_lr,
                                chain_involution_tb, count_graffiti,
                                pivot_letters)
-from planarloops.verify import _generated_by
+from planarloops.verify import _generated_by, run_suite
 
-from conftest import (LEFT_END_PIVOTS, ONE_LOOP_LETTERS, PHI_X,
-                      PIVOT_LETTERS, RIGHT_END_PIVOTS)
+from conftest import ONE_LOOP_LETTERS, PHI_X, PIVOT_LETTERS
 
 ZAU = PointedRing.make(ZA)
 Z0 = PointedRing.make(ZZ, 0)
@@ -225,84 +222,8 @@ def test_criterion_9_model_vs_complex():
 
 def test_criterion_10_filtration_suite():
     t0 = time.time()
-    rng = random.Random(0)
-    ok = True
-    pools = {p: enumerate_graffiti(p) for p in range(1, 5)}
-
-    # divider monotonicity of nonzero deletions at a = 0
-    for _ in range(200):
-        g = rng.choice(pools[rng.randint(2, 4)])
-        for i in range(g.degree):
-            f = face(g, i, Z0)
-            if f.is_zero():
-                continue
-            (t, _), = f.terms.items()
-            ok &= divider_count(t) in (divider_count(g), divider_count(g) + 1)
-
-    # product statistics
-    for _ in range(200):
-        x = rng.choice(pools[rng.randint(1, 3)])
-        y = rng.choice(pools[rng.randint(1, 3)])
-        xy = product(x, y)
-        ok &= divider_count(xy) == divider_count(x) + divider_count(y) + 1
-        ok &= nondivider_count(xy) == nondivider_count(x) + nondivider_count(y)
-        ok &= loop_count(xy) == loop_count(x) + loop_count(y)
-
-    # pivot uniqueness for two loops, no dividers
-    for p in range(1, 5):
-        for g in enumerate_graffiti(p, weight=2, dividers=0):
-            seq = pivot_sequence(g)
-            hits = [l for l in to_word(g) if l in PIVOT_LETTERS]
-            ok &= len(seq) == 1 and hits == list(seq)
-
-    # pivot-sequence stability for three loops
-    pool3 = []
-    for p in range(3, 6):
-        pool3.extend(enumerate_graffiti(p, weight=3, dividers=0))
-    rng.shuffle(pool3)
-    for g in pool3[:200]:
-        seq = pivot_sequence(g)
-        for i in range(g.degree):
-            f = face(g, i, Z0)
-            if f.is_zero():
-                continue
-            (t, _), = f.terms.items()
-            if divider_count(t):
-                continue
-            seq2 = pivot_sequence(t)
-            ok &= seq2[1:-1] == seq[1:-1]
-            if seq2[0] != seq[0]:
-                ok &= seq2[0] in LEFT_END_PIVOTS and seq[0] not in LEFT_END_PIVOTS
-            if seq2[-1] != seq[-1]:
-                ok &= seq2[-1] in RIGHT_END_PIVOTS and seq[-1] not in RIGHT_END_PIVOTS
-
-    # dimension identity for divider rows
-    def dims(w, j):
-        cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=4, weight=w,
-                                       dividers=j, subquotient=True))
-        return [cx.dim(p) for p in range(5)]
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    base = {w: dims(w, 0) for w in range(1, 4)}
-    for w in range(1, 4):
-        for j in range(0, 3):
-            got = dims(w, j)
-            for p in range(1, 5):
-                expect = 0
-                for ws in compositions(w, j + 1):
-                    for ps in compositions(p, j + 1):
-                        term = 1
-                        for wt, pt in zip(ws, ps):
-                            term *= base[wt][pt] if pt <= 4 else 0
-                        expect += term
-                ok &= got[p] == expect
+    ok = run_suite("filtration-properties").ok
+    ok &= run_suite("pivot-properties").ok
     report(10, ok, "filtration suite: divider monotonicity, product formulas, "
            "weight additivity, pivot uniqueness and stability, divider-row "
            "dimension identity", time.time() - t0)

@@ -193,6 +193,18 @@ def test_specialize_commutes_for_loop_complexes():
             assert mapped.boundary(p).entries == direct.boundary(p).entries
 
 
+def test_specialize_needs_graded_entries():
+    from planarloops import build_word_complex
+    from planarloops.homology import LinearAlgebraError
+    with pytest.raises(AlgebraError, match="weight labels"):
+        specialize_complex(build_word_complex(2, 3, ZAU), Z0)
+    src = truncated_complex(minimal_model(4, ZAU), 3)
+    src.weights = {p: tuple(w + (p == 3) for w in ws)
+                   for p, ws in src.weights.items()}
+    with pytest.raises(LinearAlgebraError, match="not an integer times"):
+        specialize_complex(src, Z0)
+
+
 def test_weight_preserved_on_random_words():
     fm = four_model(ZAU)
     rng = random.Random(9)

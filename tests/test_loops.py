@@ -7,10 +7,11 @@ from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
                          PointedRing, QQ, ZA, ZZ, build_complex,
                          chain_to_vector, close_ends, differential,
                          divider_count, empty_system, enumerate_graffiti, face, from_word, identity_diagram,
-                         involution_lr, involution_tb, loop_count,
-                         new_graffito, nondivider_count, parse_chain,
-                         parse_diagram, parse_graffito, pivot_sequence,
-                         prime_field, product, to_word)
+                         four_model, involution_lr, involution_tb, loop_count,
+                         minimal_model, new_graffito, nondivider_count,
+                         parse_chain, parse_diagram, parse_graffito,
+                         pivot_sequence, prime_field, product, to_word,
+                         truncated_complex, weight_decompose)
 from planarloops import loops as loops_module
 from planarloops.loops import CLOSED, chain_involution_lr, chain_involution_tb
 from planarloops.homology import validate_d_squared
@@ -232,6 +233,46 @@ def test_weight_labels_match_loop_counts():
     for p in range(1, 4):
         for enc, w in zip(cx.basis[p], cx.weights[p]):
             assert loop_count(parse_graffito(enc)) == w
+
+
+def test_bases_are_canonical():
+    # no assembler sorts: each emits its basis in canonical order as it goes
+    specs = [ComplexSpec(4, Z0, EndSpec.from_code(code, aug), max_degree=4)
+             for code, aug in (("cc", False), ("cc", True), ("oo", False),
+                               ("oc", False), ("co", False))]
+    specs += [ComplexSpec(2, Z0, max_degree=3), ComplexSpec(6, Z0, max_degree=2)]
+    # the unfiltered 2n = 6 degree-3 layer has 429,025 words; its weight
+    # rows run the same walk
+    specs += [ComplexSpec(6, Z0, max_degree=3, weight=w) for w in (1, 2)]
+    specs += [ComplexSpec(4, Z0, max_degree=4, weight=w, dividers=j,
+                          subquotient=True)
+              for w in range(1, 4) for j in range(2)]
+    for spec in specs:
+        cx = build_complex(spec)
+        for p in range(1, spec.max_degree + 1):
+            assert list(cx.basis[p]) == sorted(cx.basis[p]), (spec, p)
+    for model in [minimal_model(n, Z0) for n in (2, 4, 6, 8)] + [four_model(Z0)]:
+        index = {g.name: i for i, g in enumerate(model.generators)}
+        for nonunital in (True, False):
+            cx = truncated_complex(model, 6, nonunital)
+            for p in range(7):
+                keys = [(len(w), [index[g] for g in w])
+                        for w in (() if b == "1" else tuple(b.split("."))
+                                  for b in cx.basis[p])]
+                assert keys == sorted(keys), (model.generators, p)
+
+
+@pytest.mark.parametrize("ring", (Z0, PointedRing.make(prime_field(2), 0)),
+                         ids=("Z", "F2"))
+def test_weight_blocks_match_filtered_builds(ring):
+    full = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=4))
+    blocks = weight_decompose(full)
+    assert [w for w, _ in blocks] == list(range(1, 9))
+    for w, block in blocks:
+        cx = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=4, weight=w))
+        assert block.basis == cx.basis and block.weights == cx.weights
+        for p in range(1, 5):
+            assert block.boundary(p).entries == cx.boundary(p).entries
 
 
 def test_augmented_d_squared():
