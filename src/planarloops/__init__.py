@@ -20,7 +20,7 @@ from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       psi, specialize_complex, truncated_complex)
 from .homology import (ChainComplexData, HomologyGroup, SmithForm,
                        SparseMatrix, build_word_complex, homology,
-                       integer_kernel_basis, is_boundary, is_cycle,
+                       homology_table, integer_kernel_basis, is_boundary, is_cycle,
                        rank_over_field, smith_normal_form, solve_integer,
                        validate_d_squared, weight_decompose)
 

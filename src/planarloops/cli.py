@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 
-from .coeff import DomainError, parse_ring
+from .coeff import ZZ, DomainError, PointedRing, parse_ring
 from .diagram import DiagramError, enumerate_diagrams, enumerate_letters, parse_diagram
 from .freedga import minimal_model, truncated_complex
-from .homology import build_word_complex, homology, weight_decompose
+from .homology import build_word_complex, homology, homology_table
 from .loops import (CLOSED, ComplexSpec, EndSpec, GraffitoError,
                     build_complex, count_graffiti, enumerate_graffiti,
                     parse_chain, parse_graffito)
@@ -52,8 +52,7 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-def _build_requested_complex(args):
-    ring = parse_ring(args.ring, args.a)
+def _build_requested_complex(args, ring):
     name = args.complex
     if name == "model":
         return truncated_complex(minimal_model(args.two_n, ring),
@@ -84,22 +83,14 @@ def _cmd_homology(args) -> int:
     if ring.domain.kind == "int_poly_a":
         raise DomainError("homology is computed over Z or a field; "
                           "pick a specialization (--ring z --a 0, ...)")
-    cx = _build_requested_complex(args)
     degrees = range(1, args.max_degree)
     if args.complex == "reduced-loops" and ring.a_is_zero:
-        rows = {p: {"degree": p, "rank": 0, "torsion": [],
-                    "basis_size": cx.dim(p)} for p in degrees}
-        for w, sub in weight_decompose(cx):
-            for h in homology(sub, degrees):
-                rows[h.degree]["rank"] += h.free_rank
-                rows[h.degree]["torsion"].extend(h.torsion)
-            if not args.json:
-                print(f"# weight {w} done", file=sys.stderr)
-        table = [rows[p] for p in degrees]
-        for row in table:
-            row["torsion"].sort()
+        cx = _build_requested_complex(args, PointedRing.make(ZZ, 0))
+        groups = homology_table(cx, degrees, [ring.domain])[ring.domain]
     else:
-        table = [h.to_json() for h in homology(cx, degrees)]
+        cx = _build_requested_complex(args, ring)
+        groups = homology(cx, degrees)
+    table = [h.to_json() for h in groups]
     if args.json:
         print(json.dumps({"complex": cx.description, "ring": repr(ring),
                           "groups": table}))

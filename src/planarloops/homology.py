@@ -92,13 +92,6 @@ class SparseMatrix:
                 acc[key] = dom.add(acc.get(key, dom.zero()), dom.mul(vv, v))
         return SparseMatrix.from_dict(self.rows, other.cols, acc, dom)
 
-    def map_domain(self, target: CoefficientDomain) -> "SparseMatrix":
-        """Reinterpret integer entries in another domain (Z -> Q, F_p, ...)."""
-        if self.domain.kind != INTEGERS:
-            raise DomainError("map_domain starts from integer matrices")
-        data = {(r, c): target.from_int(v) for r, c, v in self.entries}
-        return SparseMatrix.from_dict(self.rows, self.cols, data, target)
-
     def to_triples(self) -> list[list]:
         return [[r, c, self.domain.format(v)] for r, c, v in self.entries]
 
@@ -465,10 +458,10 @@ class _SparseSNF:
         return gens
 
 
-# Cells allowed in each dense transform matrix; beyond it a dense reduction
-# with transforms raises instead of exhausting memory.  The certificate paths
-# only densify the residual core of the unit-pivot sweep.
-_DENSE_TRANSFORM_CELLS = 1_000_000
+# Cells allowed in each dense matrix of a Smith reduction, the core and each
+# transform; past it the reduction raises instead of exhausting memory.  Only
+# the residual core of the unit-pivot sweep is ever densified.
+_DENSE_CELLS = 1_000_000
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -478,10 +471,10 @@ def _identity(n: int) -> list[list[int]]:
 def _dense_snf(nr: int, nc: int, entries, transforms: bool = False) -> SmithForm:
     """Textbook Smith reduction of the nr x nc matrix with these (r, c, v)
     entries, carrying U, V and their inverses along when transforms is set."""
-    if transforms and max(nr, nc) ** 2 > _DENSE_TRANSFORM_CELLS:
+    if (max(nr, nc) ** 2 if transforms else nr * nc) > _DENSE_CELLS:
         raise LinearAlgebraError(
-            f"dense Smith transforms of a {nr}x{nc} matrix exceed the budget "
-            f"of {_DENSE_TRANSFORM_CELLS} cells per transform")
+            f"dense Smith reduction of a {nr}x{nc} matrix exceeds the budget "
+            f"of {_DENSE_CELLS} cells per dense matrix")
     m = [[0] * nc for _ in range(nr)]
     for r, c, v in entries:
         m[r][c] = v
@@ -571,21 +564,14 @@ def _dense_snf(nr: int, nc: int, entries, transforms: bool = False) -> SmithForm
     return SmithForm(tuple(invs), len(invs), U, V, uinv, vinv)
 
 
-def smith_normal_form(A: SparseMatrix, transforms: bool = False) -> SmithForm:
-    """Invariant factors of an integer matrix; transforms on request.
+def smith_normal_form(A: SparseMatrix) -> SmithForm:
+    """Invariant factors of an integer matrix.
 
-    Without transforms the unit-pivot sweep takes the bulk of a
-    combinatorial boundary matrix and only its residual core is reduced
-    densely.  With transforms the whole matrix is reduced densely, so that
-    U, V and their inverses are explicit; that needs O(n^2) memory and
-    raises LinearAlgebraError past _DENSE_TRANSFORM_CELLS.  The integral
-    solvers (solve_integer, integer_kernel_basis, representatives) never
-    take that path: they replay the sweep instead.
+    The unit-pivot sweep takes the bulk of a combinatorial boundary matrix
+    and only its residual core is reduced densely.
     """
     if A.domain.kind != INTEGERS:
         raise DomainError("Smith normal form needs integer entries")
-    if transforms:
-        return _dense_snf(A.rows, A.cols, A.entries, transforms=True)
     work = _SparseSNF(A)
     invariants = (1,) * work.npivots + work.core.invariants
     return SmithForm(invariants, len(invariants))
@@ -596,7 +582,8 @@ def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
     if not fld.is_field():
         raise DomainError(f"{fld!r} is not a field")
     if A.domain.kind == INTEGERS:
-        A = A.map_domain(fld)
+        data = {(r, c): fld.from_int(v) for r, c, v in A.entries}
+        A = SparseMatrix.from_dict(A.rows, A.cols, data, fld)
     elif A.domain != fld:
         raise DomainError("matrix domain disagrees with requested field")
     return _SparseSNF(A).npivots
@@ -759,13 +746,16 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
     """Split a loop-count-labelled complex into its weight summands.
 
     Requires a = 0 (the differential preserves the number of loops there);
-    raises if any boundary entry crosses two weight blocks.
+    raises if any boundary entry crosses two weight blocks.  A complex of
+    one weight is its own block, returned without a copy.
     """
     if not c.ring.a_is_zero:
         raise LinearAlgebraError("weight decomposition needs a = 0")
     if c.weights is None:
         raise LinearAlgebraError("complex carries no loop-count labels")
     all_w = sorted({w for p in c.basis for w in c.weights.get(p, ())})
+    if len(all_w) == 1:
+        return [(all_w[0], c)]
     out = []
     for w in all_w:
         sel = {p: [i for i, wi in enumerate(c.weights.get(p, ())) if wi == w]
@@ -790,6 +780,36 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
             weights={p: tuple(w for _ in sel[p]) for p in sel},
             description=f"{c.description}[weight {w}]")))
     return out
+
+
+def homology_table(c: ChainComplexData, degrees, domains
+                   ) -> dict[CoefficientDomain, list[HomologyGroup]]:
+    """Homology over each of domains (Z or fields) of a loop-count-labelled
+    complex over (Z, 0), summed over its weight blocks, each reduced once
+    over Z.  A field F follows by universal coefficients: dim H_p(C; F) =
+    rank H_p + #{t in tors H_p and tors H_{p-1} : char F divides t}.
+    """
+    if c.ring.domain.kind != INTEGERS:
+        raise DomainError("homology_table reads every ring off a complex over Z")
+    degrees = list(degrees)
+    needed = sorted(set(degrees) | {p - 1 for p in degrees if p >= 1})
+    rank, torsion = dict.fromkeys(needed, 0), {p: [] for p in needed}
+    for _, sub in weight_decompose(c):
+        for h in homology(sub, needed):
+            rank[h.degree] += h.free_rank
+            torsion[h.degree].extend(h.torsion)
+
+    def group(p, dom):
+        if dom.kind == INTEGERS:
+            return HomologyGroup(p, rank[p], tuple(sorted(torsion[p])), c.dim(p))
+        if not dom.is_field():
+            raise DomainError(f"homology is computed over Z or a field, not {dom!r}")
+        # Q has no characteristic: no torsion term survives there
+        tors = torsion[p] + torsion.get(p - 1, [])
+        extra = sum(1 for t in tors if dom.p and t % dom.p == 0)
+        return HomologyGroup(p, rank[p] + extra, (), c.dim(p))
+
+    return {dom: [group(p, dom) for p in degrees] for dom in domains}
 
 
 def build_word_complex(alphabet_size: int, max_degree: int,

@@ -21,8 +21,8 @@ from .freedga import (alpha_boundary_check, check_chain_map,
                       check_involution_relations, four_model,
                       loop_involution_relations, minimal_model, phi, psi,
                       truncated_complex)
-from .homology import (build_word_complex, homology, is_boundary, is_cycle,
-                       validate_d_squared, weight_decompose)
+from .homology import (build_word_complex, homology, homology_table,
+                       is_boundary, is_cycle, validate_d_squared)
 from .loops import (CLOSED, Chain, ComplexSpec, EndSpec, Graffito,
                     build_complex, chain_involution_lr, chain_involution_tb,
                     chain_to_vector, differential, divider_count,
@@ -566,19 +566,18 @@ def suite_filtration_properties(samples=200, seed=0, max_degree=4, **_):
 
 def suite_model_vs_complex(rings=("z", "q", "f2", "f3"), max_degree=5, **_):
     col = _Collector()
-    for code in rings:
-        def chk(code=code):
-            ring = parse_ring(code)
-            big = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=max_degree))
-            per_degree = {p: [0, []] for p in range(1, max_degree)}
-            for w, cx in weight_decompose(big):
-                for h in homology(cx, range(1, max_degree)):
-                    per_degree[h.degree][0] += h.free_rank
-                    per_degree[h.degree][1].extend(h.torsion)
+    degrees = range(1, max_degree)
+    rings = {code: parse_ring(code) for code in rings}
+    big = build_complex(ComplexSpec(4, PointedRing.make(ZZ, 0), CLOSED,
+                                    max_degree=max_degree))
+    table = homology_table(big, degrees, [r.domain for r in rings.values()])
+    for code, ring in rings.items():
+        def chk(code=code, ring=ring):
+            got = {h.degree: (h.free_rank, sorted(h.torsion))
+                   for h in table[ring.domain]}
             model = truncated_complex(minimal_model(4, ring), max_degree)
             want = {h.degree: (h.free_rank, sorted(h.torsion))
-                    for h in homology(model, range(1, max_degree))}
-            got = {p: (v[0], sorted(v[1])) for p, v in per_degree.items()}
+                    for h in homology(model, degrees)}
             return got == want, f"{code}: loops {got} == model {want}"
         col.run(f"model-vs-complex-{code}", chk)
     return SuiteReport("model-vs-complex", col.checks)

@@ -14,9 +14,9 @@ from planarloops import (Chain, ComplexSpec, EndSpec, PointedRing, QQ, ZA, ZZ,
                          build_complex, build_word_complex, chain_to_vector,
                          check_chain_map, differential, enumerate_diagrams,
                          enumerate_graffiti, enumerate_letters, homology,
-                         is_boundary, is_cycle, minimal_model, phi,
-                         prime_field, psi, to_word, truncated_complex,
-                         validate_d_squared, weight_decompose)
+                         homology_table, is_boundary, is_cycle,
+                         minimal_model, phi, prime_field, psi, to_word,
+                         truncated_complex, validate_d_squared)
 from planarloops.diagram import RIGHT_CELL, cell_basis
 from planarloops.freedga import alpha_boundary_check
 from planarloops.loops import (CLOSED, chain_involution_lr,
@@ -196,21 +196,18 @@ EXPECTED_BIG = {
 }
 
 
-def _loops_homology_by_weight(ring):
-    big = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=5))
-    out = {p: [0, []] for p in range(1, 5)}
-    for _, sub in weight_decompose(big):
-        for h in homology(sub, range(1, 5)):
-            out[h.degree][0] += h.free_rank
-            out[h.degree][1].extend(h.torsion)
-    return {p: (v[0], sorted(v[1])) for p, v in out.items()}
-
-
 def test_criterion_9_model_vs_complex():
+    # the loop complex is built and reduced once over Z and read over every
+    # ring; each model side is its own homology() call, so Q, F2 and F3 are
+    # still cross-checked by rank_over_field
     t0 = time.time()
+    rings = ((Q0, "Q"), (F2, "F2"), (F3, "F3"), (Z0, "Z"))
+    big = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=5))
+    table = homology_table(big, range(1, 5), [ring.domain for ring, _ in rings])
     ok = True
-    for ring, name in ((Q0, "Q"), (F2, "F2"), (F3, "F3"), (Z0, "Z")):
-        got = _loops_homology_by_weight(ring)
+    for ring, name in rings:
+        got = {h.degree: (h.free_rank, sorted(h.torsion))
+               for h in table[ring.domain]}
         model = truncated_complex(minimal_model(4, ring), 5)
         oracle = {h.degree: (h.free_rank, sorted(h.torsion))
                   for h in homology(model, range(1, 5))}
@@ -234,19 +231,19 @@ def test_criterion_10_filtration_suite():
                            "set PLANARLOOPS_STRETCH=1 to run")
 def test_stretch_degree_5():
     # one weight block at a time keeps the degree-6 layer (1.49M basis
-    # elements in total) from being materialized all at once
+    # elements in total) from being materialized all at once; each block is
+    # built and reduced once over Z and read over F2 and Q
     t0 = time.time()
-    from planarloops.loops import count_graffiti
-    for ring, name, want in ((F2, "F2", 4), (Q0, "Q", 1)):
-        rank = 0
-        for w in range(1, 13):
-            if count_graffiti(6, weight=w) == 0 and count_graffiti(5, weight=w) == 0:
-                continue
-            sub = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=6,
-                                            weight=w, dividers=None))
-            for h in homology(sub, [5]):
-                rank += h.free_rank
-            print(f"# stretch {name} weight {w} done [{time.time() - t0:.0f}s]")
-        assert rank == want, (name, rank)
+    ranks = {F2.domain: 0, QQ: 0}
+    for w in range(1, 13):
+        if count_graffiti(6, weight=w) == 0 and count_graffiti(5, weight=w) == 0:
+            continue
+        sub = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=6,
+                                        weight=w, dividers=None))
+        for dom, (h,) in homology_table(sub, [5], list(ranks)).items():
+            ranks[dom] += h.free_rank
+        del sub
+        print(f"# stretch weight {w} done [{time.time() - t0:.0f}s]")
+    assert ranks == {F2.domain: 4, QQ: 1}, ranks
     print(f"STRETCH: PASS - degree-5 ranks (Q: 1, F2: 4) "
           f"[{time.time() - t0:.1f}s]")

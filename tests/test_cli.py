@@ -51,6 +51,24 @@ def test_homology_subquotient(capsys):
     assert ranks == {1: (0, []), 2: (0, []), 3: (1, []), 4: (0, [])}
 
 
+def test_homology_reduced_loops_tables(capsys):
+    # one integer reduction per weight block, read over each ring
+    want = {"z": ("(Z, a=0)", [(1, []), (0, [2]), (0, [2])]),
+            "q": ("(Q, a=0)", [(1, []), (0, []), (0, [])]),
+            "f2": ("(F2, a=0 mod 2)", [(1, []), (1, []), (2, [])])}
+    for code, (ring, rows) in want.items():
+        code_, out, err = run(capsys, "--json", "homology", "--complex",
+                              "reduced-loops", "--ring", code, "--max-degree", "4")
+        assert code_ == 0 and not err
+        assert json.loads(out) == {
+            "complex": "loops(2n=4, ends=cc)", "ring": ring,
+            "groups": [{"degree": p, "rank": rk, "torsion": tors, "basis_size": n}
+                       for p, (rk, tors), n in zip((1, 2, 3), rows, (4, 52, 676))]}
+    code_, out, err = run(capsys, "homology", "--complex", "reduced-loops",
+                          "--ring", "z", "--max-degree", "4")
+    assert code_ == 0 and not err and "  H_1 = R   (basis 4)" in out
+
+
 def test_homology_model(capsys):
     code, out, _ = run(capsys, "--json", "homology", "--complex", "model",
                        "--two-n", "4", "--ring", "q", "--max-degree", "5")

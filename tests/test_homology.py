@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from planarloops import (Chain, ChainComplexData, ComplexSpec, DomainError,
                          PointedRing, QQ, SparseMatrix, ZA, ZZ,
                          build_complex, build_word_complex, homology,
-                         integer_kernel_basis, is_boundary, is_cycle,
-                         minimal_model, phi, prime_field, rank_over_field,
-                         smith_normal_form, solve_integer, truncated_complex,
-                         validate_d_squared, weight_decompose)
-from planarloops.homology import (_DENSE_TRANSFORM_CELLS, LinearAlgebraError,
+                         homology_table, integer_kernel_basis, is_boundary,
+                         is_cycle, minimal_model, phi, prime_field,
+                         rank_over_field, smith_normal_form, solve_integer,
+                         truncated_complex, validate_d_squared,
+                         weight_decompose)
+from planarloops.homology import (_DENSE_CELLS, LinearAlgebraError, _dense_snf,
                                   graded_matrix, zero_matrix)
 from planarloops.loops import CLOSED
 from planarloops.verify import _generated_by
@@ -207,7 +208,7 @@ def test_snf_transforms_certify():
         data = {(r, c): rng.randint(-9, 9) for r in range(rows) for c in range(cols)
                 if rng.random() < 0.6}
         A = SparseMatrix.from_dict(rows, cols, data, ZZ)
-        sf = smith_normal_form(A, transforms=True)
+        sf = _dense_snf(rows, cols, A.entries, transforms=True)
         dense = [[0] * cols for _ in range(rows)]
         for r, c, v in A.entries:
             dense[r][c] = v
@@ -365,13 +366,23 @@ def test_representatives_generate_free_homology(A, data):
 
 
 def test_dense_transform_budget_fails_fast():
-    n = math.isqrt(_DENSE_TRANSFORM_CELLS) + 1
+    n = math.isqrt(_DENSE_CELLS) + 1
     with pytest.raises(LinearAlgebraError, match=f"1x{n} matrix"):
-        smith_normal_form(zero_matrix(1, n), transforms=True)
+        _dense_snf(1, n, (), transforms=True)
     # no unit pivot at all, so the whole matrix is the residual core
     twice = M(n, n, {(i, i): 2 for i in range(n)})
     with pytest.raises(LinearAlgebraError, match=f"{n}x{n} matrix"):
         solve_integer(twice, {0: 2})
+
+
+def test_dense_core_budget_without_transforms():
+    n = math.isqrt(_DENSE_CELLS) + 1
+    twice = M(n, n, {(i, i): 2 for i in range(n)})
+    with pytest.raises(LinearAlgebraError, match=f"{n}x{n} matrix"):
+        smith_normal_form(twice)
+    # the residual core of d_6 on the five-loop block has this shape
+    row = M(1, 3000, {(0, c): 2 for c in range(3000)})
+    assert smith_normal_form(row).invariants == (2,)
 
 
 def test_integral_certificates_at_degree_6():
@@ -385,7 +396,7 @@ def test_integral_certificates_at_degree_6():
     cx = row(2)
     assert _generated_by(cx, phi(Z0).images["y"], 3)
     d6 = cx.boundary(6)
-    assert max(d6.rows, d6.cols) ** 2 > _DENSE_TRANSFORM_CELLS
+    assert max(d6.rows, d6.cols) ** 2 > _DENSE_CELLS
     assert is_boundary(cx, d6.apply({0: 1, 5: -2, 100: 3}), 5)
     non_cycle = cx.boundary(5).entries[0][1]
     assert not is_boundary(cx, {non_cycle: 1}, 5)
@@ -498,6 +509,10 @@ def test_weight_decompose():
         assert total[p] == direct[p]
     with pytest.raises(LinearAlgebraError):
         weight_decompose(build_word_complex(2, 3))
+    # a complex of one weight is its own block, not a copy
+    one = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3, weight=2))
+    ((w, block),) = weight_decompose(one)
+    assert w == 2 and block is one
 
 
 def test_word_complex_structure():
@@ -532,6 +547,64 @@ def test_universal_coefficients_on_model():
     q = truncated_complex(minimal_model(4, PointedRing.make(QQ, 0)), 5)
     for h in homology(q, range(1, 5)):
         assert h.free_rank == integral[h.degree].free_rank
+
+
+TABLE_RINGS = (Z0, PointedRing.make(QQ, 0),
+               *(PointedRing.make(prime_field(p), 0) for p in (2, 3, 5)))
+
+
+def _table_against_per_ring_builds(spec_of, degrees):
+    """homology_table of one build over (Z, 0) against homology() of a build
+    over each ring, without any weight split."""
+    table = homology_table(build_complex(spec_of(Z0)), degrees,
+                           [ring.domain for ring in TABLE_RINGS])
+    for ring in TABLE_RINGS:
+        direct = homology(build_complex(spec_of(ring)), degrees)
+        assert [h.to_json() for h in table[ring.domain]] == \
+            [h.to_json() for h in direct], ring
+
+
+def test_homology_table_matches_per_ring_builds():
+    _table_against_per_ring_builds(
+        lambda ring: ComplexSpec(4, ring, CLOSED, max_degree=4), range(4))
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("j", [0, 1])
+def test_homology_table_of_one_block_rows(w, j):
+    _table_against_per_ring_builds(
+        lambda ring: ComplexSpec(4, ring, CLOSED, max_degree=4, weight=w,
+                                 dividers=j, subquotient=True), range(1, 4))
+
+
+def test_homology_table_universal_coefficients():
+    # Z --6--> Z in degrees 2 -> 1: H_1 = Z/6, so a field of characteristic
+    # p | 6 sees the class in H_1 and its Tor term in H_2
+    cx = ChainComplexData(Z0, 3, {0: (), 1: ("e",), 2: ("f",), 3: ()},
+                          {2: M(1, 1, {(0, 0): 6})},
+                          weights={0: (), 1: (0,), 2: (0,), 3: ()})
+    fields = {p: prime_field(p) for p in (2, 3, 5)}
+    table = homology_table(cx, [1, 2], [ZZ, QQ, *fields.values()])
+    rows = {dom: [(h.free_rank, h.torsion) for h in groups]
+            for dom, groups in table.items()}
+    assert rows[ZZ] == [(0, (6,)), (0, ())]
+    assert rows[QQ] == [(0, ()), (0, ())]
+    assert rows[fields[2]] == rows[fields[3]] == [(1, ()), (1, ())]
+    assert rows[fields[5]] == [(0, ()), (0, ())]
+    for p, dom in fields.items():
+        over = ChainComplexData(PointedRing.make(dom, 0), 3, cx.basis,
+                                {2: SparseMatrix.from_dict(1, 1, {(0, 0): 6 % p}, dom)})
+        assert [(h.free_rank, h.torsion) for h in homology(over, [1, 2])] == rows[dom]
+    assert all(h.basis_size == 1 for groups in table.values() for h in groups)
+
+
+def test_homology_table_needs_integer_complex():
+    za = build_complex(ComplexSpec(4, PointedRing.make(ZA), CLOSED, max_degree=2))
+    with pytest.raises(DomainError):
+        homology_table(za, [1], [ZZ])
+    z = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=2))
+    with pytest.raises(DomainError):
+        homology_table(z, [1], [ZA])
 
 
 @pytest.mark.parametrize("entries, message", [
