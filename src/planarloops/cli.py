@@ -97,9 +97,8 @@ def _cmd_homology(args) -> int:
     else:
         print(f"homology of {cx.description} over {ring!r}")
         for row in table:
-            tors = "".join(f" + Z/{t}" for t in row["torsion"])
-            rk = row["rank"]
-            body = (" + ".join(["R"] * rk) + tors) if (rk or tors) else "0"
+            parts = ["R"] * row["rank"] + [f"Z/{t}" for t in row["torsion"]]
+            body = " + ".join(parts) or "0"
             print(f"  H_{row['degree']} = {body}   (basis {row['basis_size']})")
     return 0
 

@@ -71,25 +71,37 @@ class SparseMatrix:
     def apply(self, vec: dict[int, object], domain=None) -> dict[int, object]:
         """Matrix times a sparse column vector {index: value}."""
         dom = domain or self.domain
+        integers = dom.kind == INTEGERS  # plain int arithmetic
         out: dict[int, object] = {}
         cols = self.col_dicts()
         for j, x in vec.items():
             if j >= self.cols:
                 raise LinearAlgebraError("vector index out of range")
-            for r, v in cols.get(j, {}).items():
-                out[r] = dom.add(out.get(r, dom.zero()), dom.mul(v, x))
+            col = cols.get(j, {}).items()
+            if integers:
+                for r, v in col:
+                    out[r] = out.get(r, 0) + v * x
+            else:
+                for r, v in col:
+                    out[r] = dom.add(out.get(r, dom.zero()), dom.mul(v, x))
         return {r: v for r, v in out.items() if not dom.is_zero(v)}
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise LinearAlgebraError("shape mismatch in matrix product")
         dom = self.domain
+        integers = dom.kind == INTEGERS  # plain int arithmetic
         mycols = self.col_dicts()
         acc: dict[tuple[int, int], object] = {}
         for r, c, v in other.entries:
-            for rr, vv in mycols.get(r, {}).items():
-                key = (rr, c)
-                acc[key] = dom.add(acc.get(key, dom.zero()), dom.mul(vv, v))
+            col = mycols.get(r, {}).items()
+            if integers:
+                for rr, vv in col:
+                    acc[rr, c] = acc.get((rr, c), 0) + vv * v
+            else:
+                for rr, vv in col:
+                    key = (rr, c)
+                    acc[key] = dom.add(acc.get(key, dom.zero()), dom.mul(vv, v))
         return SparseMatrix.from_dict(self.rows, other.cols, acc, dom)
 
     def to_triples(self) -> list[list]:
@@ -256,13 +268,16 @@ class SmithForm:
 class _SparseSNF:
     """Markowitz sweep with a replayable record, then the dense residual core.
 
-    The sweep pivots on a unit over Z and on any nonzero over a field,
-    always on a candidate of least (len(row) - 1) * (len(col) - 1), ties
-    broken by (row, col).  Row operations row_r -= q * row_r0 clear the
-    pivot column outside the pivot row, which is then dropped.  Over a
-    field that empties the matrix: the pivot count is the rank and the core
-    is 0 x 0.  Over Z the rows left over form the residual core, reduced
-    densely.
+    The sweep pivots on a unit over Z and on any nonzero over a field, on a
+    candidate of least cost (len(row) - 1) * (len(col) - 1).  Its queue
+    holds one entry (cost, row, col) per row, the row's cheapest candidate
+    with ties broken by the lower column, and rows of equal cost by the
+    lower row; each row touched by a pivot is queued afresh, and an entry
+    whose cost has risen since is re-queued when popped (npops counts the
+    pops).  Row operations row_r -= q * row_r0 clear the pivot column
+    outside the pivot row, which is then dropped.  Over a field that
+    empties the matrix: the pivot count is the rank and the core is 0 x 0.
+    Over Z the rows left over form the residual core, reduced densely.
 
     With transforms (over Z only) the sweep records its operations in ops
     as (r, r0, q) and its pivot rows in pivots as (r0, c0, entries).  With L
@@ -285,7 +300,7 @@ class _SparseSNF:
                 self.C.setdefault(c, set()).add(r)
         self.ops: list[tuple[int, int, int]] = []
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
-        self.npivots = self._sweep(dom, transforms)
+        self.npivots, self.npops = self._sweep(dom, transforms)
         self.res_rows = sorted(r for r, row in self.R.items() if row)
         self.res_cols = sorted({c for r in self.res_rows for c in self.R[r]})
         cmap = {c: j for j, c in enumerate(self.res_cols)}
@@ -305,34 +320,45 @@ class _SparseSNF:
         bound = {r0 for r0, _, _ in self.pivots}.union(self.res_rows)
         return [r for r in range(self.nrows) if r not in bound]
 
-    def _push_candidates(self, heap, rows, units):
-        for r in rows:
-            row = self.R.get(r)
-            if not row:
+    def _best(self, r: int, units: bool) -> tuple[int, int, int] | None:
+        """Queue entry (cost, r, c) of row r's cheapest admissible pivot,
+        ties broken by the lower column; None when r has none left.  The
+        cost grows with len(C[c]), so the scan compares column lengths."""
+        row = self.R.get(r, {})
+        C = self.C
+        blen = bcol = None
+        for c, v in row.items():
+            if units and v != 1 and v != -1:
                 continue
-            rl = len(row) - 1
-            for c, v in row.items():
-                if not units or v in (1, -1):
-                    heapq.heappush(heap, (rl * (len(self.C[c]) - 1), r, c))
+            n = len(C[c])
+            if blen is None or n < blen or (n == blen and c < bcol):
+                blen, bcol = n, c
+        if blen is None:
+            return None
+        return (len(row) - 1) * (blen - 1), r, bcol
 
-    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> int:
-        """Eliminate pivots until none is left; returns their number."""
+    def _sweep(self, dom: CoefficientDomain, transforms: bool
+               ) -> tuple[int, int]:
+        """Eliminate pivots until none is left; returns the number of
+        pivots and of queue entries popped."""
         units = dom.kind == INTEGERS
         p = dom.p  # entries are reduced mod p over F_p
         R, C = self.R, self.C
-        heap: list = []
-        self._push_candidates(heap, list(R), units)
-        npivots = 0
+        heap = [e for r in R if (e := self._best(r, units))]
+        heapq.heapify(heap)
+        npivots = npops = 0
         while heap:
-            cost, r0, c0 = heapq.heappop(heap)
-            row0 = R.get(r0)
-            v = row0.get(c0) if row0 else None
-            if not v or (units and v not in (1, -1)):
+            cost, r0, _ = heapq.heappop(heap)
+            npops += 1
+            # the popped key may be stale: skip a row that is gone or has no
+            # pivot left, and re-key one whose best pivot now costs more
+            if not (best := self._best(r0, units)):
                 continue
-            cur = (len(row0) - 1) * (len(C[c0]) - 1)
-            if cur > cost:
-                heapq.heappush(heap, (cur, r0, c0))
+            if best[0] > cost:
+                heapq.heappush(heap, best)
                 continue
+            row0, c0 = R[r0], best[2]
+            v = row0[c0]
             # a unit is its own inverse; dom.inv keeps a plain int pivot of
             # a QQ matrix exact
             inv = v if v in (1, -1) else dom.inv(v)
@@ -368,8 +394,10 @@ class _SparseSNF:
             npivots += 1
             if transforms:
                 self.pivots.append((r0, c0, row0))
-            self._push_candidates(heap, touched, units)
-        return npivots
+            for r in touched:
+                if e := self._best(r, units):
+                    heapq.heappush(heap, e)
+        return npivots, npops
 
     def _lift(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """Complete x, given on the non-pivot columns, by back-substitution

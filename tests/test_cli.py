@@ -67,6 +67,8 @@ def test_homology_reduced_loops_tables(capsys):
     code_, out, err = run(capsys, "homology", "--complex", "reduced-loops",
                           "--ring", "z", "--max-degree", "4")
     assert code_ == 0 and not err and "  H_1 = R   (basis 4)" in out
+    # a group of rank 0 prints its torsion alone
+    assert "  H_2 = Z/2   (basis 52)" in out
 
 
 def test_homology_model(capsys):
