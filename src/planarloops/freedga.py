@@ -621,8 +621,8 @@ def specialize_complex(c: ChainComplexData, target: PointedRing) -> ChainComplex
     mats = {}
     for p, mat in c.matrices.items():
         rw, cw = c.weights[p - 1], c.weights[p]
-        coeffs = {(r, col): n for r, col, n
-                  in integer_coefficients(mat, rw, cw).entries}
-        mats[p] = graded_matrix(mat.rows, mat.cols, coeffs, rw, cw, target)
+        mats[p] = graded_matrix(mat.rows, mat.cols,
+                                integer_coefficients(mat, rw, cw).entries,
+                                rw, cw, target)
     return ChainComplexData(target, c.max_degree, dict(c.basis), mats,
                             weights=c.weights, description=c.description)

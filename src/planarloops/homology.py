@@ -158,26 +158,29 @@ class ChainComplexData:
 # determine the boundary over every ring; these two functions convert in
 # each direction.
 
-def graded_matrix(rows: int, cols: int, coeffs: dict[tuple[int, int], int],
-                  row_weights, col_weights, ring: PointedRing) -> SparseMatrix:
-    """The matrix with entry n * a^(w_col - w_row) wherever coeffs holds n.
+def graded_matrix(rows: int, cols: int, coeffs, row_weights, col_weights,
+                  ring: PointedRing) -> SparseMatrix:
+    """The matrix with entry n * a^(w_col - w_row) for each (r, c, n) of
+    coeffs, which come in row-major order with each (r, c) at most once.
 
     Each distinct (n, w_col - w_row) is converted into the ring once; entries
     that vanish there (n = 0, p | n, a = 0) are dropped.
     """
     dom = ring.domain
     scalars: dict[tuple[int, int], object] = {}
-    data = {}
-    for (r, c), n in coeffs.items():
+    ents = []
+    for r, c, n in coeffs:
         key = (n, col_weights[c] - row_weights[r])
-        v = scalars.get(key)
-        if v is None:
+        if key not in scalars:
             if key[1] < 0:
                 raise LinearAlgebraError(
                     f"entry ({r},{c}) would need a negative power of a")
-            v = scalars[key] = dom.mul(dom.from_int(n), ring.a_power(key[1]))
-        data[(r, c)] = v
-    return SparseMatrix.from_dict(rows, cols, data, dom)
+            v = dom.mul(dom.from_int(n), ring.a_power(key[1]))
+            scalars[key] = None if dom.is_zero(v) else v  # None: dropped
+        v = scalars[key]
+        if v is not None:
+            ents.append((r, c, v))
+    return SparseMatrix(rows, cols, tuple(ents), dom)
 
 
 def integer_coefficients(mat: SparseMatrix, row_weights,
@@ -690,9 +693,12 @@ def integer_kernel_basis(A: SparseMatrix) -> list[dict[int, int]]:
     """
     work = _SparseSNF(A, transforms=True)
     basis = [work.kernel_vector({t: 1}) for t in range(work.kernel_rank)]
-    for vec in basis:
-        if A.apply(vec):
-            raise LinearAlgebraError("kernel basis vector failed its check A k = 0")
+    # one product A K checks every vector, a column of K, against one
+    # column map of A
+    K = SparseMatrix.from_dict(A.cols, len(basis), {
+        (i, t): v for t, vec in enumerate(basis) for i, v in vec.items()})
+    if A.mul(K).entries:
+        raise LinearAlgebraError("kernel basis vector failed its check A k = 0")
     return basis
 
 
@@ -774,8 +780,9 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
     """Split a loop-count-labelled complex into its weight summands.
 
     Requires a = 0 (the differential preserves the number of loops there);
-    raises if any boundary entry crosses two weight blocks.  A complex of
-    one weight is its own block, returned without a copy.
+    raises if any boundary entry crosses two weight blocks.  One pass over
+    each degree's basis and boundary entries sends each to its block.  A
+    complex of one weight is its own block, returned without a copy.
     """
     if not c.ring.a_is_zero:
         raise LinearAlgebraError("weight decomposition needs a = 0")
@@ -784,30 +791,34 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
     all_w = sorted({w for p in c.basis for w in c.weights.get(p, ())})
     if len(all_w) == 1:
         return [(all_w[0], c)]
-    out = []
-    for w in all_w:
-        sel = {p: [i for i, wi in enumerate(c.weights.get(p, ())) if wi == w]
-               for p in range(c.max_degree + 1)}
-        remap = {p: {i: k for k, i in enumerate(sel[p])} for p in sel}
-        basis = {p: tuple(c.basis.get(p, ())[i] for i in sel[p]) for p in sel}
-        mats = {}
-        for p in range(1, c.max_degree + 1):
-            data = {}
-            rmap, cmap = remap[p - 1], remap[p]
-            for r, col, v in c.boundary(p).entries:
-                rin, cin = r in rmap, col in cmap
-                if rin != cin:
-                    raise LinearAlgebraError(
-                        f"boundary entry ({r},{col}) in degree {p} crosses weights")
-                if cin:
-                    data[(rmap[r], cmap[col])] = v
-            mats[p] = SparseMatrix.from_dict(
-                len(sel[p - 1]), len(sel[p]), data, c.ring.domain)
-        out.append((w, ChainComplexData(
-            c.ring, c.max_degree, basis, mats,
-            weights={p: tuple(w for _ in sel[p]) for p in sel},
-            description=f"{c.description}[weight {w}]")))
-    return out
+    degrees = range(c.max_degree + 1)
+    basis = {w: {p: [] for p in degrees} for w in all_w}
+    local = {}  # degree -> each basis element's index inside its block
+    for p in degrees:
+        local[p] = pos = []
+        for enc, w in zip(c.basis.get(p, ()), c.weights.get(p, ())):
+            block = basis[w][p]
+            pos.append(len(block))
+            block.append(enc)
+    mats = {w: {} for w in all_w}
+    for p in range(1, c.max_degree + 1):
+        row_w, col_w = c.weights.get(p - 1, ()), c.weights.get(p, ())
+        rloc, cloc = local[p - 1], local[p]
+        ents = {w: [] for w in all_w}
+        for r, col, v in c.boundary(p).entries:
+            w = col_w[col]
+            if row_w[r] != w:
+                raise LinearAlgebraError(
+                    f"boundary entry ({r},{col}) in degree {p} crosses weights")
+            # each block keeps the row-major order of the whole matrix
+            ents[w].append((rloc[r], cloc[col], v))
+        for w in all_w:
+            mats[w][p] = SparseMatrix(len(basis[w][p - 1]), len(basis[w][p]),
+                                      tuple(ents[w]), c.ring.domain)
+    return [(w, ChainComplexData(
+        c.ring, c.max_degree, {p: tuple(b) for p, b in basis[w].items()},
+        mats[w], weights={p: (w,) * len(b) for p, b in basis[w].items()},
+        description=f"{c.description}[weight {w}]")) for w in all_w]
 
 
 def homology_table(c: ChainComplexData, degrees, domains

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coeff import PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
@@ -543,23 +544,40 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
     words, _ = _raw_words(degree, two_n, ends, weight, dividers)
-    first, inner, last = _slot_pools(two_n, ends)
+    m = _machine(two_n, ends)
     out = []
     for w in words:
-        factors = ((first[w[0]],)
-                   + tuple(inner[i] for i in w[1:-1])
-                   + (last[w[-1]],))
+        ids = _slot_ids(w, degree + 1, m.bits)
+        factors = ((m.first[ids[0]],)
+                   + tuple(m.inner[i] for i in ids[1:-1])
+                   + (m.last[ids[-1]],))
         out.append(Graffito(two_n, ends.left_open, ends.right_open, factors))
     return tuple(out)
 
 
+class _Machine(NamedTuple):
+    first: tuple[TLDiagram, ...]
+    inner: tuple[TLDiagram, ...]
+    last: tuple[TLDiagram, ...]
+    bits: int                              # width of one packed slot id
+    start: list[int]                       # first id -> state
+    step: list[list[tuple[int, int]]]      # [state][inner id] -> (state, loops)
+    finish: list[list[int]]                # [state][last id] -> loops
+    is_div: tuple[bool, ...]               # inner id -> has no through strand
+    enc_first: tuple[str, ...]
+    enc_inner: tuple[str, ...]
+    enc_last: tuple[str, ...]
+
+
 @lru_cache(maxsize=None)
-def _machine(two_n: int, ends: EndSpec):
+def _machine(two_n: int, ends: EndSpec) -> _Machine:
     """Slot pools plus the closed-composite transition tables, id-indexed.
 
-    A word is (first_id, inner_id..., last_id).  The running state while
-    scanning left to right is the composite of the closed-up prefix, an
-    element of the (0, 2n) diagram list, plus the loops already closed.
+    A word (first_id, inner_id..., last_id) is packed into one int: each
+    slot id fills a field `bits` wide, the first slot most significant, so
+    words of one length sort numerically in slot order.  The running state
+    while scanning left to right is the composite of the closed-up prefix,
+    an element of the (0, 2n) diagram list, plus the loops already closed.
     """
     first, inner, last = _slot_pools(two_n, ends)
     states = enumerate_diagrams(0, two_n)
@@ -572,76 +590,133 @@ def _machine(two_n: int, ends: EndSpec):
     for f in last:
         cf = close_up(LinkState(f, LEFT_CELL)).diagram if ends.right_open else f
         closed_last.append(cf)
-    step = {}
-    for k, s in enumerate(states):
-        for j, d in enumerate(inner):
+    step = []
+    for s in states:
+        row = []
+        for d in inner:
             res, loops = compose(s, d)
-            step[(k, j)] = (sid[res], loops)
-    finish = {}
-    for k, s in enumerate(states):
-        for j, d in enumerate(closed_last):
-            _, loops = compose(s, d)
-            finish[(k, j)] = loops
-    is_div = tuple(d.through_count() == 0 for d in inner)
-    enc_first = tuple(d.encode() for d in first)
-    enc_inner = tuple(d.encode() for d in inner)
-    enc_last = tuple(d.encode() for d in last)
-    return (first, inner, last, start, step, finish, is_div,
-            enc_first, enc_inner, enc_last)
+            row.append((sid[res], loops))
+        step.append(row)
+    finish = [[compose(s, d)[1] for d in closed_last] for s in states]
+    bits = max(1, (max(len(first), len(inner), len(last)) - 1).bit_length())
+    return _Machine(first, inner, last, bits, start, step, finish,
+                    tuple(d.through_count() == 0 for d in inner),
+                    tuple(d.encode() for d in first),
+                    tuple(d.encode() for d in inner),
+                    tuple(d.encode() for d in last))
 
 
-def _word_encoding(w, enc_first, enc_inner, enc_last, ends_code):
-    parts = [enc_first[w[0]]] + [enc_inner[i] for i in w[1:-1]] + [enc_last[w[-1]]]
-    return f"G({ends_code})[" + " | ".join(parts) + "]"
+@lru_cache(maxsize=None)
+def _completions(two_n: int, ends: EndSpec, r: int) -> tuple[dict, ...]:
+    """Per state, {(loops, dividers): count} over the ways to finish a word
+    from that state with r more inner slots and a last slot."""
+    m = _machine(two_n, ends)
+    out = []
+    if r == 0:
+        for row in m.finish:
+            tally: dict[tuple[int, int], int] = {}
+            for loops in row:
+                tally[loops, 0] = tally.get((loops, 0), 0) + 1
+            out.append(tally)
+        return tuple(out)
+    rest = _completions(two_n, ends, r - 1)
+    for row in m.step:
+        tally = {}
+        for (ns, dl), dd in zip(row, m.is_div):
+            for (loops, divs), n in rest[ns].items():
+                key = (loops + dl, divs + dd)
+                tally[key] = tally.get(key, 0) + n
+        out.append(tally)
+    return tuple(out)
+
+
+def _slot_ids(word: int, length: int, bits: int) -> tuple[int, ...]:
+    """The slot ids of a packed word of `length` slots, first slot first."""
+    mask = (1 << bits) - 1
+    return tuple((word >> (bits * k)) & mask for k in range(length - 1, -1, -1))
+
+
+def _encodings(words, degree: int, m: _Machine, ends_code: str) -> tuple[str, ...]:
+    """The canonical string of each packed word of one degree."""
+    bits, top = m.bits, degree * m.bits
+    mask = (1 << bits) - 1
+    inner_shifts = range(top - bits, 0, -bits)
+    enc_first, enc_inner, enc_last = m.enc_first, m.enc_inner, m.enc_last
+    head = f"G({ends_code})["
+    return tuple(head + " | ".join([enc_first[w >> top],
+                                    *[enc_inner[(w >> s) & mask]
+                                      for s in inner_shifts],
+                                    enc_last[w & mask]]) + "]"
+                 for w in words)
 
 
 def _raw_words(degree, two_n, ends, weight, dividers):
-    """Basis words passing the filters, in canonical order, and their loop counts.
+    """Basis words passing the filters, packed, in canonical order, and their
+    loop counts.
 
-    Returns two parallel lists: the id-words, and the loop count of each.
-    Each slot pool (first, inner, last) is in encoding order, and every
-    diagram encoding ends in its only '}', so no encoding is a proper prefix
-    of another.  String order of 'G(..)[a | b | ...]' is therefore the
-    lexicographic order of the slot ids, which is the order this depth-first
-    walk visits them.
+    Returns two parallel lists: the packed words, and the loop count of
+    each.  Each slot pool (first, inner, last) is in encoding order, and
+    every diagram encoding ends in its only '}', so no encoding is a proper
+    prefix of another.  String order of 'G(..)[a | b | ...]' is therefore
+    the lexicographic order of the slot ids, which is the order this
+    depth-first walk visits them and the numeric order of the packed words.
+    The walk enters a prefix only when `_completions` says some way of
+    finishing it still meets the weight and divider filters.
     """
     if degree < 1:
         return [], []
-    first, inner, last, start, step, finish, is_div, *_ = _machine(two_n, ends)
+    m = _machine(two_n, ends)
+    bits, step, finish, is_div = m.bits, m.step, m.finish, m.is_div
+    wf, df = weight is not None, dividers is not None
+    # per r and state, the (loops, dividers) that finishing can still add;
+    # a coordinate without a filter is held at 0
+    reach = [[{(loops if wf else 0, divs if df else 0) for loops, divs in t}
+              for t in _completions(two_n, ends, r)] for r in range(degree)]
     out, counts = [], []
-    n_inner = degree - 1
 
-    def extend(prefix, state, loops, divs):
-        depth = len(prefix) - 1
-        if weight is not None and loops > weight:
+    def extend(word, state, loops, divs, r):
+        word <<= bits
+        if r == 0:
+            for j, dl in enumerate(finish[state]):
+                if not wf or loops + dl == weight:
+                    out.append(word | j)
+                    counts.append(loops + dl)
             return
-        if dividers is not None and divs > dividers:
-            return
-        if depth == n_inner:
-            if dividers is not None and divs != dividers:
-                return
-            for j in range(len(last)):
-                total = loops + finish[(state, j)]
-                if weight is not None and total != weight:
-                    continue
-                out.append(prefix + (j,))
-                counts.append(total)
-            return
-        for j in range(len(inner)):
-            ns, dl = step[(state, j)]
-            extend(prefix + (j,), ns, loops + dl, divs + is_div[j])
+        below = reach[r - 1]
+        for j, (ns, dl) in enumerate(step[state]):
+            nl, nd = loops + dl, divs + is_div[j]
+            if ((weight - nl if wf else 0, dividers - nd if df else 0)
+                    in below[ns]):
+                extend(word | j, ns, nl, nd, r - 1)
 
-    for f in range(len(first)):
-        extend((f,), start[f], 0, 0)
+    for f, s in enumerate(m.start):
+        if (weight if wf else 0, dividers if df else 0) in reach[degree - 1][s]:
+            extend(f, s, 0, 0, degree - 1)
     return out, counts
 
 
 def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
                    weight: int | None = None, dividers: int | None = None) -> int:
-    """Number of degree-p basis systems passing the filters (no objects built)."""
+    """Number of degree-p basis systems passing the filters, counted over
+    (state, loops, dividers) without listing any."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
-    return len(_raw_words(degree, two_n, ends, weight, dividers)[0])
+    if degree < 1:
+        return 0
+    tails = _completions(two_n, ends, degree - 1)
+    return sum(n for s in _machine(two_n, ends).start
+               for (loops, divs), n in tails[s].items()
+               if (weight is None or loops == weight)
+               and (dividers is None or divs == dividers))
+
+
+def _merge_table(left, right, bits, merge):
+    """Dense table of merge(compose(x, y)) at index (x_id << bits) | y_id."""
+    table = [None] * (1 << 2 * bits)
+    for a, x in enumerate(left):
+        for b, y in enumerate(right):
+            table[(a << bits) | b] = merge(*compose(x, y))
+    return table
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplexData:
@@ -655,41 +730,12 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     """
     ends = spec.ends
     ring = spec.ring
-    first, inner, last, *_, enc_first, enc_inner, enc_last = _machine(
-        spec.two_n, ends)
-
-    # merge tables in id space; None marks a cell-quotient kill
-    inner_index = {d: j for j, d in enumerate(inner)}
-    first_index = {d: j for j, d in enumerate(first)}
-    last_index = {d: j for j, d in enumerate(last)}
-
-    @lru_cache(maxsize=None)
-    def merge_first(fi, ij):
-        res, loops = compose(first[fi], inner[ij])
-        if ends.left_open and res.has_ll_pair():
-            return None
-        return first_index[res], loops
-
-    @lru_cache(maxsize=None)
-    def merge_inner(i, j):
-        res, loops = compose(inner[i], inner[j])
-        return inner_index[res], loops
-
-    @lru_cache(maxsize=None)
-    def merge_last(ij, lj):
-        res, loops = compose(inner[ij], last[lj])
-        if ends.right_open and res.has_rr_pair():
-            return None
-        return last_index[res], loops
-
-    @lru_cache(maxsize=None)
-    def merge_degree_one(fi, lj):
-        _, loops = compose(first[fi], last[lj])
-        return loops
+    m = _machine(spec.two_n, ends)
+    first, inner, last, bits = m.first, m.inner, m.last, m.bits
 
     basis: dict[int, tuple[str, ...]] = {}
     weights: dict[int, tuple[int, ...]] = {}
-    words: dict[int, list[tuple[int, ...]]] = {}
+    words: dict[int, list[int]] = {}
     if ends.augmented:
         basis[0] = (empty_system(spec.two_n).encode(),)
         weights[0] = (0,)
@@ -698,63 +744,86 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     for p in range(1, spec.max_degree + 1):
         ws, counts = _raw_words(p, spec.two_n, ends, spec.weight, spec.dividers)
         words[p] = ws
-        basis[p] = tuple(
-            _word_encoding(w, enc_first, enc_inner, enc_last, ends.code)
-            for w in ws)
+        basis[p] = _encodings(ws, p, m, ends.code)
         weights[p] = tuple(counts)
 
-    def word_faces(w):
-        """Nonzero bar deletions of an id-word: (index, new word, loops)."""
-        p = len(w) - 1
-        for i in range(p):
-            if p == 1:
-                yield i, None, merge_degree_one(w[0], w[1])
-                continue
-            if i == 0:
-                m = merge_first(w[0], w[1])
-                if m is None:
-                    continue
-                yield i, (m[0],) + w[2:], m[1]
-            elif i == p - 1:
-                m = merge_last(w[p - 1], w[p])
-                if m is None:
-                    continue
-                yield i, w[:p - 1] + (m[0],), m[1]
-            else:
-                m = merge_inner(w[i], w[i + 1])
-                yield i, w[:i] + (m[0],) + w[i + 2:], m[1]
+    # merge tables in id space, filled by compose on every build: a bar
+    # deletion reads the pair of slot ids it joins, and gets the merged id
+    # and the loops closed, or None for a cell-quotient kill
+    first_index = {d: j for j, d in enumerate(first)}
+    inner_index = {d: j for j, d in enumerate(inner)}
+    last_index = {d: j for j, d in enumerate(last)}
 
-    # integer assembly: each deletion adds its sign; graded_matrix turns the
-    # sums into n * a^(loops closed), and the loops are checked against the
-    # weight labels on the way
+    def onto(index, killed):
+        return lambda res, loops: None if killed(res) else (index[res], loops)
+
+    tables = {}
+    if ends.augmented:
+        tables["one"] = _merge_table(first, last, bits,
+                                     lambda res, loops: (0, loops))
+    if spec.max_degree >= 2:
+        tables["first"] = _merge_table(first, inner, bits, onto(
+            first_index, lambda res: ends.left_open and res.has_ll_pair()))
+        tables["last"] = _merge_table(inner, last, bits, onto(
+            last_index, lambda res: ends.right_open and res.has_rr_pair()))
+    if spec.max_degree >= 3:
+        tables["inner"] = _merge_table(inner, inner, bits,
+                                       onto(inner_index, lambda res: False))
+
+    # integer assembly, column by column: each deletion adds its sign to the
+    # last entry of its row, or opens a new one, so every row's entries come
+    # out in column order; graded_matrix turns the sums into
+    # n * a^(loops closed), and the loops are checked against the weight
+    # labels on the way
     a_is_zero = ring.a_is_zero
+    pair_mask = (1 << 2 * bits) - 1
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, spec.max_degree + 1):
-        index = {w: k for k, w in enumerate(words.get(p - 1, []))}
         row_w, col_w = weights[p - 1], weights[p]
-        coeffs: dict[tuple[int, int], int] = {}
+        row_cols: list[list[int]] = [[] for _ in row_w]
+        row_sums: list[list[int]] = [[] for _ in row_w]
+        if p == 1:
+            index = {0: 0}  # the empty system, word 0 of degree 0
+            kinds = ["one"] if ends.augmented else []
+        else:
+            index = dict(zip(words[p - 1], range(len(row_w))))
+            kinds = ["first"] + ["inner"] * (p - 2) + ["last"]
+        deletions = []
+        for i, kind in enumerate(kinds):
+            lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
+            deletions.append((tables[kind], lo, lo + 2 * bits, (1 << lo) - 1,
+                              -1 if i % 2 else 1))
         for col, w in enumerate(words[p]):
-            for i, nw, loops in word_faces(w):
+            w_col = col_w[col]
+            for table, lo, hi, low_mask, sign in deletions:
+                hit = table[(w >> lo) & pair_mask]
+                if hit is None:
+                    continue
+                merged, loops = hit
                 if loops and a_is_zero:
                     continue
-                if p == 1:
-                    if not ends.augmented:
-                        continue
-                    row = 0
-                else:
-                    # a divider-raising deletion leaves the subquotient: its
-                    # target was filtered out of the enumeration
-                    row = index.get(nw)
-                    if row is None:
-                        continue
-                if loops != col_w[col] - row_w[row]:
+                # a divider-raising deletion leaves the subquotient: its
+                # target was filtered out of the enumeration
+                row = index.get(((w >> hi << bits | merged) << lo)
+                                | (w & low_mask))
+                if row is None:
+                    continue
+                if loops != w_col - row_w[row]:
                     raise GraffitoError(
-                        f"deletion {i} of word {w} closes {loops} loops, but "
-                        f"the weights differ by {col_w[col] - row_w[row]}")
-                key = (row, col)
-                coeffs[key] = coeffs.get(key, 0) + (-1 if i % 2 else 1)
-        matrices[p] = graded_matrix(len(basis[p - 1]), len(basis[p]), coeffs,
-                                    row_w, col_w, ring)
+                        f"deletion {p - 1 - lo // bits} of word "
+                        f"{_slot_ids(w, p + 1, bits)} closes {loops} loops, "
+                        f"but the weights differ by {w_col - row_w[row]}")
+                cols = row_cols[row]
+                if cols and cols[-1] == col:
+                    row_sums[row][-1] += sign
+                else:
+                    cols.append(col)
+                    row_sums[row].append(sign)
+        matrices[p] = graded_matrix(
+            len(row_w), len(col_w),
+            ((r, c, n) for r in range(len(row_w))
+             for c, n in zip(row_cols[r], row_sums[r])),
+            row_w, col_w, ring)
 
     label = f"loops(2n={spec.two_n}, ends={ends.code}"
     if ends.augmented:

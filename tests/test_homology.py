@@ -503,7 +503,7 @@ def test_integer_d_squared_rejects_misgraded_entries():
         validate_d_squared(ChainComplexData(za, 3, cx.basis, bad,
                                             weights=cx.weights))
     with pytest.raises(LinearAlgebraError, match="negative power"):
-        graded_matrix(1, 1, {(0, 0): 1}, (1,), (0,), za)
+        graded_matrix(1, 1, [(0, 0, 1)], (1,), (0,), za)
 
 
 def test_unweighted_za_complex_keeps_generic_d_squared():
@@ -569,6 +569,24 @@ def test_weight_decompose():
     one = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3, weight=2))
     ((w, block),) = weight_decompose(one)
     assert w == 2 and block is one
+
+
+def test_weight_decompose_rejects_crossing_entries():
+    # two weights; d_1 sends the weight-1 element c to a (weight 1) and to
+    # b (weight 2), so the second entry crosses the blocks
+    basis = {0: ("a", "b"), 1: ("c",)}
+    weights = {0: (1, 2), 1: (1,)}
+    ok = ChainComplexData(Z0, 1, basis, {1: SparseMatrix(2, 1, ((0, 0, 1),))},
+                          weights=weights)
+    (w1, one), (w2, two) = weight_decompose(ok)
+    assert (w1, w2) == (1, 2)
+    assert one.basis == {0: ("a",), 1: ("c",)} and two.basis == {0: ("b",), 1: ()}
+    assert one.boundary(1).entries == ((0, 0, 1),) and two.boundary(1).nnz() == 0
+    bad = ChainComplexData(Z0, 1, basis,
+                           {1: SparseMatrix(2, 1, ((0, 0, 1), (1, 0, 1)))},
+                           weights=weights)
+    with pytest.raises(LinearAlgebraError, match="crosses weights"):
+        weight_decompose(bad)
 
 
 def test_word_complex_structure():

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,11 +11,12 @@ from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
                          divider_count, empty_system, enumerate_graffiti, face, from_word, identity_diagram,
                          four_model, involution_lr, involution_tb, loop_count,
                          minimal_model, new_graffito, nondivider_count,
-                         parse_chain, parse_diagram, parse_graffito,
+                         parse_chain, parse_diagram, parse_graffito, parse_ring,
                          pivot_sequence, prime_field, product, to_word,
                          truncated_complex, weight_decompose)
 from planarloops import loops as loops_module
-from planarloops.loops import CLOSED, chain_involution_lr, chain_involution_tb
+from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
+                              count_graffiti)
 from planarloops.homology import validate_d_squared
 
 from conftest import (DEG3_EXAMPLE, DEG3_FACES, DIVIDER_EXAMPLE,
@@ -321,6 +324,91 @@ def test_assembly_checks_loops_against_weights(monkeypatch):
     monkeypatch.setattr(loops_module, "compose", one_loop_too_many)
     with pytest.raises(GraffitoError, match="weights differ"):
         build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
+
+
+def _filtered_afterwards(p, ends):
+    """The unfiltered walk in degree p, split afterwards by every (weight,
+    dividers) filter, None meaning unfiltered; walk order is kept."""
+    m = loops_module._machine(4, ends)
+    words, counts = loops_module._raw_words(p, 4, ends, None, None)
+    picked = {}
+    for word, loops in zip(words, counts):
+        ids = loops_module._slot_ids(word, p + 1, m.bits)
+        divs = sum(m.is_div[i] for i in ids[1:-1])
+        for key in ((None, None), (loops, None), (None, divs), (loops, divs)):
+            got = picked.setdefault(key, ([], []))
+            got[0].append(word)
+            got[1].append(loops)
+    return picked
+
+
+@pytest.mark.parametrize("ends", ORACLE_ENDS,
+                         ids=lambda e: e.code + ("+aug" if e.augmented else ""))
+def test_pruned_walk_equals_filtered_walk(ends):
+    # a degree-p word closes at most 2p loops and has at most p - 1 dividers;
+    # the filters run one past each
+    for p in range(1, 6):
+        picked = _filtered_afterwards(p, ends)
+        filters = [(w, j) for w in (None, *range(2 * p + 2))
+                   for j in (None, *range(p + 1))]
+        assert set(picked) <= set(filters)
+        for w, j in filters:
+            words, counts = picked.get((w, j), ([], []))
+            if (w, j) != (None, None):
+                assert loops_module._raw_words(p, 4, ends, w, j) == (words, counts)
+            assert count_graffiti(p, 4, ends, w, j) == len(words), (p, w, j)
+
+
+@pytest.mark.parametrize("ends", ORACLE_ENDS,
+                         ids=lambda e: e.code + ("+aug" if e.augmented else ""))
+def test_count_graffiti_matches_enumeration(ends):
+    # the object layer through degree 3; past it the listing is slow, and
+    # the walk it maps one to one is compared above
+    for p in range(1, 4):
+        for w in (None, *range(2 * p + 2)):
+            for j in (None, *range(p + 1)):
+                assert (count_graffiti(p, 4, ends, w, j)
+                        == len(enumerate_graffiti(p, 4, ends, w, j))), (p, w, j)
+
+
+def test_count_graffiti_degree_7_without_listing():
+    # the degree-7 layer holds 19.3M words; counting lists none of them
+    assert count_graffiti(7) == 4 * 13 ** 6 == 19_307_236
+    assert sum(count_graffiti(7, weight=w) for w in range(15)) == 4 * 13 ** 6
+    assert sum(count_graffiti(7, dividers=j) for j in range(7)) == 4 * 13 ** 6
+
+
+# sha256 of json.dumps(to_json()) followed by json.dumps of the weight labels,
+# for the complexes through degree 4; the assembly must reproduce them byte
+# for byte
+DUMP_DIGESTS = {
+    ("cc", "za"): "4f566cd28d9b0671bd9f270fe11e6b4b397952a1256269b78fb24f6a0223353a",
+    ("cc", "z"): "c050f8ad9fe703636e20d4735b0a9f154c95f2c25d99e8b89953bafc00afd4e4",
+    ("cc", "f2"): "2997909a93d48a58c9c30f151317081babe74ffdee68a5071889918aa66a5326",
+    ("augmented", "za"): "771e12b9782a04ddab47850d5e2c30111dae92cbd57ec92c38efc045720eab68",
+    ("augmented", "z"): "057fa461b6744a1c444e125943bf2988bd1b7751ae68e14fd57310d365fff7e3",
+    ("augmented", "f2"): "1b9fd5391db3adb4af188105bce6431eed6fb2d82b8041fcea9c4be71b356142",
+    ("oo", "za"): "15a40cc480df6e6b0aeedbc19917e22c308bfc3d1c4b87f7401a262dc7300f0a",
+    ("oo", "z"): "538df45b82b7cc1e34b1339ee3f3f58c2ed74d12899acae9b34ee47c8ca66feb",
+    ("oo", "f2"): "a11a788b1f2ada983e7dd6a5b22dc7b39006d68d447ea5cae58a17b4e38aa56b",
+    ("oc", "za"): "519405e1c06ffb837d3de226296fff7334e87479f3d75aacb5271e668178d343",
+    ("oc", "z"): "bafb4b01bbd6313f3190e41b31f447670f02dc4748322a9b758a5d58433d9d6f",
+    ("oc", "f2"): "46637d8c1b0d1c8f7c0a9594dff6e34e71de57a2029663d3085b8c71f528175c",
+    ("co", "za"): "8274e1c5f7ce2cd2956d2c6aade3e716a0f1ad9e68c969c5c96f292617115550",
+    ("co", "z"): "a6d8b1e5e3d79e4dc2bab5646e34d18a8ffe4c8b1c2754491f328ed0cd677ce3",
+    ("co", "f2"): "70d1ef71a161dfc20866e853259f25f6a69e1a4072b9f9d847cff95c7343e6a5",
+}
+
+
+@pytest.mark.parametrize("ends, ring", sorted(DUMP_DIGESTS))
+def test_complex_dumps_are_pinned(ends, ring):
+    spec = ComplexSpec(4, parse_ring(ring),
+                       EndSpec(augmented=True) if ends == "augmented"
+                       else EndSpec.from_code(ends), max_degree=4)
+    cx = build_complex(spec)
+    text = json.dumps(cx.to_json()) + json.dumps(
+        {str(p): list(w) for p, w in cx.weights.items()})
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[ends, ring]
 
 
 def test_chain_codec():
