@@ -4,7 +4,9 @@ Every computation in this package is exact; there is no floating point
 anywhere.  A domain owns the arithmetic on raw values (python ints, Fractions,
 ints mod p, or sparse exponent tuples for Z[a]); the Scalar wrapper adds
 domain checking and the canonical text forms.  Pointed rings (R, a) bundle a
-domain with a chosen element a, the value substituted for each closed loop.
+domain with a chosen element a, the value substituted for each closed loop,
+and LinearCombination is the free-module arithmetic over a pointed ring that
+loop chains and model polynomials share.
 """
 
 from __future__ import annotations
@@ -332,6 +334,75 @@ class PointedRing:
 
     def __repr__(self):
         return f"({self.domain!r}, a={self.domain.format(self.a_value)})"
+
+
+class LinearCombination:
+    """A finite linear combination of keys with raw scalars of a pointed ring.
+
+    terms maps each key to a nonzero scalar; zeros are dropped on
+    construction.  A subclass supplies encode, how two keys multiply
+    (key_product), and the error raised for operands of another type or ring
+    (ring_error).
+    """
+
+    __slots__ = ("ring", "terms")
+    ring_error: type[Exception] = DomainError
+
+    def __init__(self, ring: PointedRing, terms: dict | None = None):
+        self.ring = ring
+        dom = ring.domain
+        self.terms = {k: v for k, v in (terms or {}).items() if not dom.is_zero(v)}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other.ring != self.ring:
+            raise self.ring_error(
+                f"cannot combine {type(self).__name__} over {self.ring!r} with "
+                f"{type(other).__name__} over {getattr(other, 'ring', None)!r}")
+
+    def __add__(self, other):
+        self._check(other)
+        dom = self.ring.domain
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = dom.add(out.get(k, dom.zero()), v)
+        return type(self)(self.ring, out)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(self.ring.domain.from_int(-1))
+
+    def scale(self, c):
+        dom = self.ring.domain
+        return type(self)(self.ring, {k: dom.mul(c, v) for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        self._check(other)
+        dom = self.ring.domain
+        out: dict = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = self.key_product(k1, k2)
+                out[k] = dom.add(out.get(k, dom.zero()), dom.mul(v1, v2))
+        return type(self)(self.ring, out)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ring == other.ring
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __str__(self):
+        return self.encode()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.encode()})"
 
 
 def parse_ring(code: str, a: int = 0) -> PointedRing:

@@ -15,13 +15,13 @@ import math
 import re
 from dataclasses import dataclass
 
-from .coeff import INT_POLY_A, DomainError, PointedRing
+from .coeff import INT_POLY_A, DomainError, LinearCombination, PointedRing
 from .diagram import parse_diagram
 from .homology import (ChainComplexData, SparseMatrix, graded_matrix,
                        integer_coefficients)
 from .loops import (Chain, chain_involution_lr, chain_involution_tb,
                     differential as loops_differential, empty_system,
-                    new_graffito, zero_chain)
+                    new_graffito)
 
 
 class AlgebraError(ValueError):
@@ -39,15 +39,15 @@ class GradedGenerator:
             raise AlgebraError("generators have homological degree >= 1")
 
 
-class NCPoly:
+class NCPoly(LinearCombination):
     """A noncommutative polynomial: finite map from words to scalars."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
+    ring_error = AlgebraError
 
-    def __init__(self, ring: PointedRing, terms: dict[tuple[str, ...], object] | None = None):
-        self.ring = ring
-        dom = ring.domain
-        self.terms = {w: v for w, v in (terms or {}).items() if not dom.is_zero(v)}
+    @staticmethod
+    def key_product(w1: tuple[str, ...], w2: tuple[str, ...]) -> tuple[str, ...]:
+        return w1 + w2
 
     @classmethod
     def zero(cls, ring) -> "NCPoly":
@@ -64,48 +64,6 @@ class NCPoly:
     @classmethod
     def constant(cls, ring, value) -> "NCPoly":
         return cls(ring, {(): value})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other):
-        if not isinstance(other, NCPoly) or other.ring != self.ring:
-            raise AlgebraError("polynomials over different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        dom = self.ring.domain
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            out[w] = dom.add(out.get(w, dom.zero()), v)
-        return NCPoly(self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.ring.domain.from_int(-1))
-
-    def __neg__(self):
-        return self.scale(self.ring.domain.from_int(-1))
-
-    def scale(self, c) -> "NCPoly":
-        dom = self.ring.domain
-        return NCPoly(self.ring, {w: dom.mul(c, v) for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        dom = self.ring.domain
-        out: dict[tuple[str, ...], object] = {}
-        for w1, v1 in self.terms.items():
-            for w2, v2 in other.terms.items():
-                w = w1 + w2
-                out[w] = dom.add(out.get(w, dom.zero()), dom.mul(v1, v2))
-        return NCPoly(self.ring, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, NCPoly) and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def encode(self) -> str:
         if not self.terms:
@@ -131,12 +89,6 @@ class NCPoly:
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
-
-    def __str__(self):
-        return self.encode()
-
-    def __repr__(self):
-        return f"NCPoly({self.encode()})"
 
 
 _TERM_SPLIT = re.compile(r"(?<![\^(])([+-])")
@@ -354,10 +306,9 @@ class DgaMorphism:
         ring = self.source.ring
         if self.target == LOOPS_TARGET:
             unit = Chain.of(ring, empty_system())
-            out = zero_chain(ring)
         else:
             unit = NCPoly.one(ring)
-            out = NCPoly.zero(ring)
+        out = type(unit)(ring)
         for word, coeff in p.terms.items():
             img = unit
             for g in word:

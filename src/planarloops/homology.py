@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coeff import (INT_POLY_A, INTEGERS, CoefficientDomain, DomainError,
                      PointedRing, ZZ)
@@ -68,9 +68,9 @@ class SparseMatrix:
             out.setdefault(c, {})[r] = v
         return out
 
-    def apply(self, vec: dict[int, object], domain=None) -> dict[int, object]:
+    def apply(self, vec: dict[int, object]) -> dict[int, object]:
         """Matrix times a sparse column vector {index: value}."""
-        dom = domain or self.domain
+        dom = self.domain
         integers = dom.kind == INTEGERS  # plain int arithmetic
         out: dict[int, object] = {}
         cols = self.col_dicts()
@@ -719,8 +719,7 @@ def solve_integer(A: SparseMatrix, b: dict[int, int]) -> dict[int, int] | None:
 def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     if p == 0:
         return True
-    dom = c.ring.domain
-    return not c.boundary(p).apply(vec, dom)
+    return not c.boundary(p).apply(vec)
 
 
 def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:

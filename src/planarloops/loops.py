@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .coeff import PointedRing
+from .coeff import LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
@@ -62,8 +62,8 @@ class Graffito:
     (2n, k_r) state with no stub-to-stub pair; k is 0 at a closed end and 2
     at an open one.  The degree is the number of bars.  The single factor
     TL(0,0){} stands for the empty system, the degree-0 generator of an
-    augmented complex.  Loop and divider counts (computed after closing any
-    open ends) are cached at construction.
+    augmented complex.  Construction only validates; loop_count and
+    divider_count compute the statistics when they are called.
     """
 
     two_n: int
@@ -78,8 +78,6 @@ class Graffito:
         if self.is_empty_system:
             if self.left_open or self.right_open:
                 raise GraffitoError("the empty system has closed ends")
-            object.__setattr__(self, "_loops", 0)
-            object.__setattr__(self, "_dividers", 0)
             return
         if len(self.factors) < 2:
             raise GraffitoError("a pinned system has at least one bar")
@@ -97,10 +95,6 @@ class Graffito:
                 raise GraffitoError(f"inner factor {f} has wrong shape")
             if f.is_identity():
                 raise GraffitoError("inner factors must not be the identity")
-        closed = self if not (kl or kr) else close_ends(self)
-        loops, dividers = _closed_stats(closed.factors)
-        object.__setattr__(self, "_loops", loops)
-        object.__setattr__(self, "_dividers", dividers)
 
     @property
     def is_empty_system(self) -> bool:
@@ -120,19 +114,6 @@ class Graffito:
 
     def __str__(self):
         return self.encode()
-
-
-@lru_cache(maxsize=None)
-def _closed_stats(factors: tuple[TLDiagram, ...]) -> tuple[int, int]:
-    if factors == (EMPTY_DIAGRAM,):
-        return 0, 0
-    total = 0
-    running = factors[0]
-    for f in factors[1:]:
-        running, loops = compose(running, f)
-        total += loops
-    dividers = sum(1 for f in factors[1:-1] if f.through_count() == 0)
-    return total, dividers
 
 
 def new_graffito(two_n: int, ends: EndSpec | str, factors) -> Graffito:
@@ -163,7 +144,7 @@ def parse_chain(text: str, ring: PointedRing) -> "Chain":
     """Parse the canonical chain form '<scalar>*G(..)[..] + ...' ('0' = zero)."""
     text = text.strip()
     if text == "0":
-        return Chain(ring, {})
+        return Chain(ring)
     dom = ring.domain
     terms: dict[Graffito, object] = {}
     for part in text.split(" + "):
@@ -182,12 +163,17 @@ def parse_chain(text: str, ring: PointedRing) -> "Chain":
 
 def loop_count(x: Graffito) -> int:
     """Number of loops in the system (open ends are closed up first)."""
-    return x._loops
+    factors = close_ends(x).factors
+    running, total = factors[0], 0
+    for f in factors[1:]:
+        running, loops = compose(running, f)
+        total += loops
+    return total
 
 
 def divider_count(x: Graffito) -> int:
     """Inner factors the whole system passes by: those with no through strand."""
-    return x._dividers
+    return sum(1 for f in x.factors[1:-1] if f.through_count() == 0)
 
 
 def nondivider_count(x: Graffito) -> int:
@@ -210,19 +196,21 @@ def close_ends(x: Graffito) -> Graffito:
 # Chains
 # ---------------------------------------------------------------------------
 
-class Chain:
+class Chain(LinearCombination):
     """A finite linear combination of loop systems of one degree and shape."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
+    ring_error = GraffitoError
 
     def __init__(self, ring: PointedRing, terms: dict[Graffito, object] | None = None):
-        self.ring = ring
-        dom = ring.domain
-        clean = {g: v for g, v in (terms or {}).items() if not dom.is_zero(v)}
-        shapes = {(g.degree, g.left_open, g.right_open, g.two_n) for g in clean}
+        super().__init__(ring, terms)
+        shapes = {(g.degree, g.left_open, g.right_open, g.two_n) for g in self.terms}
         if len(shapes) > 1:
             raise GraffitoError("chain mixes degrees or end shapes")
-        self.terms = clean
+
+    @staticmethod
+    def key_product(x: Graffito, y: Graffito) -> Graffito:
+        return product(x, y)
 
     @classmethod
     def of(cls, ring: PointedRing, x: Graffito, coeff=None) -> "Chain":
@@ -233,46 +221,6 @@ class Chain:
         for g in self.terms:
             return g.degree
         return None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Chain") -> "Chain":
-        if self.ring != other.ring:
-            raise GraffitoError("chains over different rings")
-        dom = self.ring.domain
-        out = dict(self.terms)
-        for g, v in other.terms.items():
-            out[g] = dom.add(out.get(g, dom.zero()), v)
-        return Chain(self.ring, out)
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + other.scale(self.ring.domain.neg(self.ring.domain.one()))
-
-    def __neg__(self) -> "Chain":
-        return self.scale(self.ring.domain.neg(self.ring.domain.one()))
-
-    def scale(self, c) -> "Chain":
-        dom = self.ring.domain
-        return Chain(self.ring, {g: dom.mul(c, v) for g, v in self.terms.items()})
-
-    def __mul__(self, other: "Chain") -> "Chain":
-        if self.ring != other.ring:
-            raise GraffitoError("chains over different rings")
-        dom = self.ring.domain
-        out: dict[Graffito, object] = {}
-        for g1, v1 in self.terms.items():
-            for g2, v2 in other.terms.items():
-                g = product(g1, g2)
-                out[g] = dom.add(out.get(g, dom.zero()), dom.mul(v1, v2))
-        return Chain(self.ring, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def encode(self) -> str:
         if not self.terms:
@@ -285,16 +233,6 @@ class Chain:
                 c = f"({c})"
             parts.append(f"{c}*{g.encode()}")
         return " + ".join(parts)
-
-    def __str__(self):
-        return self.encode()
-
-    def __repr__(self):
-        return f"Chain({self.encode()})"
-
-
-def zero_chain(ring: PointedRing) -> Chain:
-    return Chain(ring, {})
 
 
 def face(x: Graffito, i: int, ring: PointedRing) -> Chain:
@@ -309,7 +247,6 @@ def face(x: Graffito, i: int, ring: PointedRing) -> Chain:
     p = x.degree
     if not 0 <= i <= p - 1:
         raise IndexError(f"face index {i} out of range for degree {p}")
-    dom = ring.domain
     if p == 1:
         if x.left_open or x.right_open:
             raise IndexError("one-bar open systems have no face")
@@ -318,9 +255,9 @@ def face(x: Graffito, i: int, ring: PointedRing) -> Chain:
         return Chain(ring, {empty_system(x.two_n): coeff})
     merged, loops = compose(x.factors[i], x.factors[i + 1])
     if x.left_open and i == 0 and merged.has_ll_pair():
-        return zero_chain(ring)
+        return Chain(ring)
     if x.right_open and i == p - 1 and merged.has_rr_pair():
-        return zero_chain(ring)
+        return Chain(ring)
     factors = x.factors[:i] + (merged,) + x.factors[i + 2:]
     out = Graffito(x.two_n, x.left_open, x.right_open, factors)
     return Chain(ring, {out: ring.a_power(loops)})

@@ -193,7 +193,6 @@ def _pt(b: int, i: int) -> tuple[float, float]:
 
 def svg_layout(lay: Layout) -> str:
     if lay.bars == 0:
-        bars = 0
         w, h = 2 * _MARGIN, 2 * _MARGIN
         return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" '
                 f'height="{h:.0f}"></svg>\n')

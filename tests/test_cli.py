@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -156,3 +157,37 @@ def test_export_open_graffito(capsys):
     code, out, _ = run(capsys, "export", "--target", "graffito",
                        "--format", "svg", g.encode())
     assert code == 0 and out.count("stroke-dasharray") == 4
+
+
+_B0, _B3 = "TL(0,4){R1-R2,R3-R4}", "TL(4,0){L1-L2,L3-L4}"
+_R_TEXT = f"G(cc)[{_B0} | TL(4,4){{L1-R1,L2-L3,L4-R4,R2-R3}} | {_B3}]"
+_CUP_TEXT = f"G(cc)[{_B0} | TL(4,4){{L1-L4,L2-L3,R1-R4,R2-R3}} | {_B3}]"
+_Y_TEXT = " + ".join(f"{c}*G(cc)[{_B0} | {f} | {g} | {_B3}]" for c, f, g in [
+    ("-1", "TL(4,4){L1-R1,L2-L3,L4-R2,R3-R4}", "TL(4,4){L1-L2,L3-R1,L4-R4,R2-R3}"),
+    ("1", "TL(4,4){L1-R1,L2-L3,L4-R2,R3-R4}", "TL(4,4){L1-R1,L2-R4,L3-L4,R2-R3}"),
+    ("1", "TL(4,4){L1-R3,L2-L3,L4-R4,R1-R2}", "TL(4,4){L1-L2,L3-R1,L4-R4,R2-R3}"),
+    ("-1", "TL(4,4){L1-R3,L2-L3,L4-R4,R1-R2}", "TL(4,4){L1-R1,L2-R4,L3-L4,R2-R3}")])
+
+# sha256 of the exported bytes: the four-term cycle over Z, a chain with a
+# bracketed Z[a] coefficient, and a repeated term summed over F3
+_CHAIN_EXPORTS = {
+    ("z", _Y_TEXT): (
+        "116a5f55142c85cdb257e4126d344fefc359545bec48cf45bb18389126583d5a",
+        "82b7ccbf91ed0f6efa65066f6c7e22c2c82c0b7c5942633db955f3c94f500a3f"),
+    ("za", f"(1+a)*{_R_TEXT} + -2a*{_CUP_TEXT}"): (
+        "50dbe8111c55f03d3d611d54a3c9198d3a8028eaeec08b76d04857c6a0e699ba",
+        "f082e8b2245d7c3e9b10abb86395d95bb4327f310c9b3b592ddbb1e37ecb0ffb"),
+    ("f3", f"2*{PHI_X_TEXT} + 2*{PHI_X_TEXT}"): (
+        "58769e44ac1fd8d8eaa6bd025deecc462c95b891cff2092bf2ebd1d661ec0d43",
+        "1966f77477ec7cb407de5eb1c7124bec784b3b842ecea5a5293e0fa7e60b09fe"),
+}
+
+
+@pytest.mark.parametrize("ring,text", list(_CHAIN_EXPORTS),
+                         ids=[ring for ring, _ in _CHAIN_EXPORTS])
+def test_export_chain_bytes_are_pinned(capsys, ring, text):
+    for fmt, want in zip(("ascii", "svg"), _CHAIN_EXPORTS[ring, text]):
+        code, out, err = run(capsys, "export", "--target", "chain",
+                             "--format", fmt, "--ring", ring, text)
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt

@@ -28,6 +28,33 @@ def test_poly_arith():
         x + NCPoly.gen(Z0, "x")
 
 
+
+def test_poly_subtraction_and_repr():
+    rng = random.Random(5)
+    gens = ["x", "xh", "r", "y"]
+    dom = ZAU.domain
+    for _ in range(50):
+        a, b = (NCPoly(ZAU, {tuple(rng.choice(gens) for _ in range(rng.randint(0, 2))):
+                             dom.from_int(rng.randint(-2, 2)) for _ in range(3)})
+                for _ in range(2))
+        assert a - b == a + (-b)
+        assert (a - a).is_zero() and a - a == NCPoly.zero(ZAU)
+    p = P("2*x.xh - 2a*r")
+    assert repr(p) == "NCPoly(-2a*r + 2*x.xh)" and str(p) == "-2a*r + 2*x.xh"
+    assert repr(NCPoly.zero(ZAU)) == "NCPoly(0)"
+
+
+def test_chains_and_polynomials_do_not_mix():
+    from planarloops import Chain, GraffitoError, empty_system
+    chain, poly = Chain.of(ZAU, empty_system()), NCPoly.one(ZAU)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(GraffitoError):
+            op(chain, poly)
+        with pytest.raises(AlgebraError):
+            op(poly, chain)
+    assert chain != poly and poly != chain
+    assert Chain(ZAU) != NCPoly.zero(ZAU) and NCPoly.zero(ZAU) != Chain(ZAU)
+
 def test_poly_text_roundtrip():
     rng = random.Random(7)
     gens = ["x", "xh", "r", "y"]

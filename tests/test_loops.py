@@ -105,6 +105,32 @@ def test_product_examples():
         product(enumerate_graffiti(1, ends="co")[0], PHI_X)
 
 
+
+def test_chain_operands_must_share_the_ring():
+    z, za = Chain.of(Z0, PHI_X), Chain.of(ZAU, PHI_X)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(GraffitoError):
+            op(z, za)
+    assert z != za
+
+
+def test_chain_subtraction_and_repr():
+    local = random.Random(3)
+    dom = ZAU.domain
+    for _ in range(50):
+        p = local.randint(1, 3)
+        a, b = (Chain(ZAU, {g: dom.from_int(local.randint(-2, 2))
+                            for g in local.sample(graffiti_pool(p), 3)})
+                for _ in range(2))
+        assert a - b == a + (-b)
+        assert a - a == Chain(ZAU) and (a - a).is_zero()
+    c = Chain.of(ZAU, PHI_X, ((0, 1), (1, 1))) - Chain.of(ZAU, PHI_XH)
+    assert repr(c) == (
+        "Chain((a+1)*G(cc)[TL(0,4){R1-R2,R3-R4} | TL(4,0){L1-L4,L2-L3}]"
+        " + -1*G(cc)[TL(0,4){R1-R4,R2-R3} | TL(4,0){L1-L2,L3-L4}])")
+    assert repr(c) == f"Chain({c})"
+    assert repr(Chain(ZAU)) == "Chain(0)"
+
 def test_loop_and_divider_counts():
     assert loop_count(PHI_X) == 1
     two_loop = parse_graffito(
