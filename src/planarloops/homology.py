@@ -281,6 +281,17 @@ class _SparseSNF:
     outside the pivot row, which is then dropped.  Over a field that
     empties the matrix: the pivot count is the rank and the core is 0 x 0.
     Over Z the rows left over form the residual core, reduced densely.
+    pivot_cols holds the sweep's pivot columns.
+
+    Rows in cleared are dropped before the sweep.  homology() clears the
+    rows of d_{p+1} at the sweep pivot columns of d_p.  Those pivots are
+    units and L d_p is unit-triangular on the pivot rows and columns, so
+    its pivot rows span a direct summand of the chains, complementary to
+    the coordinates off the pivot columns, on which d_{p+1}^T vanishes:
+    d_{p+1} without the cleared rows has the same row lattice, hence the
+    same rank and invariants.  The core's pivots are not units and are
+    never cleared.  Cleared rows read as zero rows, so clearing serves the
+    invariants only, never the transforms.
 
     With transforms (over Z only) the sweep records its operations in ops
     as (r, r0, q) and its pivot rows in pivots as (r0, c0, entries).  With L
@@ -291,19 +302,23 @@ class _SparseSNF:
     for the integral solves.  Non-pivot columns outside the core are free.
     """
 
-    def __init__(self, A: SparseMatrix, transforms: bool = False):
+    def __init__(self, A: SparseMatrix, transforms: bool = False,
+                 cleared: frozenset[int] | set[int] = frozenset()):
         dom = A.domain
         if dom.kind != INTEGERS and (transforms or not dom.is_field()):
             raise DomainError("Smith normal form needs integer entries")
         self.nrows, self.ncols = A.rows, A.cols
-        self.R: dict[int, dict[int, object]] = A.row_dicts()
+        self.R: dict[int, dict[int, object]] = {
+            r: row for r, row in A.row_dicts().items() if r not in cleared}
         self.C: dict[int, set[int]] = {}
         for r, row in self.R.items():
             for c in row:
                 self.C.setdefault(c, set()).add(r)
         self.ops: list[tuple[int, int, int]] = []
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
-        self.npivots, self.npops = self._sweep(dom, transforms)
+        self.pivot_cols: set[int] = set()
+        self.npops = self._sweep(dom, transforms)
+        self.npivots = len(self.pivot_cols)
         self.res_rows = sorted(r for r, row in self.R.items() if row)
         self.res_cols = sorted({c for r in self.res_rows for c in self.R[r]})
         cmap = {c: j for j, c in enumerate(self.res_cols)}
@@ -315,7 +330,7 @@ class _SparseSNF:
 
     @functools.cached_property
     def free_cols(self) -> list[int]:
-        bound = {c0 for _, c0, _ in self.pivots}.union(self.res_cols)
+        bound = self.pivot_cols.union(self.res_cols)
         return [c for c in range(self.ncols) if c not in bound]
 
     @functools.cached_property
@@ -340,16 +355,15 @@ class _SparseSNF:
             return None
         return (len(row) - 1) * (blen - 1), r, bcol
 
-    def _sweep(self, dom: CoefficientDomain, transforms: bool
-               ) -> tuple[int, int]:
-        """Eliminate pivots until none is left; returns the number of
-        pivots and of queue entries popped."""
+    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> int:
+        """Eliminate pivots until none is left; returns the number of queue
+        entries popped."""
         units = dom.kind == INTEGERS
         p = dom.p  # entries are reduced mod p over F_p
         R, C = self.R, self.C
         heap = [e for r in R if (e := self._best(r, units))]
         heapq.heapify(heap)
-        npivots = npops = 0
+        npops = 0
         while heap:
             cost, r0, _ = heapq.heappop(heap)
             npops += 1
@@ -394,24 +408,53 @@ class _SparseSNF:
                 if not C[c]:
                     del C[c]
             del R[r0]
-            npivots += 1
+            self.pivot_cols.add(c0)
             if transforms:
                 self.pivots.append((r0, c0, row0))
             for r in touched:
                 if e := self._best(r, units):
                     heapq.heappush(heap, e)
-        return npivots, npops
+        return npops
+
+    @functools.cached_property
+    def _readers(self) -> tuple[dict[int, int], dict[int, list[int]]]:
+        """Each pivot's index by its row, and per column the pivots whose
+        row holds it outside their own pivot column."""
+        by_row: dict[int, int] = {}
+        by_col: dict[int, list[int]] = {}
+        for k, (r0, c0, row) in enumerate(self.pivots):
+            by_row[r0] = k
+            for c in row:
+                if c != c0:
+                    by_col.setdefault(c, []).append(k)
+        return by_row, by_col
 
     def _lift(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """Complete x, given on the non-pivot columns, by back-substitution
-        so that every pivot row of L A x equals y there."""
-        for r0, c0, row in reversed(self.pivots):
+        so that every pivot row of L A x equals y there.
+
+        Pivot k's row holds no pivot column of an earlier pivot, so its
+        entry of x depends on later pivots only: pivots are solved in
+        descending order, and only those reached from the support of x and y.
+        """
+        by_row, by_col = self._readers
+        queued = {by_row[r] for r, v in y.items() if v and r in by_row}
+        for c in x:
+            queued.update(by_col.get(c, ()))
+        heap = [-k for k in queued]
+        heapq.heapify(heap)
+        while heap:
+            r0, c0, row = self.pivots[-heapq.heappop(heap)]
             s = y.get(r0, 0)
             for c, w in row.items():
                 if c != c0:
                     s -= w * x.get(c, 0)
             if s:
                 x[c0] = s * row[c0]  # a unit is its own inverse
+                for k in by_col.get(c0, ()):
+                    if k not in queued:
+                        queued.add(k)
+                        heapq.heappush(heap, -k)
         return x
 
     def solve(self, b: dict[int, int]) -> dict[int, int] | None:
@@ -612,12 +655,17 @@ def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
     """Exact rank: the number of pivots of the sparse Markowitz sweep."""
     if not fld.is_field():
         raise DomainError(f"{fld!r} is not a field")
+    return _SparseSNF(_over_field(A, fld)).npivots
+
+
+def _over_field(A: SparseMatrix, fld: CoefficientDomain) -> SparseMatrix:
+    """A with its entries in the field fld; an integer matrix is mapped."""
     if A.domain.kind == INTEGERS:
         data = {(r, c): fld.from_int(v) for r, c, v in A.entries}
-        A = SparseMatrix.from_dict(A.rows, A.cols, data, fld)
-    elif A.domain != fld:
+        return SparseMatrix.from_dict(A.rows, A.cols, data, fld)
+    if A.domain != fld:
         raise DomainError("matrix domain disagrees with requested field")
-    return _SparseSNF(A).npivots
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +697,10 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
 
     Every requested degree p must satisfy p < max_degree so that both
     adjacent boundaries are trusted; the truncation edge is never reported.
+    Each boundary needed is reduced once, in ascending degree, over Z or
+    the field; d_{p+1} right after d_p drops the rows at d_p's sweep pivot
+    columns, which leaves its rank and invariants unchanged (clearing; see
+    _SparseSNF).
     """
     degrees = list(degrees)
     for p in degrees:
@@ -658,27 +710,26 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
         if p < 0:
             raise LinearAlgebraError("negative degree")
     dom = c.ring.domain
-    if dom.kind == INTEGERS:
-        def reduce(A):
-            snf = smith_normal_form(A)
-            return snf.rank, tuple(d for d in snf.invariants if d > 1)
-    elif dom.is_field():
-        def reduce(A):
-            return rank_over_field(A, dom), ()
-    else:
+    if dom.kind != INTEGERS and not dom.is_field():
         raise DomainError(
             "homology is computed over Z or a field; specialize first")
-
-    @functools.cache
-    def reduced(p):
-        """(rank, torsion invariants) of the boundary leaving degree p."""
-        return reduce(c.boundary(p))
+    reduced = {}  # q -> (rank, torsion invariants) of d_q
+    cleared: frozenset[int] | set[int] = frozenset()
+    for q in sorted({q for p in degrees for q in (p, p + 1) if q >= 1}):
+        if q - 1 not in reduced:
+            cleared = frozenset()
+        A = c.boundary(q)
+        work = _SparseSNF(A if dom.kind == INTEGERS else _over_field(A, dom),
+                          cleared=cleared)
+        reduced[q] = (work.npivots + work.core.rank,
+                      tuple(d for d in work.core.invariants if d > 1))
+        cleared = work.pivot_cols
 
     out = []
     for p in degrees:
         n_p = c.dim(p)
-        r_low = reduced(p)[0] if p >= 1 else 0
-        rank, tors = reduced(p + 1)
+        r_low = reduced[p][0] if p >= 1 else 0
+        rank, tors = reduced[p + 1]
         reps = (_integral_representatives(c, p)
                 if representatives and dom.kind == INTEGERS else None)
         out.append(HomologyGroup(p, n_p - r_low - rank, tors, n_p, reps))
