@@ -12,15 +12,14 @@ an algebra to a word-basis chain complex.
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 
 from .coeff import INT_POLY_A, DomainError, LinearCombination, PointedRing
 from .diagram import parse_diagram
-from .homology import (ChainComplexData, SparseMatrix, graded_matrix,
-                       integer_coefficients)
-from .loops import (Chain, chain_involution_lr, chain_involution_tb,
-                    differential as loops_differential, empty_system,
+from .homology import ChainComplexData, SparseMatrix, graded_matrix
+from .loops import (Chain, differential as loops_differential, empty_system,
                     new_graffito)
 
 
@@ -446,49 +445,42 @@ class InvolutionReport:
             f"{len(self.failures)} involution relation failures"
 
 
-def check_involution_relations(algebra: FreeDGA, samples: int = 200,
-                               seed: int = 0) -> InvolutionReport:
-    """d sigma_v = sigma_v d and d sigma_h = (-1)^{deg+1} sigma_h d.
-
-    Checked on all generators and on seeded random words of degree <= 5.
-    """
-    import random
+def sample_words(algebra: FreeDGA, samples: int = 200,
+                 seed: int = 0) -> list[tuple[NCPoly, int]]:
+    """(word, degree) for every generator, then for seeded random words of
+    one to four letters."""
     rng = random.Random(seed)
-    sigma_ud, sigma_lr = model_involutions(algebra)
     gens = [g.name for g in algebra.generators]
     words = [(g,) for g in gens]
     for _ in range(samples):
         length = rng.randint(1, 4)
         words.append(tuple(rng.choice(gens) for _ in range(length)))
-    failures = []
-    for w in words:
-        p = NCPoly(algebra.ring, {w: algebra.ring.domain.one()})
-        deg = algebra.word_degree(w)
-        if algebra.differential(sigma_ud(p)) != sigma_ud(algebra.differential(p)):
-            failures.append(("vertical", w))
-        rhs = sigma_lr(algebra.differential(p))
-        if (deg + 1) % 2:
-            rhs = -rhs
-        if algebra.differential(sigma_lr(p)) != rhs:
-            failures.append(("horizontal", w))
-    return InvolutionReport(not failures, tuple(failures))
+    one = algebra.ring.domain.one()
+    return [(NCPoly(algebra.ring, {w: one}), algebra.word_degree(w))
+            for w in words]
 
 
-def loop_involution_relations(ring: PointedRing, chains) -> InvolutionReport:
-    """The same two relations for chains in the loop complex."""
+def check_involution_relations(elements, differential, sigma_v,
+                               sigma_h) -> InvolutionReport:
+    """d sigma_v = sigma_v d and d sigma_h = (-1)^{deg+1} sigma_h d on each
+    nonzero element of (element, degree) pairs.
+
+    The same check serves the models (model polynomials, the model's
+    differential and model_involutions) and the loop complex (chains, the
+    loop differential and the two chain reflections).
+    """
+    d = differential
     failures = []
-    for c in chains:
-        if c.is_zero():
+    for e, deg in elements:
+        if e.is_zero():
             continue
-        deg = c.degree
-        lhs = loops_differential(chain_involution_tb(c))
-        if lhs != chain_involution_tb(loops_differential(c)):
-            failures.append(("vertical", c.encode()))
-        rhs = chain_involution_lr(loops_differential(c))
+        if d(sigma_v(e)) != sigma_v(d(e)):
+            failures.append(("vertical", e.encode()))
+        rhs = sigma_h(d(e))
         if (deg + 1) % 2:
             rhs = -rhs
-        if loops_differential(chain_involution_lr(c)) != rhs:
-            failures.append(("horizontal", c.encode()))
+        if d(sigma_h(e)) != rhs:
+            failures.append(("horizontal", e.encode()))
     return InvolutionReport(not failures, tuple(failures))
 
 
@@ -562,18 +554,16 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
 def specialize_complex(c: ChainComplexData, target: PointedRing) -> ChainComplexData:
     """Substitute a -> a_value in a weight-labelled Z[a] complex.
 
-    Each entry n * a^(w_col - w_row) becomes that value in (R, a); an entry
-    of another form raises LinearAlgebraError.
+    Each stored integer n becomes n * a^(w_col - w_row) in (R, a), one
+    graded_matrix per degree; the entries were checked to have that form
+    when the complex was built.
     """
     if c.ring.domain.kind != INT_POLY_A:
         raise AlgebraError("specialize_complex starts from a Z[a] complex")
     if c.weights is None:
         raise AlgebraError("specialize_complex needs weight labels")
-    mats = {}
-    for p, mat in c.matrices.items():
-        rw, cw = c.weights[p - 1], c.weights[p]
-        mats[p] = graded_matrix(mat.rows, mat.cols,
-                                integer_coefficients(mat, rw, cw).entries,
-                                rw, cw, target)
+    mats = {p: graded_matrix(mat.rows, mat.cols, mat.entries, c.weights[p - 1],
+                             c.weights[p], target)
+            for p, mat in c.matrices.items()}
     return ChainComplexData(target, c.max_degree, dict(c.basis), mats,
                             weights=c.weights, description=c.description)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .coeff import (INT_POLY_A, INTEGERS, CoefficientDomain, DomainError,
                      PointedRing, ZZ)
@@ -87,22 +89,29 @@ class SparseMatrix:
         return {r: v for r, v in out.items() if not dom.is_zero(v)}
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The product, one row of self at a time against the rows of other,
+        so the entries come out row-major."""
         if self.cols != other.rows:
             raise LinearAlgebraError("shape mismatch in matrix product")
         dom = self.domain
         integers = dom.kind == INTEGERS  # plain int arithmetic
-        mycols = self.col_dicts()
-        acc: dict[tuple[int, int], object] = {}
-        for r, c, v in other.entries:
-            col = mycols.get(r, {}).items()
-            if integers:
-                for rr, vv in col:
-                    acc[rr, c] = acc.get((rr, c), 0) + vv * v
-            else:
-                for rr, vv in col:
-                    key = (rr, c)
-                    acc[key] = dom.add(acc.get(key, dom.zero()), dom.mul(vv, v))
-        return SparseMatrix.from_dict(self.rows, other.cols, acc, dom)
+        right = {k: [(c, w) for _, c, w in row]
+                 for k, row in groupby(other.entries, itemgetter(0))}
+        ents = []
+        for r, row in groupby(self.entries, itemgetter(0)):
+            acc: dict[int, object] = {}
+            for _, k, v in row:
+                if integers:
+                    for c, w in right.get(k, ()):
+                        acc[c] = acc.get(c, 0) + v * w
+                else:
+                    for c, w in right.get(k, ()):
+                        acc[c] = dom.add(acc.get(c, dom.zero()), dom.mul(v, w))
+            # every domain's zero (0, Fraction(0), the empty Z[a] tuple) is
+            # falsy, so one test drops the sums that cancelled
+            nonzero = sorted(c for c, s in acc.items() if s)
+            ents.extend((r, c, acc[c]) for c in nonzero)
+        return SparseMatrix(self.rows, other.cols, tuple(ents), dom)
 
     def to_triples(self) -> list[list]:
         return [[r, c, self.domain.format(v)] for r, c, v in self.entries]
@@ -117,8 +126,16 @@ class ChainComplexData:
     """Per-degree ordered bases plus boundary matrices d_p : C_p -> C_{p-1}.
 
     basis[p] is the tuple of canonical basis-element encodings in degree p for
-    0 <= p <= max_degree, matrices[p] the boundary leaving degree p, and
-    weights[p] (optional) one loop-count label per basis element.
+    0 <= p <= max_degree, weights[p] (optional) one loop-count label per basis
+    element, and matrices[p] the stored form of the boundary leaving degree p.
+
+    Storage rule: over Z[a] with weight labels (graded) every entry of d_p is
+    n * a^(w_col - w_row), so matrices[p] holds the integer matrix of the n,
+    with domain ZZ.  Z[a] matrices handed to such a complex are projected
+    once, at construction, through integer_coefficients, which raises on an
+    entry of another form.  boundary(p) renders the Z[a] matrix through
+    graded_matrix on each call and keeps no copy.  Every other complex stores
+    its boundaries as they are, in the ring's domain.
     """
 
     ring: PointedRing
@@ -128,13 +145,36 @@ class ChainComplexData:
     weights: dict[int, tuple[int, ...]] | None = None
     description: str = ""
 
+    def __post_init__(self):
+        if self.graded:
+            self.matrices = {
+                p: mat if mat.domain.kind == INTEGERS else integer_coefficients(
+                    mat, self.weights.get(p - 1, ()), self.weights.get(p, ()))
+                for p, mat in self.matrices.items()}
+
+    @property
+    def graded(self) -> bool:
+        """Whether matrices hold the integers n of a Z[a] boundary."""
+        return self.weights is not None and self.ring.domain.kind == INT_POLY_A
+
     def dim(self, p: int) -> int:
         return len(self.basis.get(p, ()))
 
-    def boundary(self, p: int) -> SparseMatrix:
+    def stored(self, p: int) -> SparseMatrix:
+        """matrices[p], or the zero matrix in the stored domain."""
         if p in self.matrices:
             return self.matrices[p]
-        return zero_matrix(self.dim(p - 1), self.dim(p), self.ring.domain)
+        return zero_matrix(self.dim(p - 1), self.dim(p),
+                           ZZ if self.graded else self.ring.domain)
+
+    def boundary(self, p: int) -> SparseMatrix:
+        """d_p over the complex's ring."""
+        mat = self.stored(p)
+        if not self.graded:
+            return mat
+        return graded_matrix(mat.rows, mat.cols, mat.entries,
+                             self.weights.get(p - 1, ()),
+                             self.weights.get(p, ()), self.ring)
 
     def index_map(self, p: int) -> dict[str, int]:
         return {enc: i for i, enc in enumerate(self.basis.get(p, ()))}
@@ -187,9 +227,14 @@ def integer_coefficients(mat: SparseMatrix, row_weights,
                          col_weights) -> SparseMatrix:
     """The integers n of a Z[a] matrix whose entries are n * a^(w_col - w_row).
 
-    Raises LinearAlgebraError on any entry of another form: more than one
-    term, or a power of a that disagrees with the weight gap.
+    Raises LinearAlgebraError on a matrix over another domain, and on any
+    entry of another form: more than one term, or a power of a that
+    disagrees with the weight gap.
     """
+    if mat.domain.kind != INT_POLY_A:
+        raise LinearAlgebraError(
+            f"a weight-labelled Z[a] complex takes Z or Z[a] matrices, "
+            f"not {mat.domain!r}")
     ents = []
     for r, c, v in mat.entries:
         gap = col_weights[c] - row_weights[r]
@@ -216,21 +261,12 @@ class DSquaredReport:
 def validate_d_squared(c: ChainComplexData) -> DSquaredReport:
     """Check d_{p-1} d_p = 0 for every composable pair of boundaries.
 
-    A Z[a] complex with loop-count labels is checked on its integer
-    coefficients (see integer_coefficients): every term of (d_{p-1} d_p)_{rc}
-    carries the same factor a^(w_c - w_r), so that entry vanishes over Z[a]
-    exactly when its integer sum does.
+    The products are taken on the stored matrices.  A weight-labelled Z[a]
+    complex stores its integers n (see ChainComplexData): every term of
+    (d_{p-1} d_p)_{rc} carries the same factor a^(w_c - w_r), so that entry
+    vanishes over Z[a] exactly when its integer sum does.
     """
-    graded = c.weights is not None and c.ring.domain.kind == INT_POLY_A
-
-    def boundary(p):
-        mat = c.boundary(p)
-        if graded:
-            mat = integer_coefficients(mat, c.weights.get(p - 1, ()),
-                                       c.weights.get(p, ()))
-        return mat
-
-    mats = {p: boundary(p) for p in range(1, c.max_degree + 1)}
+    mats = {p: c.stored(p) for p in range(1, c.max_degree + 1)}
     failures = []
     for p in range(2, c.max_degree + 1):
         a, b = mats[p - 1], mats[p]

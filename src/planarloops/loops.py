@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .coeff import LinearCombination, PointedRing
+from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
@@ -709,10 +709,12 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
 
     # integer assembly, column by column: each deletion adds its sign to the
     # last entry of its row, or opens a new one, so every row's entries come
-    # out in column order; graded_matrix turns the sums into
-    # n * a^(loops closed), and the loops are checked against the weight
-    # labels on the way
+    # out in column order, and the loops are checked against the weight
+    # labels on the way.  Over Z[a] the nonzero sums are stored as they are
+    # (see ChainComplexData); over any other ring graded_matrix turns them
+    # into n * a^(loops closed)
     a_is_zero = ring.a_is_zero
+    universal = ring.domain.kind == INT_POLY_A
     pair_mask = (1 << 2 * bits) - 1
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, spec.max_degree + 1):
@@ -756,11 +758,13 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                 else:
                     cols.append(col)
                     row_sums[row].append(sign)
-        matrices[p] = graded_matrix(
-            len(row_w), len(col_w),
-            ((r, c, n) for r in range(len(row_w))
-             for c, n in zip(row_cols[r], row_sums[r])),
-            row_w, col_w, ring)
+        coeffs = ((r, c, n) for r, (cols, sums) in enumerate(zip(row_cols, row_sums))
+                  for c, n in zip(cols, sums) if n)
+        if universal:
+            matrices[p] = SparseMatrix(len(row_w), len(col_w), tuple(coeffs), ZZ)
+        else:
+            matrices[p] = graded_matrix(len(row_w), len(col_w), coeffs,
+                                        row_w, col_w, ring)
 
     label = f"loops(2n={spec.two_n}, ends={ends.code}"
     if ends.augmented:

@@ -17,8 +17,8 @@ from .coeff import ZA, ZZ, PointedRing, parse_ring
 from .diagram import (Letter, catalan, cell_basis, enumerate_diagrams,
                       enumerate_letters, slice_diagram, unslice)
 from .freedga import (alpha_boundary_check, check_chain_map,
-                      check_involution_relations, four_model,
-                      loop_involution_relations, minimal_model, phi, psi,
+                      check_involution_relations, four_model, minimal_model,
+                      model_involutions, phi, psi, sample_words,
                       truncated_complex)
 from .homology import (build_word_complex, homology, homology_table,
                        is_boundary, is_cycle, validate_d_squared)
@@ -176,14 +176,19 @@ def suite_involutions(samples=200, seed=0, **_):
         chains = []
         for p in range(1, 5):
             for g in _random_graffiti(rng, [p], per_degree):
-                chains.append(Chain.of(za, g))
-        rep = loop_involution_relations(za, chains)
+                chains.append((Chain.of(za, g), p))
+        rep = check_involution_relations(chains, differential,
+                                         chain_involution_tb,
+                                         chain_involution_lr)
         return rep.ok, (f"differential relations on {len(chains)} sampled systems "
                         f"of degree <= 4")
     col.run("involutions-differential-relations", relations)
 
     def model_side():
-        rep = check_involution_relations(four_model(za), samples=samples, seed=seed)
+        model = four_model(za)
+        rep = check_involution_relations(sample_words(model, samples, seed),
+                                         model.differential,
+                                         *model_involutions(model))
         return rep.ok, "model-side relations on generators and random words"
     col.run("involutions-model", model_side)
 

@@ -8,7 +8,7 @@ from planarloops import (AlgebraError, NCPoly, PointedRing, QQ, ZA, ZZ,
                          four_model, loop_count, minimal_model,
                          model_involutions, parse_poly, phi, prime_field, psi,
                          specialize_complex, truncated_complex)
-from planarloops.freedga import DgaMorphism, LOOPS_TARGET
+from planarloops.freedga import DgaMorphism, LOOPS_TARGET, sample_words
 from planarloops.homology import validate_d_squared
 
 ZAU = PointedRing.make(ZA)
@@ -153,8 +153,15 @@ def test_model_involutions():
         pw, pv = NCPoly(ZAU, {w: ZAU.domain.one()}), NCPoly(ZAU, {v: ZAU.domain.one()})
         assert sigma_lr(pw * pv) == sigma_lr(pv) * sigma_lr(pw)
         assert sigma_lr(sigma_lr(pw)) == pw
-    assert check_involution_relations(fm, samples=200, seed=0).ok
-    assert check_involution_relations(minimal_model(6, ZAU), samples=100, seed=0).ok
+    for model, samples in ((fm, 200), (minimal_model(6, ZAU), 100)):
+        words = sample_words(model, samples, seed=0)
+        assert check_involution_relations(words, model.differential,
+                                          *model_involutions(model)).ok
+    # reversing words without swapping x and xh breaks d sigma_h on r
+    rep = check_involution_relations(
+        sample_words(fm, 0), fm.differential, sigma_ud,
+        lambda p: NCPoly(p.ring, {w[::-1]: v for w, v in p.terms.items()}))
+    assert not rep.ok and ("horizontal", "r") in rep.failures
 
 
 def test_alpha_boundary():
@@ -221,15 +228,19 @@ def test_specialize_commutes_for_loop_complexes():
 
 
 def test_specialize_needs_graded_entries():
-    from planarloops import build_word_complex
+    from planarloops import ChainComplexData, build_word_complex
     from planarloops.homology import LinearAlgebraError
     with pytest.raises(AlgebraError, match="weight labels"):
         specialize_complex(build_word_complex(2, 3, ZAU), Z0)
+    # a mis-graded complex is refused when it is built, so
+    # specialize_complex never meets one
     src = truncated_complex(minimal_model(4, ZAU), 3)
-    src.weights = {p: tuple(w + (p == 3) for w in ws)
-                   for p, ws in src.weights.items()}
+    shifted = {p: tuple(w + (p == 3) for w in ws)
+               for p, ws in src.weights.items()}
     with pytest.raises(LinearAlgebraError, match="not an integer times"):
-        specialize_complex(src, Z0)
+        ChainComplexData(ZAU, 3, src.basis,
+                         {p: src.boundary(p) for p in src.matrices},
+                         weights=shifted)
 
 
 def test_weight_preserved_on_random_words():

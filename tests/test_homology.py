@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarloops import (Chain, ChainComplexData, ComplexSpec, DomainError,
+from planarloops import (Chain, ChainComplexData, CoefficientDomain,
+                         ComplexSpec, DomainError, EndSpec, NCPoly,
                          PointedRing, QQ, SparseMatrix, ZA, ZZ,
-                         build_complex, build_word_complex, homology,
-                         homology_table, integer_kernel_basis, is_boundary,
-                         is_cycle, minimal_model, phi, prime_field,
+                         build_complex, build_word_complex, four_model,
+                         homology, homology_table, integer_kernel_basis,
+                         is_boundary, is_cycle, minimal_model, phi, prime_field,
                          rank_over_field, smith_normal_form, solve_integer,
                          truncated_complex, validate_d_squared,
                          weight_decompose)
@@ -488,7 +489,7 @@ def _with_first_entry(mat, change):
 def test_integer_d_squared_locates_failures_like_the_generic_product():
     za = PointedRing.make(ZA)
     cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
-    bad = dict(cx.matrices)
+    bad = {p: cx.boundary(p) for p in cx.matrices}
     bad[2] = _with_first_entry(bad[2], ZA.neg)
     weighted = ChainComplexData(za, 3, cx.basis, bad, weights=cx.weights)
     generic = ChainComplexData(za, 3, cx.basis, bad, weights=None)
@@ -500,12 +501,12 @@ def test_integer_d_squared_locates_failures_like_the_generic_product():
 def test_integer_d_squared_rejects_misgraded_entries():
     za = PointedRing.make(ZA)
     cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
-    bad = dict(cx.matrices)
-    # one power of a too many
+    bad = {p: cx.boundary(p) for p in cx.matrices}
+    # one power of a too many: the complex refuses it when it is built, so
+    # no d^2 check ever sees it
     bad[3] = _with_first_entry(bad[3], lambda v: ZA.mul(v, ZA.parse("a")))
     with pytest.raises(LinearAlgebraError, match="not an integer times"):
-        validate_d_squared(ChainComplexData(za, 3, cx.basis, bad,
-                                            weights=cx.weights))
+        ChainComplexData(za, 3, cx.basis, bad, weights=cx.weights)
     with pytest.raises(LinearAlgebraError, match="negative power"):
         graded_matrix(1, 1, [(0, 0, 1)], (1,), (0,), za)
 
@@ -514,6 +515,127 @@ def test_unweighted_za_complex_keeps_generic_d_squared():
     wc = build_word_complex(2, 3, ring=PointedRing.make(ZA))
     assert wc.weights is None
     assert validate_d_squared(wc).ok
+
+
+# few distinct values, so that sums in a product often cancel exactly
+PRODUCT_ENTRY = st.sampled_from((0, 0, 1, -1, 2, -2))
+
+
+@st.composite
+def product_pairs(draw, max_dim=5):
+    n, k, m = (draw(st.integers(0, max_dim)) for _ in range(3))
+    A = M(n, k, {(r, c): draw(PRODUCT_ENTRY) for r in range(n) for c in range(k)})
+    B = M(k, m, {(r, c): draw(PRODUCT_ENTRY) for r in range(k) for c in range(m)})
+    return A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_matrix_product_matches_dense_product(AB):
+    A, B = AB
+    # over Z[a] the entry at (r, c) is v * a^((r + c) % 2), so products mix
+    # powers of a
+    for dom, scalar in ((ZZ, lambda v, r, c: v),
+                        (QQ, lambda v, r, c: Fraction(v, 3)),
+                        (prime_field(5), lambda v, r, c: v % 5),
+                        (ZA, lambda v, r, c: ZA.mul(ZA.from_int(v),
+                                                    ZA.parse(f"a^{(r + c) % 2}")))):
+        def over(X):
+            return {(r, c): scalar(v, r, c) for r, c, v in X.entries}
+        a, b = over(A), over(B)
+        want = {}
+        for (i, t), x in a.items():
+            for (t2, j), y in b.items():
+                if t == t2:
+                    want[i, j] = dom.add(want.get((i, j), dom.zero()), dom.mul(x, y))
+        got = SparseMatrix.from_dict(A.rows, A.cols, a, dom).mul(
+            SparseMatrix.from_dict(B.rows, B.cols, b, dom))
+        assert (got.rows, got.cols, got.domain) == (A.rows, B.cols, dom)
+        # row-major, with the cancelled sums dropped
+        assert got.entries == SparseMatrix.from_dict(A.rows, B.cols, want, dom).entries
+        assert not any(dom.is_zero(v) for _, _, v in got.entries)
+    with pytest.raises(LinearAlgebraError, match="shape mismatch"):
+        A.mul(M(A.cols + 1, 1, {}))
+
+
+# a weight-labelled Z[a] complex of every kind the package builds
+ZA_COMPLEXES = {
+    **{f"loops-{e.code}{'+aug' if e.augmented else ''}":
+       (lambda e=e: build_complex(ComplexSpec(4, PointedRing.make(ZA), e,
+                                              max_degree=3)))
+       for e in (CLOSED, EndSpec(augmented=True),
+                 *(EndSpec.from_code(code) for code in ("oo", "oc", "co")))},
+    "minimal-model": lambda: truncated_complex(
+        minimal_model(4, PointedRing.make(ZA)), 5),
+    "four-model": lambda: truncated_complex(
+        four_model(PointedRing.make(ZA)), 4, nonunital=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZA_COMPLEXES))
+def test_za_complexes_store_integer_matrices(name):
+    cx = ZA_COMPLEXES[name]()
+    assert cx.graded and cx.matrices
+    for p in range(1, cx.max_degree + 1):
+        stored, full = cx.stored(p), cx.boundary(p)
+        assert stored.domain == ZZ and full.domain == ZA
+        # each entry n * a^(w_col - w_row), rendered from its n
+        rw, cw = cx.weights[p - 1], cx.weights[p]
+        assert full.entries == tuple(
+            (r, c, ZA.mul(ZA.from_int(n), ZA.parse(f"a^{cw[c] - rw[r]}")))
+            for r, c, n in stored.entries)
+
+
+def test_model_boundaries_match_the_algebra_differential():
+    # the boundary rendered from the stored integers equals the Z[a] matrix
+    # read off the algebra's differential word by word
+    za = PointedRing.make(ZA)
+    for algebra in (minimal_model(4, za), four_model(za)):
+        cx = truncated_complex(algebra, 4)
+        for p in range(2, 5):
+            index = cx.index_map(p - 1)
+            data = {}
+            for col, b in enumerate(cx.basis[p]):
+                img = algebra.differential(NCPoly(za, {tuple(b.split(".")): ZA.one()}))
+                for w, v in img.terms.items():
+                    data[index[".".join(w)], col] = v
+            assert cx.boundary(p).entries == SparseMatrix.from_dict(
+                cx.dim(p - 1), cx.dim(p), data, ZA).entries
+
+
+def test_za_d_squared_makes_no_za_coefficient(monkeypatch):
+    """Building a Z[a] loop complex and checking its d^2 runs on integers
+    alone: every Z[a] coefficient operation raises while they run."""
+    za = PointedRing.make(ZA)
+    model = truncated_complex(minimal_model(6, za), 5)
+    for name in ("zero", "one", "from_int", "add", "neg", "sub", "mul"):
+        real = getattr(CoefficientDomain, name)
+
+        def guarded(self, *args, real=real, name=name):
+            if self.kind == ZA.kind:
+                raise AssertionError(f"Z[a] {name} during the d^2 check")
+            return real(self, *args)
+        monkeypatch.setattr(CoefficientDomain, name, guarded)
+    for ends in (CLOSED, EndSpec(augmented=True), EndSpec.from_code("oo")):
+        cx = build_complex(ComplexSpec(4, za, ends, max_degree=4))
+        rep = validate_d_squared(cx)
+        assert rep.ok, rep
+    assert validate_d_squared(model).ok
+    # the guard bites: rendering the Z[a] boundary makes coefficients
+    with pytest.raises(AssertionError, match="Z\\[a\\]"):
+        cx.boundary(2)
+
+
+def test_za_d_squared_reports_failures_row_major():
+    za = PointedRing.make(ZA)
+    cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=4))
+    bad = dict(cx.matrices)
+    for p in (2, 3):
+        bad[p] = _with_first_entry(bad[p], lambda n: -n)
+    rep = validate_d_squared(ChainComplexData(za, 4, cx.basis, bad,
+                                              weights=cx.weights))
+    assert not rep.ok and {p for p, _, _ in rep.failures} == {3, 4}
+    assert list(rep.failures) == sorted(rep.failures)
 
 
 def test_homology_examples():
