@@ -18,7 +18,7 @@ from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       check_involution_relations, four_model,
                       minimal_model, model_involutions, parse_poly, phi,
                       psi, specialize_complex, truncated_complex)
-from .homology import (ChainComplexData, HomologyGroup, SmithForm,
+from .homology import (Basis, ChainComplexData, HomologyGroup, SmithForm,
                        SparseMatrix, build_word_complex, homology,
                        homology_table, integer_kernel_basis, is_boundary, is_cycle,
                        rank_over_field, smith_normal_form, solve_integer,

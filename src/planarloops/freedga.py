@@ -562,7 +562,7 @@ def specialize_complex(c: ChainComplexData, target: PointedRing) -> ChainComplex
         raise AlgebraError("specialize_complex starts from a Z[a] complex")
     if c.weights is None:
         raise AlgebraError("specialize_complex needs weight labels")
-    mats = {p: graded_matrix(mat.rows, mat.cols, mat.entries, c.weights[p - 1],
+    mats = {p: graded_matrix(mat.rows, mat.cols, mat.row_data, c.weights[p - 1],
                              c.weights[p], target)
             for p, mat in c.matrices.items()}
     return ChainComplexData(target, c.max_degree, dict(c.basis), mats,

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, groupby
+from operator import itemgetter, lt
 
 from .coeff import (INT_POLY_A, INTEGERS, CoefficientDomain, DomainError,
                      PointedRing, ZZ)
@@ -25,18 +26,60 @@ class LinearAlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseMatrix:
-    """Immutable sparse matrix: entries sorted row-major, no zeros."""
+    """Immutable sparse matrix, stored by rows.
+
+    row_data holds each nonempty row once, in ascending row order, as
+    (r, cols, vals): cols a strictly increasing tuple of column indices and
+    vals the tuple of their values, none of them zero.  Every domain's zero
+    (0, Fraction(0), the empty Z[a] tuple) is falsy, so all(vals) is the
+    zero test.  The constructor takes (r, c, v) triples in row-major order
+    and groups them; from_rows takes rows as they are stored.  Both run the
+    same check, once per row, and a row that fails it is scanned entry by
+    entry to name the fault.  entries spells the triples afresh on each read.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, int, object], ...]
+    row_data: tuple[tuple[int, tuple[int, ...], tuple], ...]
     domain: CoefficientDomain = ZZ
 
-    def __post_init__(self):
-        # one pass: strictly increasing (r, c) keys rule out duplicates and
-        # misordering alike
+    def __init__(self, rows: int, cols: int, entries=(), domain=ZZ):
+        grouped = []
+        for r, group in groupby(entries, itemgetter(0)):
+            group = tuple(group)
+            grouped.append((r, tuple(map(itemgetter(1), group)),
+                            tuple(map(itemgetter(2), group))))
+        self._store(rows, cols, tuple(grouped), domain)
+
+    @classmethod
+    def from_rows(cls, rows: int, cols: int, row_data, domain=ZZ) -> "SparseMatrix":
+        self = cls.__new__(cls)
+        self._store(rows, cols, tuple(row_data), domain)
+        return self
+
+    @classmethod
+    def from_dict(cls, rows, cols, data: dict, domain=ZZ) -> "SparseMatrix":
+        """The matrix with data[(r, c)] at (r, c); zero values are dropped."""
+        return cls(rows, cols, [(r, c, v) for (r, c), v in sorted(data.items()) if v],
+                   domain)
+
+    def _store(self, rows, cols, row_data, domain) -> None:
+        for name, value in zip(("rows", "cols", "row_data", "domain"),
+                               (rows, cols, row_data, domain)):
+            object.__setattr__(self, name, value)
+        pr = -1
+        for r, cs, vs in row_data:
+            if not (pr < r < rows and cs and len(cs) == len(vs)
+                    and 0 <= cs[0] and cs[-1] < cols
+                    and all(map(lt, cs, cs[1:])) and all(vs)):
+                self._fault(r)
+            pr = r
+
+    def _fault(self, bad: int) -> None:
+        """Raise the error of the first faulty entry, which lies in row bad
+        (every row before it passed the check)."""
         pr, pc = -1, -1
         for r, c, v in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
@@ -45,29 +88,28 @@ class SparseMatrix:
                 if (r, c) == (pr, pc):
                     raise LinearAlgebraError(f"duplicate entry at ({r},{c})")
                 raise LinearAlgebraError("entries not in row-major order")
-            if self.domain.is_zero(v):
+            if not v:
                 raise LinearAlgebraError(f"stored zero at ({r},{c})")
             pr, pc = r, c
+        raise LinearAlgebraError(f"row {bad} is empty or its columns and "
+                                 f"values differ in length")
 
-    @classmethod
-    def from_dict(cls, rows, cols, data: dict, domain=ZZ) -> "SparseMatrix":
-        ents = tuple(sorted((r, c, v) for (r, c), v in data.items()
-                            if not domain.is_zero(v)))
-        return cls(rows, cols, ents, domain)
+    @property
+    def entries(self) -> tuple[tuple[int, int, object], ...]:
+        return tuple((r, c, v) for r, cs, vs in self.row_data
+                     for c, v in zip(cs, vs))
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(len(cs) for _, cs, _ in self.row_data)
 
     def row_dicts(self) -> dict[int, dict[int, object]]:
-        out: dict[int, dict[int, object]] = {}
-        for r, c, v in self.entries:
-            out.setdefault(r, {})[c] = v
-        return out
+        return {r: dict(zip(cs, vs)) for r, cs, vs in self.row_data}
 
     def col_dicts(self) -> dict[int, dict[int, object]]:
         out: dict[int, dict[int, object]] = {}
-        for r, c, v in self.entries:
-            out.setdefault(c, {})[r] = v
+        for r, cs, vs in self.row_data:
+            for c, v in zip(cs, vs):
+                out.setdefault(c, {})[r] = v
         return out
 
     def apply(self, vec: dict[int, object]) -> dict[int, object]:
@@ -90,62 +132,116 @@ class SparseMatrix:
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         """The product, one row of self at a time against the rows of other,
-        so the entries come out row-major."""
+        so the rows come out in order."""
         if self.cols != other.rows:
             raise LinearAlgebraError("shape mismatch in matrix product")
         dom = self.domain
         integers = dom.kind == INTEGERS  # plain int arithmetic
-        right = {k: [(c, w) for _, c, w in row]
-                 for k, row in groupby(other.entries, itemgetter(0))}
-        ents = []
-        for r, row in groupby(self.entries, itemgetter(0)):
+        right = {k: (cs, vs) for k, cs, vs in other.row_data}
+        out = []
+        for r, cs, vs in self.row_data:
             acc: dict[int, object] = {}
-            for _, k, v in row:
+            for k, v in zip(cs, vs):
+                if k not in right:
+                    continue
                 if integers:
-                    for c, w in right.get(k, ()):
+                    for c, w in zip(*right[k]):
                         acc[c] = acc.get(c, 0) + v * w
                 else:
-                    for c, w in right.get(k, ()):
+                    for c, w in zip(*right[k]):
                         acc[c] = dom.add(acc.get(c, dom.zero()), dom.mul(v, w))
-            # every domain's zero (0, Fraction(0), the empty Z[a] tuple) is
-            # falsy, so one test drops the sums that cancelled
+            # the sums that cancelled are falsy
             nonzero = sorted(c for c, s in acc.items() if s)
-            ents.extend((r, c, acc[c]) for c in nonzero)
-        return SparseMatrix(self.rows, other.cols, tuple(ents), dom)
+            if nonzero:
+                out.append((r, tuple(nonzero), tuple(map(acc.__getitem__, nonzero))))
+        return SparseMatrix.from_rows(self.rows, other.cols, out, dom)
 
     def to_triples(self) -> list[list]:
         return [[r, c, self.domain.format(v)] for r, c, v in self.entries]
+
+
+def nonzero_row(cols, vals) -> tuple[tuple, tuple]:
+    """The columns and the values of a row, as tuples, without its zeros."""
+    vals = tuple(vals)
+    if all(vals):
+        return tuple(cols), vals
+    return tuple(compress(cols, vals)), tuple(filter(None, vals))
 
 
 def zero_matrix(rows: int, cols: int, domain=ZZ) -> SparseMatrix:
     return SparseMatrix(rows, cols, (), domain)
 
 
+class Basis(Sequence):
+    """One degree's ordered basis, read as a sequence of strings.
+
+    keys holds the elements as they are stored; spell, when given, maps a
+    sequence of keys to their strings, and without it the keys are the
+    strings.  A loop complex keeps its packed words with the spelling of
+    its machine, so a string is made only when the basis is read.  Length,
+    equality and iteration are those of the tuple of strings.
+    """
+
+    __slots__ = ("keys", "spell")
+
+    def __init__(self, keys=(), spell=None):
+        self.keys = tuple(keys)
+        self.spell = spell
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return iter(self.keys if self.spell is None else self.spell(self.keys))
+
+    def __getitem__(self, i: int):
+        return self.keys[i] if self.spell is None else self.spell((self.keys[i],))[0]
+
+    def pick(self, positions) -> "Basis":
+        """The elements at these positions, still unspelled."""
+        return Basis(map(self.keys.__getitem__, positions), self.spell)
+
+    def __eq__(self, other):
+        if isinstance(other, Basis) and other.spell == self.spell:
+            return self.keys == other.keys
+        if isinstance(other, (Basis, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Basis({tuple(self)!r})"
+
+
 @dataclass
 class ChainComplexData:
     """Per-degree ordered bases plus boundary matrices d_p : C_p -> C_{p-1}.
 
-    basis[p] is the tuple of canonical basis-element encodings in degree p for
-    0 <= p <= max_degree, weights[p] (optional) one loop-count label per basis
-    element, and matrices[p] the stored form of the boundary leaving degree p.
-
-    Storage rule: over Z[a] with weight labels (graded) every entry of d_p is
-    n * a^(w_col - w_row), so matrices[p] holds the integer matrix of the n,
-    with domain ZZ.  Z[a] matrices handed to such a complex are projected
-    once, at construction, through integer_coefficients, which raises on an
-    entry of another form.  boundary(p) renders the Z[a] matrix through
-    graded_matrix on each call and keeps no copy.  Every other complex stores
-    its boundaries as they are, in the ring's domain.
+    Storage rule.  basis[p] is the Basis of degree p for 0 <= p <=
+    max_degree (a sequence of strings given here is wrapped in one), and
+    weights[p] (optional) one loop-count label per basis element.
+    matrices[p] is the stored form of the boundary leaving degree p, a
+    SparseMatrix stored by rows.  Over Z[a] with weight labels (graded)
+    every entry of d_p is n * a^(w_col - w_row), so matrices[p] holds the
+    integer matrix of the n, with domain ZZ; Z[a] matrices handed to such a
+    complex are projected once, at construction, through
+    integer_coefficients, which raises on an entry of another form, and
+    boundary(p) renders the Z[a] matrix through graded_matrix on each call
+    and keeps no copy.  Every other complex stores its boundaries as they
+    are, in the ring's domain.
     """
 
     ring: PointedRing
     max_degree: int
-    basis: dict[int, tuple[str, ...]]
+    basis: dict[int, Basis]
     matrices: dict[int, SparseMatrix]
     weights: dict[int, tuple[int, ...]] | None = None
     description: str = ""
 
     def __post_init__(self):
+        self.basis = {p: b if isinstance(b, Basis) else Basis(b)
+                      for p, b in self.basis.items()}
         if self.graded:
             self.matrices = {
                 p: mat if mat.domain.kind == INTEGERS else integer_coefficients(
@@ -172,7 +268,7 @@ class ChainComplexData:
         mat = self.stored(p)
         if not self.graded:
             return mat
-        return graded_matrix(mat.rows, mat.cols, mat.entries,
+        return graded_matrix(mat.rows, mat.cols, mat.row_data,
                              self.weights.get(p - 1, ()),
                              self.weights.get(p, ()), self.ring)
 
@@ -198,29 +294,33 @@ class ChainComplexData:
 # determine the boundary over every ring; these two functions convert in
 # each direction.
 
-def graded_matrix(rows: int, cols: int, coeffs, row_weights, col_weights,
+def graded_matrix(rows: int, cols: int, row_data, row_weights, col_weights,
                   ring: PointedRing) -> SparseMatrix:
-    """The matrix with entry n * a^(w_col - w_row) for each (r, c, n) of
-    coeffs, which come in row-major order with each (r, c) at most once.
+    """The matrix with entry n * a^(w_col - w_row) at each (r, c) of the
+    rows (r, cols, ns) of row_data, which come in row order.
 
     Each distinct (n, w_col - w_row) is converted into the ring once; entries
     that vanish there (n = 0, p | n, a = 0) are dropped.
     """
     dom = ring.domain
     scalars: dict[tuple[int, int], object] = {}
-    ents = []
-    for r, c, n in coeffs:
-        key = (n, col_weights[c] - row_weights[r])
-        if key not in scalars:
-            if key[1] < 0:
-                raise LinearAlgebraError(
-                    f"entry ({r},{c}) would need a negative power of a")
-            v = dom.mul(dom.from_int(n), ring.a_power(key[1]))
-            scalars[key] = None if dom.is_zero(v) else v  # None: dropped
-        v = scalars[key]
-        if v is not None:
-            ents.append((r, c, v))
-    return SparseMatrix(rows, cols, tuple(ents), dom)
+    out = []
+    for r, cs, ns in row_data:
+        rw = row_weights[r]
+        kept_c, kept_v = [], []
+        for c, n in zip(cs, ns):
+            key = (n, col_weights[c] - rw)
+            if key not in scalars:
+                if key[1] < 0:
+                    raise LinearAlgebraError(
+                        f"entry ({r},{c}) would need a negative power of a")
+                scalars[key] = dom.mul(dom.from_int(n), ring.a_power(key[1]))
+            if v := scalars[key]:
+                kept_c.append(c)
+                kept_v.append(v)
+        if kept_c:
+            out.append((r, tuple(kept_c), tuple(kept_v)))
+    return SparseMatrix.from_rows(rows, cols, out, dom)
 
 
 def integer_coefficients(mat: SparseMatrix, row_weights,
@@ -235,15 +335,17 @@ def integer_coefficients(mat: SparseMatrix, row_weights,
         raise LinearAlgebraError(
             f"a weight-labelled Z[a] complex takes Z or Z[a] matrices, "
             f"not {mat.domain!r}")
-    ents = []
-    for r, c, v in mat.entries:
-        gap = col_weights[c] - row_weights[r]
-        if len(v) != 1 or v[0][0] != gap:
-            raise LinearAlgebraError(
-                f"entry ({r},{c}) = {mat.domain.format(v)} is not an integer "
-                f"times a^{gap}")
-        ents.append((r, c, v[0][1]))
-    return SparseMatrix(mat.rows, mat.cols, tuple(ents), ZZ)
+    out = []
+    for r, cs, vs in mat.row_data:
+        rw = row_weights[r]
+        for c, v in zip(cs, vs):
+            gap = col_weights[c] - rw
+            if len(v) != 1 or v[0][0] != gap:
+                raise LinearAlgebraError(
+                    f"entry ({r},{c}) = {mat.domain.format(v)} is not an "
+                    f"integer times a^{gap}")
+        out.append((r, cs, tuple(v[0][1] for v in vs)))
+    return SparseMatrix.from_rows(mat.rows, mat.cols, out, ZZ)
 
 
 @dataclass(frozen=True)
@@ -345,7 +447,7 @@ class _SparseSNF:
             raise DomainError("Smith normal form needs integer entries")
         self.nrows, self.ncols = A.rows, A.cols
         self.R: dict[int, dict[int, object]] = {
-            r: row for r, row in A.row_dicts().items() if r not in cleared}
+            r: dict(zip(cs, vs)) for r, cs, vs in A.row_data if r not in cleared}
         self.C: dict[int, set[int]] = {}
         for r, row in self.R.items():
             for c in row:
@@ -697,8 +799,13 @@ def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
 def _over_field(A: SparseMatrix, fld: CoefficientDomain) -> SparseMatrix:
     """A with its entries in the field fld; an integer matrix is mapped."""
     if A.domain.kind == INTEGERS:
-        data = {(r, c): fld.from_int(v) for r, c, v in A.entries}
-        return SparseMatrix.from_dict(A.rows, A.cols, data, fld)
+        out = []
+        for r, cs, vs in A.row_data:
+            # multiples of p vanish
+            cs, vs = nonzero_row(cs, map(fld.from_int, vs))
+            if cs:
+                out.append((r, cs, vs))
+        return SparseMatrix.from_rows(A.rows, A.cols, out, fld)
     if A.domain != fld:
         raise DomainError("matrix domain disagrees with requested field")
     return A
@@ -784,7 +891,7 @@ def integer_kernel_basis(A: SparseMatrix) -> list[dict[int, int]]:
     # column map of A
     K = SparseMatrix.from_dict(A.cols, len(basis), {
         (i, t): v for t, vec in enumerate(basis) for i, v in vec.items()})
-    if A.mul(K).entries:
+    if A.mul(K).row_data:
         raise LinearAlgebraError("kernel basis vector failed its check A k = 0")
     return basis
 
@@ -867,7 +974,8 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
 
     Requires a = 0 (the differential preserves the number of loops there);
     raises if any boundary entry crosses two weight blocks.  One pass over
-    each degree's basis and boundary entries sends each to its block.  A
+    each degree's basis keys and boundary rows sends each to its block; the
+    keys stay unspelled and the values of a row are kept as they are.  A
     complex of one weight is its own block, returned without a copy.
     """
     if not c.ring.a_is_zero:
@@ -878,32 +986,37 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
     if len(all_w) == 1:
         return [(all_w[0], c)]
     degrees = range(c.max_degree + 1)
-    basis = {w: {p: [] for p in degrees} for w in all_w}
+    basis = {w: {} for w in all_w}
     local = {}  # degree -> each basis element's index inside its block
     for p in degrees:
         local[p] = pos = []
-        for enc, w in zip(c.basis.get(p, ()), c.weights.get(p, ())):
-            block = basis[w][p]
+        picks = {w: [] for w in all_w}
+        for i, w in enumerate(c.weights.get(p, ())):
+            block = picks[w]
             pos.append(len(block))
-            block.append(enc)
+            block.append(i)
+        whole = c.basis.get(p, Basis())
+        for w in all_w:
+            basis[w][p] = whole.pick(picks[w])
     mats = {w: {} for w in all_w}
     for p in range(1, c.max_degree + 1):
         row_w, col_w = c.weights.get(p - 1, ()), c.weights.get(p, ())
         rloc, cloc = local[p - 1], local[p]
-        ents = {w: [] for w in all_w}
-        for r, col, v in c.boundary(p).entries:
-            w = col_w[col]
-            if row_w[r] != w:
+        rows = {w: [] for w in all_w}
+        for r, cs, vs in c.boundary(p).row_data:
+            w = row_w[r]
+            if set(map(col_w.__getitem__, cs)) != {w}:
+                col = next(col for col in cs if col_w[col] != w)
                 raise LinearAlgebraError(
                     f"boundary entry ({r},{col}) in degree {p} crosses weights")
-            # each block keeps the row-major order of the whole matrix
-            ents[w].append((rloc[r], cloc[col], v))
+            # each block keeps the row order of the whole matrix
+            rows[w].append((rloc[r], tuple(map(cloc.__getitem__, cs)), vs))
         for w in all_w:
-            mats[w][p] = SparseMatrix(len(basis[w][p - 1]), len(basis[w][p]),
-                                      tuple(ents[w]), c.ring.domain)
+            mats[w][p] = SparseMatrix.from_rows(
+                len(basis[w][p - 1]), len(basis[w][p]), rows[w], c.ring.domain)
     return [(w, ChainComplexData(
-        c.ring, c.max_degree, {p: tuple(b) for p, b in basis[w].items()},
-        mats[w], weights={p: (w,) * len(b) for p, b in basis[w].items()},
+        c.ring, c.max_degree, basis[w], mats[w],
+        weights={p: (w,) * len(b) for p, b in basis[w].items()},
         description=f"{c.description}[weight {w}]")) for w in all_w]
 
 

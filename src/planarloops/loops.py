@@ -14,13 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
-from .homology import ChainComplexData, SparseMatrix, graded_matrix
+from .homology import (Basis, ChainComplexData, SparseMatrix, graded_matrix,
+                       nonzero_row)
 
 
 class GraffitoError(ValueError):
@@ -501,6 +503,9 @@ class _Machine(NamedTuple):
     step: list[list[tuple[int, int]]]      # [state][inner id] -> (state, loops)
     finish: list[list[int]]                # [state][last id] -> loops
     is_div: tuple[bool, ...]               # inner id -> has no through strand
+    first_index: dict[TLDiagram, int]      # diagram -> id, per pool
+    inner_index: dict[TLDiagram, int]
+    last_index: dict[TLDiagram, int]
     enc_first: tuple[str, ...]
     enc_inner: tuple[str, ...]
     enc_last: tuple[str, ...]
@@ -538,6 +543,8 @@ def _machine(two_n: int, ends: EndSpec) -> _Machine:
     bits = max(1, (max(len(first), len(inner), len(last)) - 1).bit_length())
     return _Machine(first, inner, last, bits, start, step, finish,
                     tuple(d.through_count() == 0 for d in inner),
+                    *({d: j for j, d in enumerate(pool)}
+                      for pool in (first, inner, last)),
                     tuple(d.encode() for d in first),
                     tuple(d.encode() for d in inner),
                     tuple(d.encode() for d in last))
@@ -585,6 +592,34 @@ def _encodings(words, degree: int, m: _Machine, ends_code: str) -> tuple[str, ..
                                       for s in inner_shifts],
                                     enc_last[w & mask]]) + "]"
                  for w in words)
+
+
+class _Spelling(NamedTuple):
+    """Spells the packed words of one degree of a loop complex, given its
+    height and its (unaugmented) ends; word 0 of degree 0 is the empty
+    system."""
+
+    two_n: int
+    ends: EndSpec
+    degree: int
+
+    def __call__(self, words) -> tuple[str, ...]:
+        if self.degree == 0:
+            return (empty_system(self.two_n).encode(),) * len(words)
+        return _encodings(words, self.degree, _machine(self.two_n, self.ends),
+                          self.ends.code)
+
+
+def _packed_word(x: Graffito) -> int:
+    """The packed word of a system, read off its factors through the slot
+    pools of its machine; the empty system is word 0."""
+    if x.is_empty_system:
+        return 0
+    m = _machine(x.two_n, x.ends)
+    word = m.first_index[x.factors[0]]
+    for f in x.factors[1:-1]:
+        word = word << m.bits | m.inner_index[f]
+    return word << m.bits | m.last_index[x.factors[-1]]
 
 
 def _raw_words(degree, two_n, ends, weight, dividers):
@@ -659,38 +694,29 @@ def _merge_table(left, right, bits, merge):
 def build_complex(spec: ComplexSpec) -> ChainComplexData:
     """Bases and boundary matrices of the requested complex, degrees 0..max.
 
-    The basis in each degree is in canonical encoding order, as the
-    enumeration emits it; each basis word is encoded once, and its weight
-    label is the loop count the enumeration computed.  Bar deletions whose
-    coefficient vanishes, whose target leaves an open-end cell module, or
-    (in subquotient mode) whose target gains a divider contribute nothing.
+    The basis in each degree keeps the packed words in canonical order, as
+    the enumeration emits them, and spells them only when it is read (see
+    Basis); each word's weight label is the loop count the enumeration
+    computed.  Bar deletions whose coefficient vanishes, whose target leaves
+    an open-end cell module, or (in subquotient mode) whose target gains a
+    divider contribute nothing.
     """
     ends = spec.ends
     ring = spec.ring
     m = _machine(spec.two_n, ends)
     first, inner, last, bits = m.first, m.inner, m.last, m.bits
 
-    basis: dict[int, tuple[str, ...]] = {}
-    weights: dict[int, tuple[int, ...]] = {}
-    words: dict[int, list[int]] = {}
-    if ends.augmented:
-        basis[0] = (empty_system(spec.two_n).encode(),)
-        weights[0] = (0,)
-    else:
-        basis[0], weights[0] = (), ()
+    # the empty system is word 0 of degree 0
+    words: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
+    weights: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
     for p in range(1, spec.max_degree + 1):
         ws, counts = _raw_words(p, spec.two_n, ends, spec.weight, spec.dividers)
-        words[p] = ws
-        basis[p] = _encodings(ws, p, m, ends.code)
+        words[p] = tuple(ws)
         weights[p] = tuple(counts)
 
     # merge tables in id space, filled by compose on every build: a bar
     # deletion reads the pair of slot ids it joins, and gets the merged id
     # and the loops closed, or None for a cell-quotient kill
-    first_index = {d: j for j, d in enumerate(first)}
-    inner_index = {d: j for j, d in enumerate(inner)}
-    last_index = {d: j for j, d in enumerate(last)}
-
     def onto(index, killed):
         return lambda res, loops: None if killed(res) else (index[res], loops)
 
@@ -700,51 +726,56 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                                      lambda res, loops: (0, loops))
     if spec.max_degree >= 2:
         tables["first"] = _merge_table(first, inner, bits, onto(
-            first_index, lambda res: ends.left_open and res.has_ll_pair()))
+            m.first_index, lambda res: ends.left_open and res.has_ll_pair()))
         tables["last"] = _merge_table(inner, last, bits, onto(
-            last_index, lambda res: ends.right_open and res.has_rr_pair()))
+            m.last_index, lambda res: ends.right_open and res.has_rr_pair()))
     if spec.max_degree >= 3:
         tables["inner"] = _merge_table(inner, inner, bits,
-                                       onto(inner_index, lambda res: False))
+                                       onto(m.inner_index, lambda res: False))
 
     # integer assembly, column by column: each deletion adds its sign to the
-    # last entry of its row, or opens a new one, so every row's entries come
-    # out in column order, and the loops are checked against the weight
-    # labels on the way.  Over Z[a] the nonzero sums are stored as they are
-    # (see ChainComplexData); over any other ring graded_matrix turns them
-    # into n * a^(loops closed)
+    # last entry of its row, or opens a new one, and an entry that cancels
+    # is removed at once, so every row's columns come out in order with no
+    # zero sum; the loops are checked against the weight labels on the way.
+    # Over Z[a] the sums are stored as they are (see ChainComplexData).  At
+    # a = 0 every deletion that closes a loop is skipped, so each sum n
+    # stands for n * a^0 and is converted by one table; at any other a
+    # graded_matrix makes it n * a^(loops closed)
     a_is_zero = ring.a_is_zero
     universal = ring.domain.kind == INT_POLY_A
+    stored = ZZ if universal else ring.domain
+    # a sum of at most max_degree signs
+    convert = {n: n if universal else stored.from_int(n)
+               for n in range(-spec.max_degree, spec.max_degree + 1)}.__getitem__
     pair_mask = (1 << 2 * bits) - 1
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, spec.max_degree + 1):
         row_w, col_w = weights[p - 1], weights[p]
         row_cols: list[list[int]] = [[] for _ in row_w]
         row_sums: list[list[int]] = [[] for _ in row_w]
+        index = dict(zip(words[p - 1], count()))
         if p == 1:
-            index = {0: 0}  # the empty system, word 0 of degree 0
             kinds = ["one"] if ends.augmented else []
         else:
-            index = dict(zip(words[p - 1], range(len(row_w))))
             kinds = ["first"] + ["inner"] * (p - 2) + ["last"]
         deletions = []
         for i, kind in enumerate(kinds):
             lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
-            deletions.append((tables[kind], lo, lo + 2 * bits, (1 << lo) - 1,
-                              -1 if i % 2 else 1))
-        for col, w in enumerate(words[p]):
-            w_col = col_w[col]
-            for table, lo, hi, low_mask, sign in deletions:
+            # each hit with its merged id moved into place; at a = 0 a
+            # deletion that closes a loop is dropped here
+            placed = [None if hit is None or (hit[1] and a_is_zero)
+                      else (hit[0] << lo, hit[1]) for hit in tables[kind]]
+            deletions.append((placed, lo, lo + 2 * bits, lo + bits,
+                              (1 << lo) - 1, -1 if i % 2 else 1))
+        for col, w, w_col in zip(count(), words[p], col_w):
+            for table, lo, hi, mid, low_mask, sign in deletions:
                 hit = table[(w >> lo) & pair_mask]
                 if hit is None:
                     continue
                 merged, loops = hit
-                if loops and a_is_zero:
-                    continue
                 # a divider-raising deletion leaves the subquotient: its
                 # target was filtered out of the enumeration
-                row = index.get(((w >> hi << bits | merged) << lo)
-                                | (w & low_mask))
+                row = index.get((w >> hi << mid) | merged | (w & low_mask))
                 if row is None:
                     continue
                 if loops != w_col - row_w[row]:
@@ -754,17 +785,29 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                         f"but the weights differ by {w_col - row_w[row]}")
                 cols = row_cols[row]
                 if cols and cols[-1] == col:
-                    row_sums[row][-1] += sign
+                    sums = row_sums[row]
+                    if sums[-1] == -sign:  # the entry cancels
+                        cols.pop()
+                        sums.pop()
+                    else:
+                        sums[-1] += sign
                 else:
                     cols.append(col)
                     row_sums[row].append(sign)
-        coeffs = ((r, c, n) for r, (cols, sums) in enumerate(zip(row_cols, row_sums))
-                  for c, n in zip(cols, sums) if n)
-        if universal:
-            matrices[p] = SparseMatrix(len(row_w), len(col_w), tuple(coeffs), ZZ)
+        dims = (len(row_w), len(col_w))
+        if universal or a_is_zero:
+            rows = []
+            for r, cols in enumerate(row_cols):
+                if cols:
+                    cols, vals = nonzero_row(cols, map(convert, row_sums[r]))
+                    if cols:
+                        rows.append((r, cols, vals))
+            matrices[p] = SparseMatrix.from_rows(*dims, rows, stored)
         else:
-            matrices[p] = graded_matrix(len(row_w), len(col_w), coeffs,
-                                        row_w, col_w, ring)
+            matrices[p] = graded_matrix(*dims, (
+                (r, cols, sums) for r, (cols, sums)
+                in enumerate(zip(row_cols, row_sums)) if cols),
+                row_w, col_w, ring)
 
     label = f"loops(2n={spec.two_n}, ends={ends.code}"
     if ends.augmented:
@@ -774,20 +817,29 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     if spec.dividers is not None:
         label += f", j={spec.dividers}"
     label += ")"
+    unaugmented = EndSpec(ends.left_open, ends.right_open)
+    basis = {p: Basis(ws, _Spelling(spec.two_n, unaugmented, p))
+             for p, ws in words.items()}
     return ChainComplexData(ring, spec.max_degree, basis, matrices,
                             weights=weights, description=label)
 
 
 def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, object]:
-    """Coordinates of a chain in the ordered basis of one degree."""
-    idx = data.index_map(degree)
+    """Coordinates of a chain in the ordered basis of one degree.
+
+    Each system is looked up by its packed word among the basis keys; a
+    string is spelled only to name a system that is not there.
+    """
+    basis = data.basis.get(degree, Basis())
+    index = dict(zip(basis.keys, count()))
     out = {}
     for g, v in c.terms.items():
         if g.degree != degree:
             raise GraffitoError("chain degree disagrees with requested degree")
-        key = g.encode()
-        if key not in idx:
-            raise GraffitoError(f"{key} is not in the basis of degree {degree}")
-        out[idx[key]] = v
+        i = None
+        if basis.spell == _Spelling(g.two_n, g.ends, degree):
+            i = index.get(_packed_word(g))
+        if i is None:
+            raise GraffitoError(f"{g.encode()} is not in the basis of degree {degree}")
+        out[i] = v
     return out
-

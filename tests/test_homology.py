@@ -508,7 +508,7 @@ def test_integer_d_squared_rejects_misgraded_entries():
     with pytest.raises(LinearAlgebraError, match="not an integer times"):
         ChainComplexData(za, 3, cx.basis, bad, weights=cx.weights)
     with pytest.raises(LinearAlgebraError, match="negative power"):
-        graded_matrix(1, 1, [(0, 0, 1)], (1,), (0,), za)
+        graded_matrix(1, 1, [(0, (0,), (1,))], (1,), (0,), za)
 
 
 def test_unweighted_za_complex_keeps_generic_d_squared():
@@ -943,3 +943,84 @@ def test_matrix_domain_errors():
         SparseMatrix(1, 1, ((0, 0, 0),), ZZ)
     with pytest.raises(LinearAlgebraError):
         SparseMatrix(1, 1, ((0, 2, 1),), ZZ)
+
+
+# -- row storage ----------------------------------------------------------------
+# one nonzero scalar per int of 1..4 (with sign) in each domain, and its zero
+STORAGE_DOMAINS = (
+    (ZZ, lambda n: n),
+    (QQ, lambda n: Fraction(n, 3)),
+    (prime_field(5), lambda n: n % 5),
+    (ZA, lambda n: ZA.mul(ZA.from_int(n), ZA.parse(f"a^{abs(n) % 2}"))),
+)
+
+
+def _rows_of(triples):
+    """Consecutive triples of one row grouped as a stored row."""
+    rows = []
+    for r, c, v in triples:
+        if rows and rows[-1][0] == r:
+            rows[-1][1].append(c)
+            rows[-1][2].append(v)
+        else:
+            rows.append((r, [c], [v]))
+    return [(r, tuple(cs), tuple(vs)) for r, cs, vs in rows]
+
+
+@st.composite
+def sparse_cases(draw, max_dim=6):
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                          st.integers(0, max(cols - 1, 0))))))
+    if not (rows and cols):
+        cells = []
+    ns = [draw(st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4))) for _ in cells]
+    return rows, cols, cells, ns
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_cases())
+def test_rows_and_triples_store_the_same_matrix(case):
+    rows, cols, cells, ns = case
+    for dom, scalar in STORAGE_DOMAINS:
+        triples = tuple((r, c, scalar(n)) for (r, c), n in zip(cells, ns))
+        by_triples = SparseMatrix(rows, cols, triples, dom)
+        by_rows = SparseMatrix.from_rows(rows, cols, _rows_of(triples), dom)
+        by_dict = SparseMatrix.from_dict(rows, cols, {
+            **{(r, c): v for r, c, v in reversed(triples)},
+            # a zero given to from_dict is dropped
+            **({(rows - 1, cols - 1): dom.zero()}
+               if rows and cols and (rows - 1, cols - 1) not in cells else {})},
+            dom)
+        want_rows: dict = {}
+        for r, c, v in triples:
+            want_rows.setdefault(r, {})[c] = v
+        for mat in (by_triples, by_rows, by_dict):
+            assert mat == by_triples
+            assert mat.entries == triples
+            assert mat.nnz() == len(triples)
+            assert mat.row_dicts() == want_rows
+
+
+@pytest.mark.parametrize("dom, triples, message", [
+    (ZZ, ((0, 2, 1),), "out of range"),
+    (ZZ, ((2, 0, 1),), "out of range"),
+    (ZZ, ((0, 0, 1), (0, 0, 2)), "duplicate entry"),
+    (ZZ, ((1, 0, 1), (0, 1, 1)), "row-major order"),
+    (ZZ, ((0, 1, 1), (0, 0, 1)), "row-major order"),
+    (ZZ, ((0, 0, 1), (1, 1, 0)), "stored zero at \\(1,1\\)"),
+    (QQ, ((0, 1, Fraction(0)),), "stored zero at \\(0,1\\)"),
+    (ZA, ((1, 0, ()),), "stored zero at \\(1,0\\)"),
+], ids=("column", "row", "duplicate", "rows", "columns", "zero", "fraction",
+        "za"))
+def test_row_storage_rejects_malformed_rows(dom, triples, message):
+    # both constructors run one check and name the same fault
+    with pytest.raises(LinearAlgebraError, match=message):
+        SparseMatrix(2, 2, triples, dom)
+    with pytest.raises(LinearAlgebraError, match=message):
+        SparseMatrix.from_rows(2, 2, _rows_of(triples), dom)
+    # a stored row is never empty, and has one value per column
+    with pytest.raises(LinearAlgebraError, match="row 0"):
+        SparseMatrix.from_rows(2, 2, [(0, (), ())], dom)
+    with pytest.raises(LinearAlgebraError, match="row 1"):
+        SparseMatrix.from_rows(2, 2, [(1, (0, 1), (dom.one(),))], dom)

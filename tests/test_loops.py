@@ -17,7 +17,7 @@ from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
 from planarloops import loops as loops_module
 from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
                               count_graffiti)
-from planarloops.homology import validate_d_squared
+from planarloops.homology import homology_table, validate_d_squared
 
 from conftest import (DEG3_EXAMPLE, DEG3_FACES, DIVIDER_EXAMPLE,
                       DIVIDER_RAISING, DIVIDER_RAISING_TARGET, PHI_R, PHI_X,
@@ -426,15 +426,45 @@ DUMP_DIGESTS = {
 }
 
 
+def _dump_digest(cx) -> str:
+    text = json.dumps(cx.to_json()) + json.dumps(
+        {str(p): list(w) for p, w in cx.weights.items()})
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("ends, ring", sorted(DUMP_DIGESTS))
 def test_complex_dumps_are_pinned(ends, ring):
     spec = ComplexSpec(4, parse_ring(ring),
                        EndSpec(augmented=True) if ends == "augmented"
                        else EndSpec.from_code(ends), max_degree=4)
-    cx = build_complex(spec)
-    text = json.dumps(cx.to_json()) + json.dumps(
-        {str(p): list(w) for p, w in cx.weights.items()})
-    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[ends, ring]
+    assert _dump_digest(build_complex(spec)) == DUMP_DIGESTS[ends, ring]
+
+
+# the same digest over the rings the table above leaves out: the Fraction
+# zero of Q (its dump spells the same bytes as the Z one), and the
+# conversion n * a^(loops closed) at a nonzero a
+RING_DUMP_DIGESTS = {
+    ("q", 0): "c050f8ad9fe703636e20d4735b0a9f154c95f2c25d99e8b89953bafc00afd4e4",
+    ("f3", 1): "f0f3cf90a9ea80aa061df04414392eca907d33ffa944f68dfd697d4eaa979b14",
+    ("z", 2): "c677e4aa62b2a879938d52adc000aa16d16888e8edd5d114c537563f452ac684",
+}
+
+
+@pytest.mark.parametrize("ring, a", sorted(RING_DUMP_DIGESTS))
+def test_ring_dumps_are_pinned(ring, a):
+    cx = build_complex(ComplexSpec(4, parse_ring(ring, a), CLOSED, max_degree=4))
+    assert _dump_digest(cx) == RING_DUMP_DIGESTS[ring, a]
+
+
+# the weight blocks of the closed complex over Z through degree 4, each
+# dumped as above, in weight order
+BLOCK_DIGESTS = "7425e8724a73d06637d5e5f4d78cbd36e7b96b4928e82ff589e61dcdc067292d"
+
+
+def test_weight_blocks_are_pinned():
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=4))
+    digests = [f"{w}:{_dump_digest(block)}" for w, block in weight_decompose(cx)]
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == BLOCK_DIGESTS
 
 
 def test_chain_codec():
@@ -442,3 +472,56 @@ def test_chain_codec():
     text = c.encode()
     assert parse_chain(text, ZAU) == c
     assert parse_chain("0", ZAU).is_zero()
+
+
+def test_hot_path_spells_no_basis_string(monkeypatch):
+    """Builds, the Z[a] d^2 check, the weight split and the homology table
+    read the packed words only: spelling a word raises while they run."""
+    def refuse(*args):
+        raise AssertionError("a basis word was spelled")
+
+    monkeypatch.setattr(loops_module, "_encodings", refuse)
+    za = build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=4))
+    assert validate_d_squared(za).ok
+    z = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=4))
+    blocks = weight_decompose(z)
+    table = homology_table(z, [1, 2, 3], [ZZ])
+    assert [str(h) for h in table[ZZ]] == ["H_1 = Z", "H_2 = Z/2", "H_3 = Z/2"]
+    # the guard bites: reading a basis spells it
+    with pytest.raises(AssertionError, match="spelled"):
+        z.to_json()
+    monkeypatch.undo()
+    # spelled on reading, the strings are the canonical encodings
+    for w, cx in [(None, za), (None, z), *blocks]:
+        for p in range(1, 5):
+            want = [g.encode() for g in enumerate_graffiti(p, weight=w)]
+            assert cx.to_json()["basis"][str(p)] == want
+            assert cx.index_map(p) == {enc: i for i, enc in enumerate(want)}
+
+
+def test_chain_to_vector_reads_packed_words():
+    closed = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=2))
+    c10 = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=2,
+                                    weight=1, dividers=0, subquotient=True))
+    assert chain_to_vector(Chain.of(Z0, PHI_XH, 3), c10, 1) == {1: 3}
+    # a closed degree-1 system outside the one-loop row
+    two_loops = enumerate_graffiti(1, weight=2)[0]
+    assert chain_to_vector(Chain.of(Z0, two_loops), closed, 1) == {
+        list(closed.basis[1]).index(two_loops.encode()): 1}
+    with pytest.raises(GraffitoError,
+                       match=r"G\(cc\)\[.*\] is not in the basis of degree 1"):
+        chain_to_vector(Chain.of(Z0, two_loops), c10, 1)
+    # an open system whose slot ids spell a closed word, and a system of
+    # another height, are in no closed basis
+    opened = enumerate_graffiti(1, ends="oo")[0]
+    assert loops_module._packed_word(opened) in closed.basis[1].keys
+    for other in (opened, enumerate_graffiti(1, two_n=2)[0]):
+        with pytest.raises(GraffitoError, match="not in the basis of degree 1"):
+            chain_to_vector(Chain.of(Z0, other), closed, 1)
+    # the empty system is word 0 of degree 0 in an augmented complex only
+    aug = build_complex(ComplexSpec(4, Z0, EndSpec(augmented=True), max_degree=1))
+    assert chain_to_vector(Chain.of(Z0, empty_system()), aug, 0) == {0: 1}
+    with pytest.raises(GraffitoError, match="not in the basis of degree 0"):
+        chain_to_vector(Chain.of(Z0, empty_system()), closed, 0)
+    with pytest.raises(GraffitoError, match="disagrees with requested degree"):
+        chain_to_vector(Chain.of(Z0, PHI_R), c10, 1)
