@@ -15,8 +15,8 @@ import functools
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, groupby
-from operator import itemgetter, lt
+from itertools import accumulate, chain, compress, groupby, starmap
+from operator import itemgetter, lt, mul
 
 from .coeff import (INT_POLY_A, INTEGERS, CoefficientDomain, DomainError,
                      PointedRing, ZZ)
@@ -113,22 +113,22 @@ class SparseMatrix:
         return out
 
     def apply(self, vec: dict[int, object]) -> dict[int, object]:
-        """Matrix times a sparse column vector {index: value}."""
+        """Matrix times a sparse column vector {index: value}, row by row."""
+        if any(j >= self.cols for j in vec):
+            raise LinearAlgebraError("vector index out of range")
         dom = self.domain
         integers = dom.kind == INTEGERS  # plain int arithmetic
+        held = vec.keys()
         out: dict[int, object] = {}
-        cols = self.col_dicts()
-        for j, x in vec.items():
-            if j >= self.cols:
-                raise LinearAlgebraError("vector index out of range")
-            col = cols.get(j, {}).items()
-            if integers:
-                for r, v in col:
-                    out[r] = out.get(r, 0) + v * x
-            else:
-                for r, v in col:
-                    out[r] = dom.add(out.get(r, dom.zero()), dom.mul(v, x))
-        return {r: v for r, v in out.items() if not dom.is_zero(v)}
+        for r, cs, vs in self.row_data:
+            if held.isdisjoint(cs):
+                continue
+            terms = [(v, vec[c]) for c, v in zip(cs, vs) if c in held]
+            s = (sum(starmap(mul, terms)) if integers
+                 else functools.reduce(dom.add, starmap(dom.mul, terms), dom.zero()))
+            if not dom.is_zero(s):
+                out[r] = s
+        return out
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         """The product, one row of self at a time against the rows of other,
@@ -406,20 +406,32 @@ class SmithForm:
                 raise LinearAlgebraError("invariants violate the divisibility chain")
 
 
+def _entries(row) -> tuple:
+    """(cols, vals) of a sweep row: A's stored tuples, or a dict once written."""
+    return (row.keys(), row.values()) if type(row) is dict else row
+
+
 class _SparseSNF:
     """Markowitz sweep with a replayable record, then the dense residual core.
 
     The sweep pivots on a unit over Z and on any nonzero over a field, on a
-    candidate of least cost (len(row) - 1) * (len(col) - 1).  Its queue
-    holds one entry (cost, row, col) per row, the row's cheapest candidate
-    with ties broken by the lower column, and rows of equal cost by the
-    lower row; each row touched by a pivot is queued afresh, and an entry
-    whose cost has risen since is re-queued when popped (npops counts the
-    pops).  Row operations row_r -= q * row_r0 clear the pivot column
-    outside the pivot row, which is then dropped.  Over a field that
-    empties the matrix: the pivot count is the rank and the core is 0 x 0.
-    Over Z the rows left over form the residual core, reduced densely.
-    pivot_cols holds the sweep's pivot columns.
+    candidate of least cost (len(row) - 1) * (count[col] - 1), with count[c]
+    the number of live rows holding column c.  Its queue holds one entry
+    (cost, row, col) per row, the row's cheapest candidate with ties broken
+    by the lower column, and rows of equal cost by the lower row; each row
+    touched by a pivot is queued afresh, and an entry whose cost has risen
+    since is re-queued when popped (npops counts the pops).  Row operations
+    row_r -= q * row_r0 clear the pivot column outside the pivot row, which
+    is then dropped; nfill counts the entries they create where a row held
+    none.  Over a field that empties the matrix: the pivot count is the rank
+    and the core is 0 x 0.  Over Z the rows left over form the residual
+    core, reduced densely.  pivot_cols holds the sweep's pivot columns.
+
+    A is never written to: a row of R stays A's (cols, vals) until a row
+    operation first writes to it and copies it into a dict.  The rows holding
+    column c are listed in an index transposed once from the stored rows (a
+    flat list of row ids with per-column offsets) and in extra[c] once they
+    gain c by fill-in; a listed row that has pivoted or lost c is skipped.
 
     Rows in cleared are dropped before the sweep.  homology() clears the
     rows of d_{p+1} at the sweep pivot columns of d_p.  Those pivots are
@@ -446,24 +458,22 @@ class _SparseSNF:
         if dom.kind != INTEGERS and (transforms or not dom.is_field()):
             raise DomainError("Smith normal form needs integer entries")
         self.nrows, self.ncols = A.rows, A.cols
-        self.R: dict[int, dict[int, object]] = {
-            r: dict(zip(cs, vs)) for r, cs, vs in A.row_data if r not in cleared}
-        self.C: dict[int, set[int]] = {}
-        for r, row in self.R.items():
-            for c in row:
-                self.C.setdefault(c, set()).add(r)
+        self.R: dict[int, tuple | dict[int, object]] = {
+            r: (cs, vs) for r, cs, vs in A.row_data if r not in cleared}
+        self.count = [0] * A.cols
         self.ops: list[tuple[int, int, int]] = []
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
         self.pivot_cols: set[int] = set()
-        self.npops = self._sweep(dom, transforms)
+        self.npops, self.nfill = self._sweep(dom, transforms)
         self.npivots = len(self.pivot_cols)
         self.res_rows = sorted(r for r, row in self.R.items() if row)
-        self.res_cols = sorted({c for r in self.res_rows for c in self.R[r]})
+        self.res_cols = sorted({c for r in self.res_rows
+                                for c in _entries(self.R[r])[0]})
         cmap = {c: j for j, c in enumerate(self.res_cols)}
         self.core = _dense_snf(
             len(self.res_rows), len(self.res_cols),
             ((i, cmap[c], v) for i, r in enumerate(self.res_rows)
-             for c, v in self.R[r].items()),
+             for c, v in zip(*_entries(self.R[r]))),
             transforms)
 
     @functools.cached_property
@@ -479,29 +489,39 @@ class _SparseSNF:
     def _best(self, r: int, units: bool) -> tuple[int, int, int] | None:
         """Queue entry (cost, r, c) of row r's cheapest admissible pivot,
         ties broken by the lower column; None when r has none left.  The
-        cost grows with len(C[c]), so the scan compares column lengths."""
-        row = self.R.get(r, {})
-        C = self.C
+        cost grows with count[c], so the scan compares live column counts."""
+        cs, vs = _entries(self.R.get(r, {}))
+        count = self.count
         blen = bcol = None
-        for c, v in row.items():
+        for c, v in zip(cs, vs):
             if units and v != 1 and v != -1:
                 continue
-            n = len(C[c])
+            n = count[c]
             if blen is None or n < blen or (n == blen and c < bcol):
                 blen, bcol = n, c
         if blen is None:
             return None
-        return (len(row) - 1) * (blen - 1), r, bcol
+        return (len(cs) - 1) * (blen - 1), r, bcol
 
-    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> int:
+    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> tuple[int, int]:
         """Eliminate pivots until none is left; returns the number of queue
-        entries popped."""
+        entries popped and of entries filled in."""
         units = dom.kind == INTEGERS
         p = dom.p  # entries are reduced mod p over F_p
-        R, C = self.R, self.C
+        R, count = self.R, self.count
+        for c in chain.from_iterable(cs for cs, _ in R.values()):
+            count[c] += 1
+        # the rows holding column c at the start are index[start[c]:start[c + 1]]
+        start = list(accumulate(count, initial=0))
+        index, pos, extra = [0] * start[-1], start[:-1], {}
+        for r, (cs, _) in R.items():
+            for c in cs:
+                index[pos[c]] = r
+                pos[c] += 1
+        del pos
         heap = [e for r in R if (e := self._best(r, units))]
         heapq.heapify(heap)
-        npops = 0
+        npops = nfill = 0
         while heap:
             cost, r0, _ = heapq.heappop(heap)
             npops += 1
@@ -512,16 +532,19 @@ class _SparseSNF:
             if best[0] > cost:
                 heapq.heappush(heap, best)
                 continue
-            row0, c0 = R[r0], best[2]
+            # the pivot row leaves R now, so the visit below skips it
+            row0, c0 = dict(zip(*_entries(R.pop(r0)))), best[2]
             v = row0[c0]
             # a unit is its own inverse; dom.inv keeps a plain int pivot of
             # a QQ matrix exact
             inv = v if v in (1, -1) else dom.inv(v)
             touched = []
-            for r in list(C[c0]):
-                if r == r0:
+            for r in chain(index[start[c0]:start[c0 + 1]], extra.pop(c0, ())):
+                row = R.get(r)
+                if type(row) is tuple:  # the first write copies the row
+                    row = R[r] = dict(zip(*row))
+                elif row is None or c0 not in row:
                     continue
-                row = R[r]
                 q = row[c0] * inv
                 if p:
                     q %= p
@@ -531,28 +554,27 @@ class _SparseSNF:
                         nv %= p
                     if nv:
                         if c not in row:
-                            C[c].add(r)
+                            count[c] += 1
+                            extra.setdefault(c, []).append(r)
+                            nfill += 1
                         row[c] = nv
                     elif c in row:
                         del row[c]
-                        C[c].discard(r)
+                        count[c] -= 1
                 if transforms:
                     self.ops.append((r, r0, q))
                 touched.append(r)
-            # column c0 is now supported on r0 only; removing the pivot row
-            # and column performs the clearing column operations
+            # column c0 is now held by r0 only; dropping the pivot row and
+            # column performs the clearing column operations
             for c in row0:
-                C[c].discard(r0)
-                if not C[c]:
-                    del C[c]
-            del R[r0]
+                count[c] -= 1
             self.pivot_cols.add(c0)
             if transforms:
                 self.pivots.append((r0, c0, row0))
             for r in touched:
                 if e := self._best(r, units):
                     heapq.heappush(heap, e)
-        return npops
+        return npops, nfill
 
     @functools.cached_property
     def _readers(self) -> tuple[dict[int, int], dict[int, list[int]]]:
