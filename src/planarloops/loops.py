@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from typing import NamedTuple
 
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
@@ -630,10 +630,17 @@ def _raw_words(degree, two_n, ends, weight, dividers):
     each.  Each slot pool (first, inner, last) is in encoding order, and
     every diagram encoding ends in its only '}', so no encoding is a proper
     prefix of another.  String order of 'G(..)[a | b | ...]' is therefore
-    the lexicographic order of the slot ids, which is the order this
-    depth-first walk visits them and the numeric order of the packed words.
-    The walk enters a prefix only when `_completions` says some way of
-    finishing it still meets the weight and divider filters.
+    the lexicographic order of the slot ids, and the numeric order of the
+    packed words.
+
+    The walk grows all prefixes of one length at a time.  The slots that
+    may follow a prefix depend only on its class (state, loops, and
+    dividers under a divider filter), so each level keeps its prefixes in
+    canonical order beside their class ids, and extends each by its class's
+    admissible slot ids, ascending, tabulated once per class.  The prefixes
+    are in canonical order and each one's children in ascending slot id, so
+    the next level is in canonical order too.  A slot is admissible when
+    `_completions` says some way of finishing still meets the filters.
     """
     if degree < 1:
         return [], []
@@ -644,27 +651,34 @@ def _raw_words(degree, two_n, ends, weight, dividers):
     # a coordinate without a filter is held at 0
     reach = [[{(loops if wf else 0, divs if df else 0) for loops, divs in t}
               for t in _completions(two_n, ends, r)] for r in range(degree)]
-    out, counts = [], []
-
-    def extend(word, state, loops, divs, r):
-        word <<= bits
-        if r == 0:
-            for j, dl in enumerate(finish[state]):
-                if not wf or loops + dl == weight:
-                    out.append(word | j)
-                    counts.append(loops + dl)
-            return
-        below = reach[r - 1]
-        for j, (ns, dl) in enumerate(step[state]):
-            nl, nd = loops + dl, divs + is_div[j]
-            if ((weight - nl if wf else 0, dividers - nd if df else 0)
-                    in below[ns]):
-                extend(word | j, ns, nl, nd, r - 1)
-
-    for f, s in enumerate(m.start):
-        if (weight if wf else 0, dividers if df else 0) in reach[degree - 1][s]:
-            extend(f, s, 0, 0, degree - 1)
-    return out, counts
+    # a class is (state, loops, dividers), its id the order it first
+    # appears in on its level, which is also the order of `classes`
+    classes: dict[tuple[int, int, int], int] = {}
+    words = [f for f, s in enumerate(m.start)
+             if (weight if wf else 0, dividers if df else 0) in reach[-1][s]]
+    keys = [classes.setdefault((m.start[f], 0, 0), len(classes)) for f in words]
+    for r in range(degree - 1, 0, -1):
+        below, children = reach[r - 1], {}
+        js, ks = [], []  # per class id: next slot ids, their class ids
+        for s, loops, divs in classes:
+            row_j, row_k = [], []
+            for j, (ns, dl) in enumerate(step[s]):
+                nl, nd = loops + dl, divs + is_div[j] if df else 0
+                if (weight - nl if wf else 0, dividers - nd if df else 0) in below[ns]:
+                    row_j.append(j)
+                    row_k.append(children.setdefault((ns, nl, nd), len(children)))
+            js.append(row_j)
+            ks.append(row_k)
+        words = [w << bits | j for w, k in zip(words, keys) for j in js[k]]
+        keys = list(chain.from_iterable(map(ks.__getitem__, keys)))
+        classes = children
+    js, ls = [], []  # per class id: last slot ids, the finished word's loops
+    for s, loops, _ in classes:
+        js.append([j for j, dl in enumerate(finish[s])
+                   if not wf or loops + dl == weight])
+        ls.append([loops + finish[s][j] for j in js[-1]])
+    out = [w << bits | j for w, k in zip(words, keys) for j in js[k]]
+    return out, list(chain.from_iterable(map(ls.__getitem__, keys)))
 
 
 def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
@@ -682,13 +696,29 @@ def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
                and (dividers is None or divs == dividers))
 
 
-def _merge_table(left, right, bits, merge):
-    """Dense table of merge(compose(x, y)) at index (x_id << bits) | y_id."""
-    table = [None] * (1 << 2 * bits)
+@lru_cache(maxsize=None)
+def _merge_table(two_n: int, ends: EndSpec, kind: str) -> tuple:
+    """One kind of bar deletion in id space, filled by compose once per
+    machine: at index (x_id << bits) | y_id, the merged id and the loops
+    closed, or None for a cell-quotient kill.  The kind names the slots
+    joined: "one" first and last (the augmentation, onto word 0), "first"
+    first and inner, "last" inner and last, "inner" two inner slots."""
+    m = _machine(two_n, ends)
+    left, right, merge = {
+        "one": (m.first, m.last, lambda res: 0),
+        "first": (m.first, m.inner, lambda res: None if ends.left_open
+                  and res.has_ll_pair() else m.first_index[res]),
+        "last": (m.inner, m.last, lambda res: None if ends.right_open
+                 and res.has_rr_pair() else m.last_index[res]),
+        "inner": (m.inner, m.inner, m.inner_index.__getitem__),
+    }[kind]
+    table = [None] * (1 << 2 * m.bits)
     for a, x in enumerate(left):
         for b, y in enumerate(right):
-            table[(a << bits) | b] = merge(*compose(x, y))
-    return table
+            res, loops = compose(x, y)
+            if (merged := merge(res)) is not None:
+                table[(a << m.bits) | b] = merged, loops
+    return tuple(table)
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplexData:
@@ -699,12 +729,13 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     Basis); each word's weight label is the loop count the enumeration
     computed.  Bar deletions whose coefficient vanishes, whose target leaves
     an open-end cell module, or (in subquotient mode) whose target gains a
-    divider contribute nothing.
+    divider contribute nothing; every other deletion's target is in the
+    basis, and GraffitoError names one that is not.
     """
     ends = spec.ends
     ring = spec.ring
     m = _machine(spec.two_n, ends)
-    first, inner, last, bits = m.first, m.inner, m.last, m.bits
+    bits, is_div = m.bits, m.is_div
 
     # the empty system is word 0 of degree 0
     words: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
@@ -713,25 +744,6 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
         ws, counts = _raw_words(p, spec.two_n, ends, spec.weight, spec.dividers)
         words[p] = tuple(ws)
         weights[p] = tuple(counts)
-
-    # merge tables in id space, filled by compose on every build: a bar
-    # deletion reads the pair of slot ids it joins, and gets the merged id
-    # and the loops closed, or None for a cell-quotient kill
-    def onto(index, killed):
-        return lambda res, loops: None if killed(res) else (index[res], loops)
-
-    tables = {}
-    if ends.augmented:
-        tables["one"] = _merge_table(first, last, bits,
-                                     lambda res, loops: (0, loops))
-    if spec.max_degree >= 2:
-        tables["first"] = _merge_table(first, inner, bits, onto(
-            m.first_index, lambda res: ends.left_open and res.has_ll_pair()))
-        tables["last"] = _merge_table(inner, last, bits, onto(
-            m.last_index, lambda res: ends.right_open and res.has_rr_pair()))
-    if spec.max_degree >= 3:
-        tables["inner"] = _merge_table(inner, inner, bits,
-                                       onto(m.inner_index, lambda res: False))
 
     # integer assembly, column by column: each deletion adds its sign to the
     # last entry of its row, or opens a new one, and an entry that cancels
@@ -747,7 +759,7 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     # a sum of at most max_degree signs
     convert = {n: n if universal else stored.from_int(n)
                for n in range(-spec.max_degree, spec.max_degree + 1)}.__getitem__
-    pair_mask = (1 << 2 * bits) - 1
+    slot_mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, spec.max_degree + 1):
         row_w, col_w = weights[p - 1], weights[p]
@@ -762,9 +774,14 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
         for i, kind in enumerate(kinds):
             lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
             # each hit with its merged id moved into place; at a = 0 a
-            # deletion that closes a loop is dropped here
+            # deletion that closes a loop is dropped, and in subquotient
+            # mode an inner merge that changes the divider count
+            sq = spec.subquotient and kind == "inner"
             placed = [None if hit is None or (hit[1] and a_is_zero)
-                      else (hit[0] << lo, hit[1]) for hit in tables[kind]]
+                      or (sq and is_div[hit[0]] != is_div[xy >> bits]
+                          + is_div[xy & slot_mask])
+                      else (hit[0] << lo, hit[1])
+                      for xy, hit in enumerate(_merge_table(spec.two_n, ends, kind))]
             deletions.append((placed, lo, lo + 2 * bits, lo + bits,
                               (1 << lo) - 1, -1 if i % 2 else 1))
         for col, w, w_col in zip(count(), words[p], col_w):
@@ -773,11 +790,13 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                 if hit is None:
                     continue
                 merged, loops = hit
-                # a divider-raising deletion leaves the subquotient: its
-                # target was filtered out of the enumeration
-                row = index.get((w >> hi << mid) | merged | (w & low_mask))
-                if row is None:
-                    continue
+                try:
+                    row = index[(w >> hi << mid) | merged | (w & low_mask)]
+                except KeyError:
+                    raise GraffitoError(
+                        f"deletion {p - 1 - lo // bits} of word "
+                        f"{_slot_ids(w, p + 1, bits)} hits no basis word"
+                    ) from None
                 if loops != w_col - row_w[row]:
                     raise GraffitoError(
                         f"deletion {p - 1 - lo // bits} of word "

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -257,13 +258,6 @@ def test_subquotient_requires_flags():
                     weight=1, dividers=0, subquotient=True)
 
 
-def test_weight_labels_match_loop_counts():
-    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3))
-    for p in range(1, 4):
-        for enc, w in zip(cx.basis[p], cx.weights[p]):
-            assert loop_count(parse_graffito(enc)) == w
-
-
 def test_bases_are_canonical():
     # no assembler sorts: each emits its basis in canonical order as it goes
     specs = [ComplexSpec(4, Z0, EndSpec.from_code(code, aug), max_degree=4)
@@ -339,8 +333,44 @@ def test_build_complex_matches_chain_differential(ends):
                 assert chain_to_vector(d, cx, p - 1) == cols.get(j, {}), (ring, g)
 
 
+def test_weight_labels_match_loop_counts():
+    # the object layer reads each basis element's statistics afresh
+    specs = [ComplexSpec(4, Z0, ends, max_degree=3) for ends in ORACLE_ENDS]
+    for ends in ORACLE_ENDS[:1] + ORACLE_ENDS[2:]:  # filters are unaugmented
+        specs += [ComplexSpec(4, Z0, ends, max_degree=3, weight=w) for w in (1, 3)]
+        specs += [ComplexSpec(4, Z0, ends, max_degree=4, weight=w, dividers=j,
+                              subquotient=True) for w in (1, 2, 3) for j in (0, 1)]
+    for spec in specs:
+        cx = build_complex(spec)
+        for p in range(1, spec.max_degree + 1):
+            for enc, w in zip(cx.basis[p], cx.weights[p]):
+                g = parse_graffito(enc)
+                assert loop_count(g) == w, (spec, enc)
+                assert spec.weight in (None, w), (spec, enc)
+                assert spec.dividers in (None, divider_count(g)), (spec, enc)
+
+
+def test_assembly_raises_on_a_deletion_outside_the_basis(monkeypatch):
+    # every kept deletion lands in the basis; a walk that loses one degree-1
+    # word leaves some degree-2 deletion nowhere to go
+    real = loops_module._raw_words
+
+    def one_word_short(degree, *args):
+        words, counts = real(degree, *args)
+        if degree == 1:
+            return words[1:], counts[1:]
+        return words, counts
+
+    monkeypatch.setattr(loops_module, "_raw_words", one_word_short)
+    with pytest.raises(GraffitoError, match="hits no basis word"):
+        build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
+
+
 def test_assembly_checks_loops_against_weights(monkeypatch):
     loops_module.count_graffiti(1)  # fill the weight machine before the patch
+    # empty merge tables, filled by the faulty compose and dropped afterwards
+    monkeypatch.setattr(loops_module, "_merge_table",
+                        functools.lru_cache(loops_module._merge_table.__wrapped__))
     real = loops_module.compose
 
     def one_loop_too_many(x, y):
@@ -383,6 +413,48 @@ def test_pruned_walk_equals_filtered_walk(ends):
             if (w, j) != (None, None):
                 assert loops_module._raw_words(p, 4, ends, w, j) == (words, counts)
             assert count_graffiti(p, 4, ends, w, j) == len(words), (p, w, j)
+
+
+# sha256 of json.dumps of _raw_words in each degree 1..top, in turn, per
+# (two_n, ends, weight, dividers, top): the stretch's two-loop block, the
+# divider-free rows, and the 2n = 6 weight rows; recorded with the
+# depth-first walk that preceded the level walk
+WALK_DIGESTS = {
+    (4, "cc", 2, None, 6): "eb1cf67c9ed5e35956491557f8253d56be4e9f1e29d3931e5d7233e05beda582",
+    (4, "cc", 1, 0, 5): "87e3926869c09c91bb7faa8b334680db33509c6bdb99a92724438c0f4fd85113",
+    (4, "cc", 2, 0, 5): "9b0ef8617ca1893b76b536a84e4ae160bc154419629c7ccfd4912a3b613c644b",
+    (4, "cc", 3, 0, 5): "11474c7631414f4183848eeb7d2bf009792b2a2032b58ac5dd8728aac7d8037f",
+    (4, "cc", 4, 0, 5): "4c4736313b63bd49b37dc9447e3724ada32fd5f12e2d141422bffd7b4fc99904",
+    (4, "oo", 1, 0, 5): "a5d879c491ed0355896ab2de7f3af5c98c5cef03a2b994022250c81066bb3017",
+    (4, "oc", 1, 0, 5): "6800567beb9de75a36a15e9e048561ba7e9f74a3945d38da2d2239f19ea2b3a1",
+    (4, "co", 1, 0, 5): "b0830bc3ff493c86762f557a9808c408c36d58003f7914359389707d66cb49c7",
+    (6, "cc", 1, None, 3): "2e1442a3a95bf996ab22f0d349052576604dc47473e03adeca1c3196c81a0b5a",
+    (6, "cc", 2, None, 3): "7609c467aec4ba3bf5d9c4780b1c3082cf81ccc981b5fa8f4836dfbd8d99c237",
+}
+
+
+@pytest.mark.parametrize("two_n, code, w, j, top", sorted(WALK_DIGESTS, key=str))
+def test_walks_are_pinned(two_n, code, w, j, top):
+    digest = hashlib.sha256()
+    for p in range(1, top + 1):
+        walk = loops_module._raw_words(p, two_n, EndSpec.from_code(code), w, j)
+        digest.update(json.dumps(walk).encode())
+    assert digest.hexdigest() == WALK_DIGESTS[two_n, code, w, j, top]
+
+
+def test_walk_memory_is_bounded():
+    # the walk holds the level it grows and the one before it, not every
+    # level: 360,964 degree-6 words of weight 6, at most 112 B each at the
+    # peak, the returned lists included
+    count_graffiti(6)  # fill the transfer tables first
+    tracemalloc.start()
+    try:
+        words, _ = loops_module._raw_words(6, 4, CLOSED, 6, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 360_964
+    assert peak <= 112 * len(words), peak / len(words)
 
 
 @pytest.mark.parametrize("ends", ORACLE_ENDS,
