@@ -433,15 +433,18 @@ class _SparseSNF:
     flat list of row ids with per-column offsets) and in extra[c] once they
     gain c by fill-in; a listed row that has pivoted or lost c is skipped.
 
-    Rows in cleared are dropped before the sweep.  homology() clears the
-    rows of d_{p+1} at the sweep pivot columns of d_p.  Those pivots are
-    units and L d_p is unit-triangular on the pivot rows and columns, so
-    its pivot rows span a direct summand of the chains, complementary to
+    Rows in cleared are dropped before the sweep.  homology() reduces d_1,
+    d_2, ... in one chain and clears the rows of d_{p+1} at the sweep pivot
+    columns of d_p, itself reduced with its own rows cleared.  Those pivots
+    are units and L d_p is unit-triangular on the pivot rows and columns,
+    so its pivot rows span a direct summand of the chains, complementary to
     the coordinates off the pivot columns, on which d_{p+1}^T vanishes:
-    d_{p+1} without the cleared rows has the same row lattice, hence the
-    same rank and invariants.  The core's pivots are not units and are
-    never cleared.  Cleared rows read as zero rows, so clearing serves the
-    invariants only, never the transforms.
+    over Z the dropped rows of d_{p+1} are integer combinations of the kept
+    ones, so d_{p+1} without them has the same row lattice, hence the same
+    rank and invariants.  This needs only d_p d_{p+1} = 0, which any subset
+    of d_p's rows keeps, so each link of the chain holds.  The core's
+    pivots are not units and are never cleared.  Cleared rows read as zero
+    rows, so clearing serves the invariants only, never the transforms.
 
     With transforms (over Z only) the sweep records its operations in ops
     as (r, r0, q) and its pivot rows in pivots as (r0, c0, entries).  With L
@@ -862,10 +865,11 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
 
     Every requested degree p must satisfy p < max_degree so that both
     adjacent boundaries are trusted; the truncation edge is never reported.
-    Each boundary needed is reduced once, in ascending degree, over Z or
-    the field; d_{p+1} right after d_p drops the rows at d_p's sweep pivot
-    columns, which leaves its rank and invariants unchanged (clearing; see
-    _SparseSNF).
+    d_1, d_2, ..., d_{max(degrees)+1} are reduced once each, in one
+    ascending chain over Z or the field; each drops the rows at the
+    previous one's sweep pivot columns, which leaves its rank and
+    invariants unchanged (clearing; see _SparseSNF).  The low boundaries
+    are small, and their pivots remove the rows that would fill in above.
     """
     degrees = list(degrees)
     for p in degrees:
@@ -878,22 +882,20 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
     if dom.kind != INTEGERS and not dom.is_field():
         raise DomainError(
             "homology is computed over Z or a field; specialize first")
-    reduced = {}  # q -> (rank, torsion invariants) of d_q
+    reduced = [(0, ())]  # q -> (rank, torsion invariants) of d_q; d_0 = 0
     cleared: frozenset[int] | set[int] = frozenset()
-    for q in sorted({q for p in degrees for q in (p, p + 1) if q >= 1}):
-        if q - 1 not in reduced:
-            cleared = frozenset()
+    for q in range(1, max(degrees, default=-1) + 2):
         A = c.boundary(q)
         work = _SparseSNF(A if dom.kind == INTEGERS else _over_field(A, dom),
                           cleared=cleared)
-        reduced[q] = (work.npivots + work.core.rank,
-                      tuple(d for d in work.core.invariants if d > 1))
+        reduced.append((work.npivots + work.core.rank,
+                        tuple(d for d in work.core.invariants if d > 1)))
         cleared = work.pivot_cols
 
     out = []
     for p in degrees:
         n_p = c.dim(p)
-        r_low = reduced[p][0] if p >= 1 else 0
+        r_low = reduced[p][0]
         rank, tors = reduced[p + 1]
         reps = (_integral_representatives(c, p)
                 if representatives and dom.kind == INTEGERS else None)

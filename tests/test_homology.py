@@ -509,6 +509,22 @@ def test_sweep_counts_are_pinned(dom):
     assert (high.npops, high.npivots, high.nfill) == (3871, 3796, 853)
 
 
+@pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
+def test_chained_sweep_counts_are_pinned(dom):
+    """Queue pops, pivots and fill-in of d_5 and d_6 of the closed two-loop
+    block as homology() reduces them: in the chain from d_1 up, each cleared
+    at the pivot columns of the one below.  d_4's 133 pivots drop the rows
+    of d_5 that fill in when it is reduced on its own."""
+    cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), CLOSED,
+                                   max_degree=6, weight=2))
+    counts, cleared = [], frozenset()
+    for q in range(1, 7):
+        work = _SparseSNF(cx.boundary(q), cleared=cleared)
+        counts.append((work.npops, work.npivots, work.nfill))
+        cleared = work.pivot_cols
+    assert counts[4:] == [(755, 740, 109), (3900, 3796, 1036)]
+
+
 def test_sweep_memory_per_stored_entry():
     """The sweep keeps A's stored rows, copying one only when a pivot first
     writes to it, and finds a column's rows through an index transposed
@@ -815,12 +831,14 @@ def _over(cx, dom):
 @settings(max_examples=150, deadline=None)
 @given(complexes_with_known_homology(), st.data())
 def test_homology_with_clearing_matches_known_groups(cx_pieces, data):
-    """homology() reduces d_{p+1} without the rows at the sweep pivot
-    columns of d_p; on complexes of known homology its groups over Z, Q, F2
-    and F3 must equal the known ones and a reduction of each boundary on
-    its own, which clears nothing."""
+    """homology() reduces d_1 up to d_{max+1} in one chain, each boundary
+    without the rows at the sweep pivot columns of the one below; on
+    complexes of known homology its groups over Z, Q, F2 and F3 must equal
+    the known ones and a reduction of each boundary on its own, which
+    clears nothing."""
     cx, pieces = cx_pieces
-    # [1, 4] and [0, 3] skip a boundary: d_4 is reduced after d_2 or d_1
+    # requested degrees with gaps, as [1, 4] and [0, 3], are still drawn:
+    # the chain reduces the boundaries between them too
     degrees = data.draw(st.one_of(
         st.sampled_from([[1, 3], [1, 4], [0, 3]]),
         st.lists(st.integers(0, 4), min_size=1, unique=True)))
@@ -852,8 +870,10 @@ def test_homology_with_clearing_matches_known_groups(cx_pieces, data):
 @pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
 def test_homology_clears_rows_pivoted_one_degree_down(dom, monkeypatch):
     """On the closed two-loop block through degree 6, homology() reduces
-    d_5 (740 sweep pivots) and then d_6 without the 740 rows at those pivot
-    columns; every row left pivots and the residual core is 0 x 0."""
+    d_1 up to d_6 in one chain, each without the rows at the sweep pivot
+    columns of the one below: d_5 drops d_4's 133 rows, d_6 drops d_5's 740.
+    Over Z only d_3 leaves a residual core; over F2 every row left
+    pivots."""
     cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), CLOSED,
                                    max_degree=6, weight=2))
     seen = []
@@ -867,7 +887,12 @@ def test_homology_clears_rows_pivoted_one_degree_down(dom, monkeypatch):
     monkeypatch.setattr(homology_module, "_SparseSNF", Recorded)
     (h,) = homology(cx, [5])
     assert (h.free_rank, h.torsion) == (0, ())
-    assert seen == [((873, 4536), 0, 740, (0, 0)),
+    core3 = (1, 9) if dom is ZZ else (0, 0)
+    assert seen == [((0, 2), 0, 0, (0, 0)),
+                    ((2, 22), 0, 2, (0, 0)),
+                    ((22, 153), 2, 19, core3),
+                    ((153, 873), 19, 133, (0, 0)),
+                    ((873, 4536), 133, 740, (0, 0)),
                     ((4536, 22320), 740, 4536 - 740, (0, 0))]
 
 
