@@ -1,8 +1,8 @@
 """Exact Temperley-Lieb diagram calculus, complexes of planar loops, their
 free dga models, and integral homology."""
 
-from .coeff import (CoefficientDomain, DomainError, PointedRing, QQ, Scalar,
-                    ZA, ZZ, parse_ring, prime_field, specialize)
+from .coeff import (CoefficientDomain, DomainError, PointedRing, QQ, ZA, ZZ,
+                    parse_ring, prime_field)
 from .diagram import (DiagramError, Letter, LinkState, TLDiagram, cell_basis,
                       close_up, compose, enumerate_diagrams, enumerate_letters,
                       identity_diagram, new_diagram, parse_diagram,

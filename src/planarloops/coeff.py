@@ -1,12 +1,13 @@
 """Exact coefficient domains: Z, Q, F_p, and the graded polynomial ring Z[a].
 
 Every computation in this package is exact; there is no floating point
-anywhere.  A domain owns the arithmetic on raw values (python ints, Fractions,
-ints mod p, or sparse exponent tuples for Z[a]); the Scalar wrapper adds
-domain checking and the canonical text forms.  Pointed rings (R, a) bundle a
-domain with a chosen element a, the value substituted for each closed loop,
-and LinearCombination is the free-module arithmetic over a pointed ring that
-loop chains and model polynomials share.
+anywhere.  A domain owns the arithmetic, validation and canonical text forms
+of raw values (python ints, Fractions, ints mod p, or sparse exponent tuples
+for Z[a]); values carry no domain tag, so the caller keeps each with its
+domain.  Pointed rings (R, a) bundle a domain with a chosen element a, the
+value substituted for each closed loop, and LinearCombination is the
+free-module arithmetic over a pointed ring that loop chains and model
+polynomials share.
 """
 
 from __future__ import annotations
@@ -256,55 +257,6 @@ def prime_field(p: int) -> CoefficientDomain:
 
 
 @dataclass(frozen=True)
-class Scalar:
-    """A domain-tagged exact value supporting +, *, unary -, and ==."""
-
-    domain: CoefficientDomain
-    value: object
-
-    def __post_init__(self):
-        self.domain.validate(self.value)
-
-    def _check(self, other: "Scalar"):
-        if not isinstance(other, Scalar) or other.domain != self.domain:
-            raise DomainError(f"mixed domains: {self.domain} vs {getattr(other, 'domain', other)!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.domain, self.domain.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.domain, self.domain.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.domain, self.domain.mul(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.domain, self.domain.neg(self.value))
-
-    def is_zero(self) -> bool:
-        return self.domain.is_zero(self.value)
-
-    @property
-    def weight(self) -> int | None:
-        return self.domain.weight(self.value)
-
-    def __str__(self):
-        return self.domain.format(self.value)
-
-    @classmethod
-    def parse(cls, domain: CoefficientDomain, text: str) -> "Scalar":
-        return cls(domain, domain.parse(text))
-
-    @classmethod
-    def of(cls, domain: CoefficientDomain, n: int) -> "Scalar":
-        return cls(domain, domain.from_int(n))
-
-
-
-@dataclass(frozen=True)
 class PointedRing:
     """A coefficient domain together with the loop value a."""
 
@@ -417,18 +369,3 @@ def parse_ring(code: str, a: int = 0) -> PointedRing:
     if code.startswith("f") and code[1:].isdigit():
         return PointedRing.make(prime_field(int(code[1:])), a)
     raise DomainError(f"unknown ring {code!r} (use z, q, f<p>, za)")
-
-
-def specialize(s: Scalar, target: PointedRing) -> Scalar:
-    """Evaluate a Z[a] scalar at the marked element of the target ring.
-
-    This is the ring homomorphism Z[a] -> R determined by a -> a_value; it
-    commutes with addition and multiplication.
-    """
-    if s.domain.kind != INT_POLY_A:
-        raise DomainError("specialize is defined on Z[a] scalars")
-    dom = target.domain
-    acc = dom.zero()
-    for e, c in s.value:
-        acc = dom.add(acc, dom.mul(dom.from_int(c), target.a_power(e)))
-    return Scalar(dom, acc)

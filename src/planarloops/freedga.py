@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .coeff import INT_POLY_A, DomainError, LinearCombination, PointedRing
+from .coeff import INT_POLY_A, ZZ, DomainError, LinearCombination, PointedRing
 from .diagram import parse_diagram
 from .homology import ChainComplexData, SparseMatrix, graded_matrix
 from .loops import (Chain, differential as loops_differential, empty_system,
@@ -513,10 +513,15 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
 
     Degree p is spanned by the words of homological degree p, ordered by
     length then generator index; the nonunital variant drops the empty word
-    (and with it the constant part of every differential).
+    (and with it the constant part of every differential).  Each term (t, v)
+    of d(g) puts (-1)^(degree of w[:i]) v at the word w[:i] + t + w[i+1:]
+    in the column of w, for every position i of g in w.  Over Z[a] each v
+    is n * a^(weight of g - weight of t), as the algebra checked at
+    construction, so the complex stores the integer n of each term.
     """
     ring = algebra.ring
-    dom = ring.domain
+    graded = ring.domain.kind == INT_POLY_A
+    dom = ZZ if graded else ring.domain
     words: dict[int, list[tuple[str, ...]]] = {p: [] for p in range(max_degree + 1)}
     if not nonunital:
         words[0].append(())
@@ -532,18 +537,24 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
              for p in range(max_degree + 1)}
     weights = {p: tuple(algebra.word_weight(w) for w in words[p])
                for p in range(max_degree + 1)}
+    degree = {g.name: g.degree for g in algebra.generators}
+    terms = {g: [(t, v[0][1] if graded else v) for t, v in img.terms.items()]
+             for g, img in algebra.d_images.items()}
     matrices = {}
     for p in range(1, max_degree + 1):
         index = {w: i for i, w in enumerate(words[p - 1])}
         data = {}
         for col, w in enumerate(words[p]):
-            img = algebra.differential(NCPoly(ring, {w: dom.one()}))
-            for tw, v in img.terms.items():
-                if tw not in index:
-                    if tw == () and nonunital:
+            left = 0
+            for i, g in enumerate(w):
+                for t, v in terms[g]:
+                    tw = w[:i] + t + w[i + 1:]
+                    if not tw and nonunital:
                         continue
-                    raise AlgebraError(f"differential leaves the word basis at {tw}")
-                data[(index[tw], col)] = v
+                    key = (index[tw], col)
+                    data[key] = dom.add(data.get(key, dom.zero()),
+                                        dom.neg(v) if left % 2 else v)
+                left += degree[g]
         matrices[p] = SparseMatrix.from_dict(
             len(words[p - 1]), len(words[p]), data, dom)
     label = "model(" + ",".join(g.name for g in algebra.generators) + ")"

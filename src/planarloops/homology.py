@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from itertools import accumulate, chain, compress, groupby, starmap
 from operator import itemgetter, lt, mul
 
@@ -114,7 +114,7 @@ class SparseMatrix:
 
     def apply(self, vec: dict[int, object]) -> dict[int, object]:
         """Matrix times a sparse column vector {index: value}, row by row."""
-        if any(j >= self.cols for j in vec):
+        if any(not 0 <= j < self.cols for j in vec):
             raise LinearAlgebraError("vector index out of range")
         dom = self.domain
         integers = dom.kind == INTEGERS  # plain int arithmetic
@@ -136,6 +136,9 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise LinearAlgebraError("shape mismatch in matrix product")
         dom = self.domain
+        if other.domain != dom:
+            raise LinearAlgebraError(
+                f"domain mismatch in matrix product: {dom!r} and {other.domain!r}")
         integers = dom.kind == INTEGERS  # plain int arithmetic
         right = {k: (cs, vs) for k, cs, vs in other.row_data}
         out = []
@@ -223,13 +226,11 @@ class ChainComplexData:
     weights[p] (optional) one loop-count label per basis element.
     matrices[p] is the stored form of the boundary leaving degree p, a
     SparseMatrix stored by rows.  Over Z[a] with weight labels (graded)
-    every entry of d_p is n * a^(w_col - w_row), so matrices[p] holds the
-    integer matrix of the n, with domain ZZ; Z[a] matrices handed to such a
-    complex are projected once, at construction, through
-    integer_coefficients, which raises on an entry of another form, and
-    boundary(p) renders the Z[a] matrix through graded_matrix on each call
-    and keeps no copy.  Every other complex stores its boundaries as they
-    are, in the ring's domain.
+    every entry of d_p is n * a^(w_col - w_row), so matrices[p] is the
+    integer matrix of the n, with domain ZZ, and a matrix over any other
+    domain raises LinearAlgebraError; boundary(p) renders the Z[a] matrix
+    through graded_matrix on each call and keeps no copy.  Every other
+    complex stores its boundaries as they are, in the ring's domain.
     """
 
     ring: PointedRing
@@ -243,10 +244,12 @@ class ChainComplexData:
         self.basis = {p: b if isinstance(b, Basis) else Basis(b)
                       for p, b in self.basis.items()}
         if self.graded:
-            self.matrices = {
-                p: mat if mat.domain.kind == INTEGERS else integer_coefficients(
-                    mat, self.weights.get(p - 1, ()), self.weights.get(p, ()))
-                for p, mat in self.matrices.items()}
+            for p, mat in self.matrices.items():
+                if mat.domain != ZZ:
+                    raise LinearAlgebraError(
+                        f"a weight-labelled Z[a] complex stores the integers n "
+                        f"of its entries n*a^(w_col - w_row); d_{p} is over "
+                        f"{mat.domain!r}, not Z")
 
     @property
     def graded(self) -> bool:
@@ -291,8 +294,7 @@ class ChainComplexData:
 # Over a pointed ring (R, a), every boundary entry of a loop-count-labelled
 # complex is an integer n times a^(w_col - w_row): each term pays one factor
 # of a per loop it closes.  The integer matrix of the n and the labels
-# determine the boundary over every ring; these two functions convert in
-# each direction.
+# determine the boundary over every ring; graded_matrix renders it there.
 
 def graded_matrix(rows: int, cols: int, row_data, row_weights, col_weights,
                   ring: PointedRing) -> SparseMatrix:
@@ -321,31 +323,6 @@ def graded_matrix(rows: int, cols: int, row_data, row_weights, col_weights,
         if kept_c:
             out.append((r, tuple(kept_c), tuple(kept_v)))
     return SparseMatrix.from_rows(rows, cols, out, dom)
-
-
-def integer_coefficients(mat: SparseMatrix, row_weights,
-                         col_weights) -> SparseMatrix:
-    """The integers n of a Z[a] matrix whose entries are n * a^(w_col - w_row).
-
-    Raises LinearAlgebraError on a matrix over another domain, and on any
-    entry of another form: more than one term, or a power of a that
-    disagrees with the weight gap.
-    """
-    if mat.domain.kind != INT_POLY_A:
-        raise LinearAlgebraError(
-            f"a weight-labelled Z[a] complex takes Z or Z[a] matrices, "
-            f"not {mat.domain!r}")
-    out = []
-    for r, cs, vs in mat.row_data:
-        rw = row_weights[r]
-        for c, v in zip(cs, vs):
-            gap = col_weights[c] - rw
-            if len(v) != 1 or v[0][0] != gap:
-                raise LinearAlgebraError(
-                    f"entry ({r},{c}) = {mat.domain.format(v)} is not an "
-                    f"integer times a^{gap}")
-        out.append((r, cs, tuple(v[0][1] for v in vs)))
-    return SparseMatrix.from_rows(mat.rows, mat.cols, out, ZZ)
 
 
 @dataclass(frozen=True)
@@ -387,23 +364,31 @@ def validate_d_squared(c: ChainComplexData) -> DSquaredReport:
 
 @dataclass
 class SmithForm:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, all positive;
+    the rank is their number.
 
     When transforms are requested, U (rows x rows) and V (cols x cols) are
-    unimodular with U A V = diag(invariants), and uinv/vinv their inverses.
+    unimodular with U A V = diag(invariants), and uinv/vinv their inverses;
+    they are passed by keyword.
     """
 
     invariants: tuple[int, ...]
-    rank: int
+    _: KW_ONLY
     U: list[list[int]] | None = None
     V: list[list[int]] | None = None
     uinv: list[list[int]] | None = None
     vinv: list[list[int]] | None = None
 
     def __post_init__(self):
+        if any(d <= 0 for d in self.invariants):
+            raise LinearAlgebraError("invariants must be positive")
         for a, b in zip(self.invariants, self.invariants[1:]):
-            if a <= 0 or b % a != 0:
+            if b % a != 0:
                 raise LinearAlgebraError("invariants violate the divisibility chain")
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariants)
 
 
 def _entries(row) -> tuple:
@@ -798,7 +783,7 @@ def _dense_snf(nr: int, nc: int, entries, transforms: bool = False) -> SmithForm
             row_negate(k)
         invs.append(m[k][k])
         k += 1
-    return SmithForm(tuple(invs), len(invs), U, V, uinv, vinv)
+    return SmithForm(tuple(invs), U=U, V=V, uinv=uinv, vinv=vinv)
 
 
 def smith_normal_form(A: SparseMatrix) -> SmithForm:
@@ -811,7 +796,7 @@ def smith_normal_form(A: SparseMatrix) -> SmithForm:
         raise DomainError("Smith normal form needs integer entries")
     work = _SparseSNF(A)
     invariants = (1,) * work.npivots + work.core.invariants
-    return SmithForm(invariants, len(invariants))
+    return SmithForm(invariants)
 
 
 def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from planarloops import (Chain, ChainComplexData, CoefficientDomain,
                          ComplexSpec, DomainError, EndSpec, NCPoly,
-                         PointedRing, QQ, SparseMatrix, ZA, ZZ,
+                         PointedRing, QQ, SmithForm, SparseMatrix, ZA, ZZ,
                          build_complex, build_word_complex, four_model,
                          homology, homology_table, integer_kernel_basis,
                          is_boundary, is_cycle, minimal_model, phi, prime_field,
@@ -204,6 +204,19 @@ def test_snf_examples():
         M(2, 2, {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8})).invariants == (2, 4)
     sf = smith_normal_form(zero_matrix(3, 4))
     assert sf.invariants == () and sf.rank == 0
+
+
+def test_smith_form_rejects_inconsistent_values():
+    assert SmithForm((1, 2, 6)).rank == 3
+    for bad in ((0,), (-2,), (2, 2, -4)):
+        with pytest.raises(LinearAlgebraError, match="positive"):
+            SmithForm(bad)
+    with pytest.raises(LinearAlgebraError, match="divisibility"):
+        SmithForm((2, 3))
+    # the rank is the number of invariants, not a value of its own, and the
+    # transforms are passed by keyword
+    with pytest.raises(TypeError):
+        SmithForm((2,), 5)
 
 
 def test_snf_transforms_certify():
@@ -602,10 +615,12 @@ def _with_first_entry(mat, change):
 def test_integer_d_squared_locates_failures_like_the_generic_product():
     za = PointedRing.make(ZA)
     cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
-    bad = {p: cx.boundary(p) for p in cx.matrices}
-    bad[2] = _with_first_entry(bad[2], ZA.neg)
+    bad = dict(cx.matrices)
+    bad[2] = _with_first_entry(bad[2], lambda n: -n)
     weighted = ChainComplexData(za, 3, cx.basis, bad, weights=cx.weights)
-    generic = ChainComplexData(za, 3, cx.basis, bad, weights=None)
+    # the same boundaries rendered over Z[a], multiplied there
+    generic = ChainComplexData(za, 3, cx.basis,
+                               {p: weighted.boundary(p) for p in bad})
     rep = validate_d_squared(weighted)
     assert not rep.ok
     assert rep.failures == validate_d_squared(generic).failures
@@ -614,12 +629,13 @@ def test_integer_d_squared_locates_failures_like_the_generic_product():
 def test_integer_d_squared_rejects_misgraded_entries():
     za = PointedRing.make(ZA)
     cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
-    bad = {p: cx.boundary(p) for p in cx.matrices}
-    # one power of a too many: the complex refuses it when it is built, so
-    # no d^2 check ever sees it
-    bad[3] = _with_first_entry(bad[3], lambda v: ZA.mul(v, ZA.parse("a")))
-    with pytest.raises(LinearAlgebraError, match="not an integer times"):
-        ChainComplexData(za, 3, cx.basis, bad, weights=cx.weights)
+    # the complex stores integers only, so an entry whose power of a
+    # disagrees with the weight gap cannot even be written: a Z[a] matrix is
+    # refused when the complex is built, and no d^2 check ever sees one
+    with pytest.raises(LinearAlgebraError, match="stores the integers n"):
+        ChainComplexData(za, 3, cx.basis,
+                         {p: cx.boundary(p) for p in cx.matrices},
+                         weights=cx.weights)
     with pytest.raises(LinearAlgebraError, match="negative power"):
         graded_matrix(1, 1, [(0, (0,), (1,))], (1,), (0,), za)
 
@@ -673,6 +689,10 @@ def test_matrix_product_matches_dense_product(AB):
             i: v for (i, j), v in want.items() if j == 0 and not dom.is_zero(v)}
     with pytest.raises(LinearAlgebraError, match="shape mismatch"):
         A.mul(M(A.cols + 1, 1, {}))
+    # both factors over one domain: a Z matrix times an F2 matrix would give
+    # values never reduced mod 2
+    with pytest.raises(LinearAlgebraError, match="domain mismatch"):
+        A.mul(SparseMatrix.from_dict(B.rows, B.cols, {}, prime_field(2)))
 
 
 # a weight-labelled Z[a] complex of every kind the package builds
@@ -721,10 +741,11 @@ def test_model_boundaries_match_the_algebra_differential():
 
 
 def test_za_d_squared_makes_no_za_coefficient(monkeypatch):
-    """Building a Z[a] loop complex and checking its d^2 runs on integers
-    alone: every Z[a] coefficient operation raises while they run."""
+    """Building a Z[a] loop complex or model truncation and checking its d^2
+    runs on integers alone: every Z[a] coefficient operation raises while
+    they run."""
     za = PointedRing.make(ZA)
-    model = truncated_complex(minimal_model(6, za), 5)
+    algebra = minimal_model(6, za)
     for name in ("zero", "one", "from_int", "add", "neg", "sub", "mul"):
         real = getattr(CoefficientDomain, name)
 
@@ -737,7 +758,7 @@ def test_za_d_squared_makes_no_za_coefficient(monkeypatch):
         cx = build_complex(ComplexSpec(4, za, ends, max_degree=4))
         rep = validate_d_squared(cx)
         assert rep.ok, rep
-    assert validate_d_squared(model).ok
+    assert validate_d_squared(truncated_complex(algebra, 5)).ok
     # the guard bites: rendering the Z[a] boundary makes coefficients
     with pytest.raises(AssertionError, match="Z\\[a\\]"):
         cx.boundary(2)
@@ -905,6 +926,13 @@ def test_cycle_and_boundary_examples():
     assert is_cycle(mz, {}, 3) and is_boundary(mz, {}, 3)
     mq = truncated_complex(minimal_model(4, PointedRing.make(QQ, 0)), 5)
     assert is_boundary(mq, {i3["x1.x1.x1"]: Fraction(1)}, 3)
+
+
+def test_vectors_with_indices_out_of_range_are_refused():
+    wc = build_word_complex(2, 3)
+    for j in (-1, wc.dim(2)):
+        with pytest.raises(LinearAlgebraError, match="vector index out of range"):
+            is_cycle(wc, {j: 1}, 2)
 
 
 def test_representatives_are_nonbounding_cycles():
