@@ -37,7 +37,9 @@ class SparseMatrix:
     zero test.  The constructor takes (r, c, v) triples in row-major order
     and groups them; from_rows takes rows as they are stored.  Both run the
     same check, once per row, and a row that fails it is scanned entry by
-    entry to name the fault.  entries spells the triples afresh on each read.
+    entry to name the fault.  over_field and weight_decompose derive rows
+    from a checked matrix that stay in order and nonzero, and store them
+    without a second check.  entries spells the triples afresh on each read.
     """
 
     rows: int
@@ -66,9 +68,7 @@ class SparseMatrix:
                    domain)
 
     def _store(self, rows, cols, row_data, domain) -> None:
-        for name, value in zip(("rows", "cols", "row_data", "domain"),
-                               (rows, cols, row_data, domain)):
-            object.__setattr__(self, name, value)
+        self._assign(rows, cols, row_data, domain)
         pr = -1
         for r, cs, vs in row_data:
             if not (pr < r < rows and cs and len(cs) == len(vs)
@@ -76,6 +76,11 @@ class SparseMatrix:
                     and all(map(lt, cs, cs[1:])) and all(vs)):
                 self._fault(r)
             pr = r
+
+    def _assign(self, rows, cols, row_data, domain) -> None:
+        for name, value in zip(("rows", "cols", "row_data", "domain"),
+                               (rows, cols, row_data, domain)):
+            object.__setattr__(self, name, value)
 
     def _fault(self, bad: int) -> None:
         """Raise the error of the first faulty entry, which lies in row bad
@@ -104,13 +109,6 @@ class SparseMatrix:
 
     def row_dicts(self) -> dict[int, dict[int, object]]:
         return {r: dict(zip(cs, vs)) for r, cs, vs in self.row_data}
-
-    def col_dicts(self) -> dict[int, dict[int, object]]:
-        out: dict[int, dict[int, object]] = {}
-        for r, cs, vs in self.row_data:
-            for c, v in zip(cs, vs):
-                out.setdefault(c, {})[r] = v
-        return out
 
     def apply(self, vec: dict[int, object]) -> dict[int, object]:
         """Matrix times a sparse column vector {index: value}, row by row."""
@@ -182,7 +180,8 @@ class Basis(Sequence):
     sequence of keys to their strings, and without it the keys are the
     strings.  A loop complex keeps its packed words with the spelling of
     its machine, so a string is made only when the basis is read.  Length,
-    equality and iteration are those of the tuple of strings.
+    equality, iteration, indexing and slicing are those of the tuple of
+    strings.
     """
 
     __slots__ = ("keys", "spell")
@@ -197,8 +196,12 @@ class Basis(Sequence):
     def __iter__(self):
         return iter(self.keys if self.spell is None else self.spell(self.keys))
 
-    def __getitem__(self, i: int):
-        return self.keys[i] if self.spell is None else self.spell((self.keys[i],))[0]
+    def __getitem__(self, i: int | slice):
+        if self.spell is None:
+            return self.keys[i]
+        if isinstance(i, slice):
+            return tuple(self.spell(self.keys[i]))
+        return self.spell((self.keys[i],))[0]
 
     def pick(self, positions) -> "Basis":
         """The elements at these positions, still unspelled."""
@@ -413,10 +416,14 @@ class _SparseSNF:
     core, reduced densely.  pivot_cols holds the sweep's pivot columns.
 
     A is never written to: a row of R stays A's (cols, vals) until a row
-    operation first writes to it and copies it into a dict.  The rows holding
-    column c are listed in an index transposed once from the stored rows (a
-    flat list of row ids with per-column offsets) and in extra[c] once they
-    gain c by fill-in; a listed row that has pivoted or lost c is skipped.
+    operation first writes to it and copies it into a dict.  A pivot whose
+    column no other row holds needs no row operation: without transforms
+    its row just leaves R.  At the first row operation, when every row of R
+    is still stored, the rows holding column c are listed in an index
+    transposed from them (a flat list of row ids with per-column offsets),
+    and from then on in extra[c] once they gain c by fill-in; a listed row
+    that has pivoted or lost c is skipped.  A sweep that needs no row
+    operation makes no index.
 
     Rows in cleared are dropped before the sweep.  homology() reduces d_1,
     d_2, ... in one chain and clears the rows of d_{p+1} at the sweep pivot
@@ -480,14 +487,20 @@ class _SparseSNF:
         cost grows with count[c], so the scan compares live column counts."""
         cs, vs = _entries(self.R.get(r, {}))
         count = self.count
-        blen = bcol = None
-        for c, v in zip(cs, vs):
-            if units and v != 1 and v != -1:
-                continue
-            n = count[c]
-            if blen is None or n < blen or (n == blen and c < bcol):
-                blen, bcol = n, c
-        if blen is None:
+        # no column is held by more rows than there are
+        blen, bcol = self.nrows + 1, None
+        if units:
+            for c, v in zip(cs, vs):
+                if v == 1 or v == -1:
+                    n = count[c]
+                    if n < blen or (n == blen and c < bcol):
+                        blen, bcol = n, c
+        else:
+            for c in cs:
+                n = count[c]
+                if n < blen or (n == blen and c < bcol):
+                    blen, bcol = n, c
+        if bcol is None:
             return None
         return (len(cs) - 1) * (blen - 1), r, bcol
 
@@ -499,14 +512,7 @@ class _SparseSNF:
         R, count = self.R, self.count
         for c in chain.from_iterable(cs for cs, _ in R.values()):
             count[c] += 1
-        # the rows holding column c at the start are index[start[c]:start[c + 1]]
-        start = list(accumulate(count, initial=0))
-        index, pos, extra = [0] * start[-1], start[:-1], {}
-        for r, (cs, _) in R.items():
-            for c in cs:
-                index[pos[c]] = r
-                pos[c] += 1
-        del pos
+        index, extra = None, {}  # listed at the first row operation
         heap = [e for r in R if (e := self._best(r, units))]
         heapq.heapify(heap)
         npops = nfill = 0
@@ -520,8 +526,25 @@ class _SparseSNF:
             if best[0] > cost:
                 heapq.heappush(heap, best)
                 continue
+            c0 = best[2]
+            if count[c0] == 1 and not transforms:
+                # no other row holds c0, so no row operation is due
+                for c in _entries(R.pop(r0))[0]:
+                    count[c] -= 1
+                self.pivot_cols.add(c0)
+                continue
+            if index is None:
+                # no row has been written yet, so R holds stored rows, and
+                # the count[c] of them that hold c are index[start[c]:start[c + 1]]
+                start = list(accumulate(count, initial=0))
+                index, pos = [0] * start[-1], start[:-1]
+                for r, (cs, _) in R.items():
+                    for c in cs:
+                        index[pos[c]] = r
+                        pos[c] += 1
+                del pos
             # the pivot row leaves R now, so the visit below skips it
-            row0, c0 = dict(zip(*_entries(R.pop(r0)))), best[2]
+            row0 = dict(zip(*_entries(R.pop(r0))))
             v = row0[c0]
             # a unit is its own inverse; dom.inv keeps a plain int pivot of
             # a QQ matrix exact
@@ -537,16 +560,17 @@ class _SparseSNF:
                 if p:
                     q %= p
                 for c, w in row0.items():
-                    nv = row.get(c, 0) - q * w
+                    old = row.get(c)
+                    nv = -q * w if old is None else old - q * w
                     if p:
                         nv %= p
                     if nv:
-                        if c not in row:
+                        if old is None:
                             count[c] += 1
                             extra.setdefault(c, []).append(r)
                             nfill += 1
                         row[c] = nv
-                    elif c in row:
+                    elif old is not None:
                         del row[c]
                         count[c] -= 1
                 if transforms:
@@ -803,19 +827,30 @@ def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
     """Exact rank: the number of pivots of the sparse Markowitz sweep."""
     if not fld.is_field():
         raise DomainError(f"{fld!r} is not a field")
-    return _SparseSNF(_over_field(A, fld)).npivots
+    return _SparseSNF(over_field(A, fld)).npivots
 
 
-def _over_field(A: SparseMatrix, fld: CoefficientDomain) -> SparseMatrix:
-    """A with its entries in the field fld; an integer matrix is mapped."""
+def over_field(A: SparseMatrix, fld: CoefficientDomain) -> SparseMatrix:
+    """A with its entries in the field fld; an integer matrix is mapped,
+    each distinct value once, and its entries that vanish there (the
+    multiples of p) are dropped.  A row keeps its tuple of columns unless
+    one of its entries vanishes."""
     if A.domain.kind == INTEGERS:
+        image = {n: fld.from_int(n) for n in
+                 set(chain.from_iterable(vs for _, _, vs in A.row_data))}
+        vanish = {n for n, v in image.items() if not v}
         out = []
         for r, cs, vs in A.row_data:
-            # multiples of p vanish
-            cs, vs = nonzero_row(cs, map(fld.from_int, vs))
+            if vanish.isdisjoint(vs):
+                out.append((r, cs, tuple(map(image.__getitem__, vs))))
+                continue
+            cs, vs = nonzero_row(cs, map(image.__getitem__, vs))
             if cs:
                 out.append((r, cs, vs))
-        return SparseMatrix.from_rows(A.rows, A.cols, out, fld)
+        # what is left of A's checked rows is still in order and nonzero
+        mapped = SparseMatrix.__new__(SparseMatrix)
+        mapped._assign(A.rows, A.cols, tuple(out), fld)
+        return mapped
     if A.domain != fld:
         raise DomainError("matrix domain disagrees with requested field")
     return A
@@ -871,7 +906,7 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
     cleared: frozenset[int] | set[int] = frozenset()
     for q in range(1, max(degrees, default=-1) + 2):
         A = c.boundary(q)
-        work = _SparseSNF(A if dom.kind == INTEGERS else _over_field(A, dom),
+        work = _SparseSNF(A if dom.kind == INTEGERS else over_field(A, dom),
                           cleared=cleared)
         reduced.append((work.npivots + work.core.rank,
                         tuple(d for d in work.core.invariants if d > 1)))
@@ -962,7 +997,10 @@ def _integral_representatives(c: ChainComplexData, p: int):
         raise DomainError("representatives are computed over Z")
     low = _SparseSNF(c.boundary(p), transforms=True)
     high = c.boundary(p + 1)
-    cols = high.col_dicts()
+    cols: dict[int, dict[int, int]] = {}
+    for r, cs, vs in high.row_data:
+        for j, v in zip(cs, vs):
+            cols.setdefault(j, {})[r] = v
     data = {(i, j): v for j, coords in zip(cols, low.kernel_coords(cols.values()))
             for i, v in coords.items()}
     X = SparseMatrix.from_dict(low.kernel_rank, high.cols, data, ZZ)
@@ -996,17 +1034,17 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
         return [(all_w[0], c)]
     degrees = range(c.max_degree + 1)
     basis = {w: {} for w in all_w}
-    local = {}  # degree -> each basis element's index inside its block
+    # degree -> weight -> {index in the degree: index in the block}, so a
+    # column of another weight is missing from a row's map
+    local = {}
     for p in degrees:
-        local[p] = pos = []
-        picks = {w: [] for w in all_w}
+        local[p] = blocks = {w: {} for w in all_w}
         for i, w in enumerate(c.weights.get(p, ())):
-            block = picks[w]
-            pos.append(len(block))
-            block.append(i)
+            block = blocks[w]
+            block[i] = len(block)
         whole = c.basis.get(p, Basis())
         for w in all_w:
-            basis[w][p] = whole.pick(picks[w])
+            basis[w][p] = whole.pick(blocks[w])
     mats = {w: {} for w in all_w}
     for p in range(1, c.max_degree + 1):
         row_w, col_w = c.weights.get(p - 1, ()), c.weights.get(p, ())
@@ -1014,15 +1052,19 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
         rows = {w: [] for w in all_w}
         for r, cs, vs in c.boundary(p).row_data:
             w = row_w[r]
-            if set(map(col_w.__getitem__, cs)) != {w}:
+            try:
+                # each block keeps the row order of the whole matrix
+                rows[w].append((rloc[w][r], tuple(map(cloc[w].__getitem__, cs)), vs))
+            except KeyError:
                 col = next(col for col in cs if col_w[col] != w)
                 raise LinearAlgebraError(
-                    f"boundary entry ({r},{col}) in degree {p} crosses weights")
-            # each block keeps the row order of the whole matrix
-            rows[w].append((rloc[r], tuple(map(cloc.__getitem__, cs)), vs))
+                    f"boundary entry ({r},{col}) in degree {p} crosses weights") from None
         for w in all_w:
-            mats[w][p] = SparseMatrix.from_rows(
-                len(basis[w][p - 1]), len(basis[w][p]), rows[w], c.ring.domain)
+            # a block's columns are numbered in the order of the whole
+            # matrix's, so its rows are as ordered and nonzero as they were
+            mats[w][p] = block = SparseMatrix.__new__(SparseMatrix)
+            block._assign(len(basis[w][p - 1]), len(basis[w][p]), tuple(rows[w]),
+                          c.ring.domain)
     return [(w, ChainComplexData(
         c.ring, c.max_degree, basis[w], mats[w],
         weights={p: (w,) * len(b) for p, b in basis[w].items()},

@@ -17,12 +17,12 @@ from functools import lru_cache
 from itertools import chain, count
 from typing import NamedTuple
 
-from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
+from .coeff import INT_POLY_A, INTEGERS, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
 from .homology import (Basis, ChainComplexData, SparseMatrix, graded_matrix,
-                       nonzero_row)
+                       over_field)
 
 
 class GraffitoError(ValueError):
@@ -456,6 +456,8 @@ class ComplexSpec:
             raise GraffitoError("two_n must be a positive even integer")
         if (self.ends.left_open or self.ends.right_open) and self.two_n != 4:
             raise GraffitoError("open ends are only defined for 2n = 4")
+        if self.max_degree < 0:
+            raise GraffitoError("max_degree must not be negative")
         if self.subquotient != (self.dividers is not None):
             raise GraffitoError(
                 "a divider filter and the subquotient flag go together")
@@ -721,47 +723,43 @@ def _merge_table(two_n: int, ends: EndSpec, kind: str) -> tuple:
     return tuple(table)
 
 
-def build_complex(spec: ComplexSpec) -> ChainComplexData:
-    """Bases and boundary matrices of the requested complex, degrees 0..max.
+class _Assembly(NamedTuple):
+    """The ring-free part of a loop complex: per degree its packed words,
+    their loop counts, and the integer matrix of its boundary, whose entry n
+    stands for n * a^(loops closed)."""
 
-    The basis in each degree keeps the packed words in canonical order, as
-    the enumeration emits them, and spells them only when it is read (see
-    Basis); each word's weight label is the loop count the enumeration
-    computed.  Bar deletions whose coefficient vanishes, whose target leaves
-    an open-end cell module, or (in subquotient mode) whose target gains a
-    divider contribute nothing; every other deletion's target is in the
-    basis, and GraffitoError names one that is not.
+    words: dict[int, tuple[int, ...]]
+    weights: dict[int, tuple[int, ...]]
+    matrices: dict[int, SparseMatrix]
+
+
+def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
+              dividers: int | None, subquotient: bool, a_is_zero: bool
+              ) -> _Assembly:
+    """The words, weight labels and integer boundary matrices of a loop
+    complex, which depend on its ring only through whether a = 0.
+
+    Column by column, each deletion adds its sign to the last entry of its
+    row, or opens a new one, and an entry that cancels is removed at once,
+    so every row's columns come out in order with no zero sum; the loops
+    are checked against the weight labels on the way.  At a = 0 every
+    deletion that closes a loop is skipped; in subquotient mode so is every
+    inner merge that changes the divider count.
     """
-    ends = spec.ends
-    ring = spec.ring
-    m = _machine(spec.two_n, ends)
+    m = _machine(two_n, ends)
     bits, is_div = m.bits, m.is_div
 
     # the empty system is word 0 of degree 0
     words: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
     weights: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
-    for p in range(1, spec.max_degree + 1):
-        ws, counts = _raw_words(p, spec.two_n, ends, spec.weight, spec.dividers)
+    for p in range(1, max_degree + 1):
+        ws, counts = _raw_words(p, two_n, ends, weight, dividers)
         words[p] = tuple(ws)
         weights[p] = tuple(counts)
 
-    # integer assembly, column by column: each deletion adds its sign to the
-    # last entry of its row, or opens a new one, and an entry that cancels
-    # is removed at once, so every row's columns come out in order with no
-    # zero sum; the loops are checked against the weight labels on the way.
-    # Over Z[a] the sums are stored as they are (see ChainComplexData).  At
-    # a = 0 every deletion that closes a loop is skipped, so each sum n
-    # stands for n * a^0 and is converted by one table; at any other a
-    # graded_matrix makes it n * a^(loops closed)
-    a_is_zero = ring.a_is_zero
-    universal = ring.domain.kind == INT_POLY_A
-    stored = ZZ if universal else ring.domain
-    # a sum of at most max_degree signs
-    convert = {n: n if universal else stored.from_int(n)
-               for n in range(-spec.max_degree, spec.max_degree + 1)}.__getitem__
     slot_mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
     matrices: dict[int, SparseMatrix] = {}
-    for p in range(1, spec.max_degree + 1):
+    for p in range(1, max_degree + 1):
         row_w, col_w = weights[p - 1], weights[p]
         row_cols: list[list[int]] = [[] for _ in row_w]
         row_sums: list[list[int]] = [[] for _ in row_w]
@@ -773,15 +771,13 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
         deletions = []
         for i, kind in enumerate(kinds):
             lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
-            # each hit with its merged id moved into place; at a = 0 a
-            # deletion that closes a loop is dropped, and in subquotient
-            # mode an inner merge that changes the divider count
-            sq = spec.subquotient and kind == "inner"
+            # each hit with its merged id moved into place
+            sq = subquotient and kind == "inner"
             placed = [None if hit is None or (hit[1] and a_is_zero)
                       or (sq and is_div[hit[0]] != is_div[xy >> bits]
                           + is_div[xy & slot_mask])
                       else (hit[0] << lo, hit[1])
-                      for xy, hit in enumerate(_merge_table(spec.two_n, ends, kind))]
+                      for xy, hit in enumerate(_merge_table(two_n, ends, kind))]
             deletions.append((placed, lo, lo + 2 * bits, lo + bits,
                               (1 << lo) - 1, -1 if i % 2 else 1))
         for col, w, w_col in zip(count(), words[p], col_w):
@@ -813,20 +809,42 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
                 else:
                     cols.append(col)
                     row_sums[row].append(sign)
-        dims = (len(row_w), len(col_w))
-        if universal or a_is_zero:
-            rows = []
-            for r, cols in enumerate(row_cols):
-                if cols:
-                    cols, vals = nonzero_row(cols, map(convert, row_sums[r]))
-                    if cols:
-                        rows.append((r, cols, vals))
-            matrices[p] = SparseMatrix.from_rows(*dims, rows, stored)
-        else:
-            matrices[p] = graded_matrix(*dims, (
-                (r, cols, sums) for r, (cols, sums)
-                in enumerate(zip(row_cols, row_sums)) if cols),
-                row_w, col_w, ring)
+        matrices[p] = SparseMatrix.from_rows(
+            len(row_w), len(col_w),
+            ((r, tuple(cols), tuple(row_sums[r]))
+             for r, cols in enumerate(row_cols) if cols))
+    return _Assembly(words, weights, matrices)
+
+
+def build_complex(spec: ComplexSpec) -> ChainComplexData:
+    """Bases and boundary matrices of the requested complex, degrees 0..max.
+
+    The basis in each degree keeps the packed words in canonical order, as
+    the enumeration emits them, and spells them only when it is read (see
+    Basis); each word's weight label is the loop count the enumeration
+    computed.  Bar deletions whose coefficient vanishes, whose target leaves
+    an open-end cell module, or (in subquotient mode) whose target gains a
+    divider contribute nothing; every other deletion's target is in the
+    basis, and GraffitoError names one that is not.
+
+    The words, labels and integer matrices come from _assemble.  Over Z[a]
+    the integer matrices are stored as they are (see ChainComplexData), and
+    so they are over Z at a = 0, where each sum n stands for n * a^0.  Over
+    a field at a = 0 over_field maps them, and at any other a graded_matrix
+    makes each n into n * a^(loops closed).
+    """
+    ends, ring = spec.ends, spec.ring
+    asm = _assemble(spec.two_n, ends, spec.max_degree, spec.weight,
+                    spec.dividers, spec.subquotient, ring.a_is_zero)
+    dom = ring.domain
+    if dom.kind == INT_POLY_A or (dom.kind == INTEGERS and ring.a_is_zero):
+        matrices = asm.matrices
+    elif ring.a_is_zero:
+        matrices = {p: over_field(mat, dom) for p, mat in asm.matrices.items()}
+    else:
+        matrices = {p: graded_matrix(mat.rows, mat.cols, mat.row_data,
+                                     asm.weights[p - 1], asm.weights[p], ring)
+                    for p, mat in asm.matrices.items()}
 
     label = f"loops(2n={spec.two_n}, ends={ends.code}"
     if ends.augmented:
@@ -838,9 +856,9 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     label += ")"
     unaugmented = EndSpec(ends.left_open, ends.right_open)
     basis = {p: Basis(ws, _Spelling(spec.two_n, unaugmented, p))
-             for p, ws in words.items()}
+             for p, ws in asm.words.items()}
     return ChainComplexData(ring, spec.max_degree, basis, matrices,
-                            weights=weights, description=label)
+                            weights=asm.weights, description=label)
 
 
 def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, object]:

@@ -21,7 +21,7 @@ from planarloops import (Chain, ChainComplexData, CoefficientDomain,
                          weight_decompose)
 from planarloops.homology import (_DENSE_CELLS, LinearAlgebraError, _dense_snf,
                                   _identity, _SparseSNF, graded_matrix,
-                                  zero_matrix)
+                                  over_field, zero_matrix)
 from planarloops.loops import CLOSED
 from planarloops.verify import _generated_by
 
@@ -279,6 +279,19 @@ def test_rank_over_field_examples():
     assert rank_over_field(eye, QQ) == 5
     with pytest.raises(DomainError):
         rank_over_field(eye, ZZ)
+
+
+def test_over_field_drops_the_multiples_of_p():
+    A = M(2, 3, {(0, 0): 2, (0, 2): -1, (1, 1): 3})
+    f2, f3 = prime_field(2), prime_field(3)
+    assert over_field(A, f2) == SparseMatrix(2, 3, [(0, 2, 1), (1, 1, 1)], f2)
+    assert over_field(A, f3) == SparseMatrix(2, 3, [(0, 0, 2), (0, 2, 2)], f3)
+    # no entry of A vanishes over Q, so every row keeps its columns
+    over_q = over_field(A, QQ)
+    assert over_q == SparseMatrix.from_dict(
+        2, 3, {(r, c): Fraction(v) for r, c, v in A.entries}, QQ)
+    assert all(a[1] is b[1] for a, b in zip(A.row_data, over_q.row_data))
+    assert over_field(M(1, 1, {(0, 0): 4}), f2).row_data == ()
 
 
 def test_rank_matches_snf_mod_p():

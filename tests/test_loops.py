@@ -18,7 +18,8 @@ from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
 from planarloops import loops as loops_module
 from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
                               count_graffiti)
-from planarloops.homology import homology_table, validate_d_squared
+from planarloops.homology import (Basis, graded_matrix, homology_table,
+                                 over_field, validate_d_squared)
 
 from conftest import (DEG3_EXAMPLE, DEG3_FACES, DIVIDER_EXAMPLE,
                       DIVIDER_RAISING, DIVIDER_RAISING_TARGET, PHI_R, PHI_X,
@@ -258,6 +259,13 @@ def test_subquotient_requires_flags():
                     weight=1, dividers=0, subquotient=True)
 
 
+def test_spec_rejects_a_negative_max_degree():
+    with pytest.raises(GraffitoError, match="max_degree"):
+        ComplexSpec(4, Z0, CLOSED, max_degree=-1)
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=0))
+    assert cx.max_degree == 0 and cx.matrices == {} and cx.dim(0) == 0
+
+
 def test_bases_are_canonical():
     # no assembler sorts: each emits its basis in canonical order as it goes
     specs = [ComplexSpec(4, Z0, EndSpec.from_code(code, aug), max_degree=4)
@@ -323,7 +331,10 @@ def test_build_complex_matches_chain_differential(ends):
         cx = build_complex(ComplexSpec(4, ring, ends, max_degree=3))
         for p in range(1, 4):
             assert cx.basis[p] == tuple(g.encode() for g in systems[p])
-            cols = cx.boundary(p).col_dicts()
+            cols: dict = {}
+            for r, cs, vs in cx.boundary(p).row_data:
+                for j, v in zip(cs, vs):
+                    cols.setdefault(j, {})[r] = v
             for j, g in enumerate(systems[p]):
                 d = differential(Chain.of(ring, g))
                 if p == 1 and not ends.augmented:
@@ -380,6 +391,38 @@ def test_assembly_checks_loops_against_weights(monkeypatch):
     monkeypatch.setattr(loops_module, "compose", one_loop_too_many)
     with pytest.raises(GraffitoError, match="weights differ"):
         build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
+
+
+def test_ring_step_maps_the_integer_assembly():
+    # the words, labels and integer matrices depend on the ring only through
+    # whether a = 0: at a = 0, Q and F_p map those of the Z build, and at
+    # any other a graded_matrix reads those of the Z[a] build
+    spec = dict(ends=CLOSED, max_degree=3)
+    over_z = build_complex(ComplexSpec(4, Z0, **spec))
+    for dom in (QQ, prime_field(2), prime_field(3)):
+        cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), **spec))
+        assert cx.weights == over_z.weights
+        for p in range(1, 4):
+            assert cx.basis[p] == over_z.basis[p]
+            assert cx.boundary(p) == over_field(over_z.boundary(p), dom)
+    over_za = build_complex(ComplexSpec(4, ZAU, **spec))
+    for ring in (PointedRing.make(prime_field(3), 1), PointedRing.make(ZZ, 2)):
+        cx = build_complex(ComplexSpec(4, ring, **spec))
+        assert cx.weights == over_za.weights
+        for p in range(1, 4):
+            z = over_za.matrices[p]  # integer; boundary(p) reads it over Z[a]
+            assert cx.boundary(p) == graded_matrix(
+                z.rows, z.cols, z.row_data, over_za.weights[p - 1],
+                over_za.weights[p], ring)
+
+
+def test_basis_slices_like_its_strings():
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=2))
+    for basis in (cx.basis[1], cx.basis[2], Basis(("x", "y", "z"))):
+        strings = tuple(basis)
+        for s in (slice(0, 2), slice(None), slice(1, None, 3),
+                  slice(None, None, -1), slice(-1, 0, -2), slice(5, 9)):
+            assert basis[s] == strings[s]
 
 
 def _filtered_afterwards(p, ends):
