@@ -209,6 +209,8 @@ def compose(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
 @lru_cache(maxsize=None)
 def enumerate_diagrams(n: int, m: int) -> tuple[TLDiagram, ...]:
     """All (n,m) diagrams in canonical (encoding-lexicographic) order."""
+    if n < 0 or m < 0:
+        raise DiagramError(f"endpoint counts {n}, {m} must not be negative")
     if (n + m) % 2 != 0:
         raise DiagramError(f"endpoint count {n}+{m} must be even")
     order = [("L", i) for i in range(1, n + 1)] + [("R", j) for j in range(m, 0, -1)]

@@ -244,6 +244,8 @@ class ChainComplexData:
     description: str = ""
 
     def __post_init__(self):
+        if self.max_degree < 0:
+            raise LinearAlgebraError("max_degree must not be negative")
         self.basis = {p: b if isinstance(b, Basis) else Basis(b)
                       for p, b in self.basis.items()}
         if self.graded:

@@ -17,12 +17,12 @@ from functools import lru_cache
 from itertools import chain, count
 from typing import NamedTuple
 
-from .coeff import INT_POLY_A, INTEGERS, LinearCombination, PointedRing
+from .coeff import (INT_POLY_A, ZZ, CoefficientDomain, LinearCombination,
+                    PointedRing)
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
-from .homology import (Basis, ChainComplexData, SparseMatrix, graded_matrix,
-                       over_field)
+from .homology import Basis, ChainComplexData, SparseMatrix, graded_matrix
 
 
 class GraffitoError(ValueError):
@@ -452,10 +452,7 @@ class ComplexSpec:
     subquotient: bool = False
 
     def __post_init__(self):
-        if self.two_n % 2 or self.two_n <= 0:
-            raise GraffitoError("two_n must be a positive even integer")
-        if (self.ends.left_open or self.ends.right_open) and self.two_n != 4:
-            raise GraffitoError("open ends are only defined for 2n = 4")
+        _check_shape(self.two_n, self.ends)
         if self.max_degree < 0:
             raise GraffitoError("max_degree must not be negative")
         if self.subquotient != (self.dividers is not None):
@@ -466,6 +463,14 @@ class ComplexSpec:
                 raise GraffitoError("weight and divider filters need a = 0")
             if self.ends.augmented:
                 raise GraffitoError("filtered complexes are not augmented")
+
+
+def _check_shape(two_n: int, ends: EndSpec) -> None:
+    """Refuse a height or an end shape no loop complex has."""
+    if two_n % 2 or two_n <= 0:
+        raise GraffitoError("two_n must be a positive even integer")
+    if (ends.left_open or ends.right_open) and two_n != 4:
+        raise GraffitoError("open ends are only defined for 2n = 4")
 
 
 def _slot_pools(two_n: int, ends: EndSpec):
@@ -484,6 +489,7 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
     """All degree-p basis systems passing the filters, canonical order."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
+    _check_shape(two_n, ends)
     words, _ = _raw_words(degree, two_n, ends, weight, dividers)
     m = _machine(two_n, ends)
     out = []
@@ -689,6 +695,7 @@ def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
     (state, loops, dividers) without listing any."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
+    _check_shape(two_n, ends)
     if degree < 1:
         return 0
     tails = _completions(two_n, ends, degree - 1)
@@ -724,9 +731,10 @@ def _merge_table(two_n: int, ends: EndSpec, kind: str) -> tuple:
 
 
 class _Assembly(NamedTuple):
-    """The ring-free part of a loop complex: per degree its packed words,
-    their loop counts, and the integer matrix of its boundary, whose entry n
-    stands for n * a^(loops closed)."""
+    """A loop complex as assembled: per degree its packed words, their loop
+    counts, and its boundary matrix over the domain it was written in.  Over
+    ZZ an entry n stands for n * a^(loops closed); over a field the complex
+    has a = 0 and each entry is already its value there."""
 
     words: dict[int, tuple[int, ...]]
     weights: dict[int, tuple[int, ...]]
@@ -734,17 +742,19 @@ class _Assembly(NamedTuple):
 
 
 def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
-              dividers: int | None, subquotient: bool, a_is_zero: bool
-              ) -> _Assembly:
-    """The words, weight labels and integer boundary matrices of a loop
-    complex, which depend on its ring only through whether a = 0.
+              dividers: int | None, subquotient: bool, a_is_zero: bool,
+              domain: CoefficientDomain) -> _Assembly:
+    """The words, weight labels and boundary matrices of a loop complex,
+    with every entry written in domain: a field (Q or F_p) only at a = 0,
+    and ZZ for the integer sums n of the entries n * a^(loops closed).
 
-    Column by column, each deletion adds its sign to the last entry of its
-    row, or opens a new one, and an entry that cancels is removed at once,
-    so every row's columns come out in order with no zero sum; the loops
-    are checked against the weight labels on the way.  At a = 0 every
-    deletion that closes a loop is skipped; in subquotient mode so is every
-    inner merge that changes the divider count.
+    Column by column, each deletion adds its sign, read in domain, to the
+    last entry of its row, or opens a new one, and an entry that cancels
+    (equals the opposite sign) is removed at once, so every row's columns
+    come out in order with no zero value; over F2 two hits of one sign
+    cancel.  The loops are checked against the weight labels on the way.
+    At a = 0 every deletion that closes a loop is skipped; in subquotient
+    mode so is every inner merge that changes the divider count.
     """
     m = _machine(two_n, ends)
     bits, is_div = m.bits, m.is_div
@@ -758,6 +768,7 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         weights[p] = tuple(counts)
 
     slot_mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
+    add = domain.add
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, max_degree + 1):
         row_w, col_w = weights[p - 1], weights[p]
@@ -778,10 +789,12 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
                           + is_div[xy & slot_mask])
                       else (hit[0] << lo, hit[1])
                       for xy, hit in enumerate(_merge_table(two_n, ends, kind))]
+            sign = -1 if i % 2 else 1
             deletions.append((placed, lo, lo + 2 * bits, lo + bits,
-                              (1 << lo) - 1, -1 if i % 2 else 1))
+                              (1 << lo) - 1, domain.from_int(sign),
+                              domain.from_int(-sign)))
         for col, w, w_col in zip(count(), words[p], col_w):
-            for table, lo, hi, mid, low_mask, sign in deletions:
+            for table, lo, hi, mid, low_mask, sign, opposite in deletions:
                 hit = table[(w >> lo) & pair_mask]
                 if hit is None:
                     continue
@@ -801,18 +814,18 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
                 cols = row_cols[row]
                 if cols and cols[-1] == col:
                     sums = row_sums[row]
-                    if sums[-1] == -sign:  # the entry cancels
+                    if sums[-1] == opposite:  # the entry cancels
                         cols.pop()
                         sums.pop()
                     else:
-                        sums[-1] += sign
+                        sums[-1] = add(sums[-1], sign)
                 else:
                     cols.append(col)
                     row_sums[row].append(sign)
         matrices[p] = SparseMatrix.from_rows(
             len(row_w), len(col_w),
             ((r, tuple(cols), tuple(row_sums[r]))
-             for r, cols in enumerate(row_cols) if cols))
+             for r, cols in enumerate(row_cols) if cols), domain)
     return _Assembly(words, weights, matrices)
 
 
@@ -827,20 +840,20 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     divider contribute nothing; every other deletion's target is in the
     basis, and GraffitoError names one that is not.
 
-    The words, labels and integer matrices come from _assemble.  Over Z[a]
-    the integer matrices are stored as they are (see ChainComplexData), and
-    so they are over Z at a = 0, where each sum n stands for n * a^0.  Over
-    a field at a = 0 over_field maps them, and at any other a graded_matrix
-    makes each n into n * a^(loops closed).
+    The words, labels and matrices come from _assemble.  At a = 0 it
+    writes every entry in the ring's own domain (Z, Q or F_p), and the
+    matrices are stored as they are.  At any other a it writes the integer
+    sums n: over Z[a] these are stored as they are (see ChainComplexData),
+    and over any other ring graded_matrix makes each n into
+    n * a^(loops closed), the only second pass over the entries.
     """
     ends, ring = spec.ends, spec.ring
+    a_is_zero = ring.a_is_zero
     asm = _assemble(spec.two_n, ends, spec.max_degree, spec.weight,
-                    spec.dividers, spec.subquotient, ring.a_is_zero)
-    dom = ring.domain
-    if dom.kind == INT_POLY_A or (dom.kind == INTEGERS and ring.a_is_zero):
+                    spec.dividers, spec.subquotient, a_is_zero,
+                    ring.domain if a_is_zero else ZZ)
+    if a_is_zero or ring.domain.kind == INT_POLY_A:
         matrices = asm.matrices
-    elif ring.a_is_zero:
-        matrices = {p: over_field(mat, dom) for p, mat in asm.matrices.items()}
     else:
         matrices = {p: graded_matrix(mat.rows, mat.cols, mat.row_data,
                                      asm.weights[p - 1], asm.weights[p], ring)

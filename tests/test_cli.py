@@ -91,6 +91,16 @@ def test_homology_missing_filters(capsys):
     assert code == 2
 
 
+def test_shapes_and_degrees_no_complex_has_are_usage_errors(capsys):
+    for argv in (("enum", "graffiti", "--two-n", "6", "--ends", "oo", "--count"),
+                 ("enum", "graffiti", "--two-n", "6", "--ends", "oo"),
+                 ("homology", "--complex", "model", "--max-degree", "-1"),
+                 ("homology", "--complex", "word", "--max-degree", "-1"),
+                 ("homology", "--complex", "reduced-loops", "--max-degree", "-2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error: "), argv
+
+
 def test_verify_pass_and_unknown(capsys):
     code, out, _ = run(capsys, "verify", "alpha-boundary")
     assert code == 0 and "[PASS] suite alpha-boundary" in out

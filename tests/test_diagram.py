@@ -70,6 +70,12 @@ def test_enumeration_counts_against_brute_force():
     assert len(enumerate_diagrams(0, 0)) == 1
 
 
+def test_enumeration_refuses_negative_endpoint_counts():
+    for n, m in ((-1, 1), (1, -1), (-2, 2), (0, -2)):
+        with pytest.raises(DiagramError, match="negative"):
+            enumerate_diagrams(n, m)
+
+
 def test_catalan_counts():
     for total in range(0, 13, 2):
         k = total // 2

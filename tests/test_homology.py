@@ -36,6 +36,17 @@ def M(rows, cols, data):
     return SparseMatrix.from_dict(rows, cols, data, ZZ)
 
 
+def test_complexes_refuse_a_negative_max_degree():
+    # every builder hands its complex to ChainComplexData, which refuses it
+    for build in (lambda top: ChainComplexData(Z0, top, {}, {}),
+                  lambda top: build_word_complex(2, top),
+                  lambda top: truncated_complex(minimal_model(4, Z0), top)):
+        with pytest.raises(LinearAlgebraError, match="max_degree"):
+            build(-1)
+        cx = build(0)
+        assert cx.max_degree == 0 and cx.dim(0) == 0
+
+
 # -- independent dense oracles ------------------------------------------------
 
 def dense_rank_q(rows, cols, entries):

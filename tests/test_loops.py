@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib
 import json
 import random
 import tracemalloc
@@ -28,6 +29,8 @@ from conftest import (DEG3_EXAMPLE, DEG3_FACES, DIVIDER_EXAMPLE,
 Z0 = PointedRing.make(ZZ, 0)
 ZAU = PointedRing.make(ZA)
 rng = random.Random(0)
+# the package attribute planarloops.homology is the function, not the module
+homology_module = importlib.import_module("planarloops.homology")
 
 
 @functools.cache
@@ -393,18 +396,43 @@ def test_assembly_checks_loops_against_weights(monkeypatch):
         build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
 
 
+# every kind of spec the CLI and the benchmark build at a = 0
+FIELD_SPECS = [
+    dict(ends=CLOSED, max_degree=4),
+    dict(ends=EndSpec(augmented=True), max_degree=4),
+    *(dict(ends=EndSpec.from_code(code), max_degree=3)
+      for code in ("oo", "oc", "co")),
+    dict(ends=CLOSED, max_degree=5, weight=2),
+    dict(ends=CLOSED, max_degree=5, weight=2, dividers=0, subquotient=True),
+    dict(ends=EndSpec.from_code("oo"), max_degree=5, weight=1, dividers=0,
+         subquotient=True),
+]
+FIELDS = (QQ, prime_field(2), prime_field(3), prime_field(5))
+
+
+def assert_in_domain(mat, dom):
+    for _, _, vals in mat.row_data:
+        for v in vals:
+            dom.validate(v)
+
+
 def test_ring_step_maps_the_integer_assembly():
-    # the words, labels and integer matrices depend on the ring only through
-    # whether a = 0: at a = 0, Q and F_p map those of the Z build, and at
-    # any other a graded_matrix reads those of the Z[a] build
+    # at a = 0 the assembly writes each entry in the field itself, and
+    # mapping the Z build through over_field is the independent reference;
+    # at any other a graded_matrix reads the integer sums of the Z[a] build
+    for spec in FIELD_SPECS:
+        over_z = build_complex(ComplexSpec(4, Z0, **spec))
+        top = spec["max_degree"]
+        for dom in FIELDS:
+            cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), **spec))
+            assert cx.weights == over_z.weights
+            for p in range(top + 1):
+                assert cx.basis[p] == over_z.basis[p]
+            for p in range(1, top + 1):
+                assert cx.matrices[p] == over_field(over_z.matrices[p], dom), \
+                    (spec, dom, p)
+                assert_in_domain(cx.matrices[p], dom)
     spec = dict(ends=CLOSED, max_degree=3)
-    over_z = build_complex(ComplexSpec(4, Z0, **spec))
-    for dom in (QQ, prime_field(2), prime_field(3)):
-        cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), **spec))
-        assert cx.weights == over_z.weights
-        for p in range(1, 4):
-            assert cx.basis[p] == over_z.basis[p]
-            assert cx.boundary(p) == over_field(over_z.boundary(p), dom)
     over_za = build_complex(ComplexSpec(4, ZAU, **spec))
     for ring in (PointedRing.make(prime_field(3), 1), PointedRing.make(ZZ, 2)):
         cx = build_complex(ComplexSpec(4, ring, **spec))
@@ -414,6 +442,75 @@ def test_ring_step_maps_the_integer_assembly():
             assert cx.boundary(p) == graded_matrix(
                 z.rows, z.cols, z.row_data, over_za.weights[p - 1],
                 over_za.weights[p], ring)
+
+
+def test_field_assembly_adds_same_sign_hits(monkeypatch):
+    # no natural complex has an entry of size 2, so fake merge tables make
+    # some: a first merge keeps its first slot, a last merge its last slot,
+    # and an inner merge of two different ids keeps the smaller one (one id
+    # twice is killed).  Then deletions 0 and 2 of (x0, x1, x1, x3) both hit
+    # (x0, x1, x3) with sign +1, and deletions 1 and 3 of (x0, x1, x2, x2, x4)
+    # with x1 < x2 both hit (x0, x1, x2, x4) with sign -1.  Every word gets
+    # weight 0, so the weight check passes.
+    m = loops_module._machine(4, CLOSED)
+    real_words = loops_module._raw_words
+
+    def unweighted_words(*args):
+        words, _ = real_words(*args)
+        return words, [0] * len(words)
+
+    def fake_merge_table(two_n, ends, kind):
+        table = [None] * (1 << 2 * m.bits)
+        if kind == "first":
+            for x in range(len(m.first)):
+                for y in range(len(m.inner)):
+                    table[x << m.bits | y] = x, 0
+        elif kind == "last":
+            for y in range(len(m.inner)):
+                for z in range(len(m.last)):
+                    table[y << m.bits | z] = z, 0
+        elif kind == "inner":
+            for y in range(len(m.inner)):
+                for z in range(len(m.inner)):
+                    if y != z:
+                        table[y << m.bits | z] = min(y, z), 0
+        return tuple(table)
+
+    monkeypatch.setattr(loops_module, "_raw_words", unweighted_words)
+    monkeypatch.setattr(loops_module, "_merge_table", fake_merge_table)
+    build = lambda dom: build_complex(
+        ComplexSpec(4, PointedRing.make(dom, 0), CLOSED, max_degree=4))
+    over_z = build(ZZ)
+    entries = {p: {(r, c): v for r, c, v in over_z.matrices[p].entries}
+               for p in (3, 4)}
+    assert 2 in entries[3].values() and -2 in entries[4].values()
+    f2, f3 = prime_field(2), prime_field(3)
+    over_f2, over_f3 = build(f2), build(f3)
+    for p in (3, 4):
+        # an entry of size 2 vanishes over F2 and is 2 or 1 over F3
+        assert {(r, c) for r, c, _ in over_f2.matrices[p].entries} == {
+            rc for rc, n in entries[p].items() if n % 2}
+        assert {(r, c): v for r, c, v in over_f3.matrices[p].entries} == {
+            rc: f3.from_int(n) for rc, n in entries[p].items()}
+    for dom in FIELDS:
+        cx = build(dom)
+        for p in range(1, 5):
+            assert cx.matrices[p] == over_field(over_z.matrices[p], dom), (dom, p)
+            assert_in_domain(cx.matrices[p], dom)
+
+
+def test_field_builds_at_a_zero_map_no_integer_matrix(monkeypatch):
+    # a field build at a = 0 writes its values in one pass; no integer
+    # matrix is assembled and then read again
+    def refuse(*args, **kwargs):
+        raise AssertionError("over_field called by a field build at a = 0")
+
+    monkeypatch.setattr(homology_module, "over_field", refuse)
+    monkeypatch.setattr(loops_module, "over_field", refuse, raising=False)
+    for dom in FIELDS:
+        for spec in (FIELD_SPECS[0], FIELD_SPECS[-1]):
+            build_complex(ComplexSpec(4, PointedRing.make(dom, 0),
+                                      **{**spec, "max_degree": 3}))
 
 
 def test_basis_slices_like_its_strings():
@@ -510,6 +607,23 @@ def test_count_graffiti_matches_enumeration(ends):
             for j in (None, *range(p + 1)):
                 assert (count_graffiti(p, 4, ends, w, j)
                         == len(enumerate_graffiti(p, 4, ends, w, j))), (p, w, j)
+
+
+def test_listings_refuse_shapes_no_complex_has():
+    # a height or end shape that ComplexSpec refuses is refused by the
+    # counting and the listing too, in every degree
+    for two_n, code in ((6, "oo"), (6, "oc"), (2, "co"), (0, "cc"), (3, "cc"),
+                        (-4, "cc")):
+        ends = EndSpec.from_code(code)
+        with pytest.raises(GraffitoError):
+            ComplexSpec(two_n, Z0, ends)
+        for p in (0, 2):
+            with pytest.raises(GraffitoError):
+                count_graffiti(p, two_n, ends)
+            with pytest.raises(GraffitoError):
+                enumerate_graffiti(p, two_n, code)
+    assert count_graffiti(1, 6) == len(enumerate_graffiti(1, 6)) == 25
+    assert count_graffiti(2, 4, "oo") == len(enumerate_graffiti(2, 4, "oo"))
 
 
 def test_count_graffiti_degree_7_without_listing():
