@@ -419,13 +419,13 @@ class _SparseSNF:
 
     A is never written to: a row of R stays A's (cols, vals) until a row
     operation first writes to it and copies it into a dict.  A pivot whose
-    column no other row holds needs no row operation: without transforms
-    its row just leaves R.  At the first row operation, when every row of R
-    is still stored, the rows holding column c are listed in an index
-    transposed from them (a flat list of row ids with per-column offsets),
-    and from then on in extra[c] once they gain c by fill-in; a listed row
-    that has pivoted or lost c is skipped.  A sweep that needs no row
-    operation makes no index.
+    column no other row holds needs no row operation: its row just leaves
+    R, and with transforms joins pivots.  At the first row operation, when
+    every row of R is still stored, the rows holding column c are listed in
+    an index transposed from them (a flat list of row ids with per-column
+    offsets), and from then on in extra[c] once they gain c by fill-in; a
+    listed row that has pivoted or lost c is skipped.  A sweep that needs
+    no row operation makes no index.
 
     Rows in cleared are dropped before the sweep.  homology() reduces d_1,
     d_2, ... in one chain and clears the rows of d_{p+1} at the sweep pivot
@@ -529,11 +529,14 @@ class _SparseSNF:
                 heapq.heappush(heap, best)
                 continue
             c0 = best[2]
-            if count[c0] == 1 and not transforms:
+            if count[c0] == 1:
                 # no other row holds c0, so no row operation is due
-                for c in _entries(R.pop(r0))[0]:
+                cs, vs = _entries(R.pop(r0))
+                for c in cs:
                     count[c] -= 1
                 self.pivot_cols.add(c0)
+                if transforms:
+                    self.pivots.append((r0, c0, dict(zip(cs, vs))))
                 continue
             if index is None:
                 # no row has been written yet, so R holds stored rows, and

@@ -17,12 +17,11 @@ from functools import lru_cache
 from itertools import chain, count
 from typing import NamedTuple
 
-from .coeff import (INT_POLY_A, ZZ, CoefficientDomain, LinearCombination,
-                    PointedRing)
+from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
                       enumerate_diagrams, slice_diagram, unslice)
-from .homology import Basis, ChainComplexData, SparseMatrix, graded_matrix
+from .homology import Basis, ChainComplexData, SparseMatrix
 
 
 class GraffitoError(ValueError):
@@ -465,8 +464,10 @@ class ComplexSpec:
                 raise GraffitoError("filtered complexes are not augmented")
 
 
-def _check_shape(two_n: int, ends: EndSpec) -> None:
-    """Refuse a height or an end shape no loop complex has."""
+def _check_shape(two_n: int, ends: EndSpec, degree: int = 0) -> None:
+    """Refuse a height, an end shape or a degree no loop complex has."""
+    if degree < 0:
+        raise GraffitoError("degree must not be negative")
     if two_n % 2 or two_n <= 0:
         raise GraffitoError("two_n must be a positive even integer")
     if (ends.left_open or ends.right_open) and two_n != 4:
@@ -489,7 +490,7 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
     """All degree-p basis systems passing the filters, canonical order."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
-    _check_shape(two_n, ends)
+    _check_shape(two_n, ends, degree)
     words, _ = _raw_words(degree, two_n, ends, weight, dividers)
     m = _machine(two_n, ends)
     out = []
@@ -695,7 +696,7 @@ def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
     (state, loops, dividers) without listing any."""
     if isinstance(ends, str):
         ends = EndSpec.from_code(ends)
-    _check_shape(two_n, ends)
+    _check_shape(two_n, ends, degree)
     if degree < 1:
         return 0
     tails = _completions(two_n, ends, degree - 1)
@@ -731,10 +732,10 @@ def _merge_table(two_n: int, ends: EndSpec, kind: str) -> tuple:
 
 
 class _Assembly(NamedTuple):
-    """A loop complex as assembled: per degree its packed words, their loop
-    counts, and its boundary matrix over the domain it was written in.  Over
-    ZZ an entry n stands for n * a^(loops closed); over a field the complex
-    has a = 0 and each entry is already its value there."""
+    """A loop complex as assembled at a pointed ring (R, a): per degree its
+    packed words, their loop counts, and its boundary matrix over R, each
+    entry a sum of sign * a^(loops closed).  Z[a] is assembled at (Z, 1),
+    so its entries are the integers n of n * a^(w_col - w_row)."""
 
     words: dict[int, tuple[int, ...]]
     weights: dict[int, tuple[int, ...]]
@@ -742,22 +743,23 @@ class _Assembly(NamedTuple):
 
 
 def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
-              dividers: int | None, subquotient: bool, a_is_zero: bool,
-              domain: CoefficientDomain) -> _Assembly:
+              dividers: int | None, subquotient: bool,
+              ring: PointedRing) -> _Assembly:
     """The words, weight labels and boundary matrices of a loop complex,
-    with every entry written in domain: a field (Q or F_p) only at a = 0,
-    and ZZ for the integer sums n of the entries n * a^(loops closed).
+    with every entry written in the domain of ring.
 
-    Column by column, each deletion adds its sign, read in domain, to the
-    last entry of its row, or opens a new one, and an entry that cancels
-    (equals the opposite sign) is removed at once, so every row's columns
-    come out in order with no zero value; over F2 two hits of one sign
-    cancel.  The loops are checked against the weight labels on the way.
-    At a = 0 every deletion that closes a loop is skipped; in subquotient
-    mode so is every inner merge that changes the divider count.
+    A deletion with sign s that closes k loops writes s * a^k; its merge
+    table entry carries that value and its opposite, and a deletion whose
+    value vanishes (k > 0 at a = 0) is skipped, as in subquotient mode is
+    every inner merge that changes the divider count.  Column by column,
+    each deletion adds its value to the last entry of its row, or opens a
+    new one, and an entry that cancels (equals the opposite value) is
+    removed at once, so every row's columns come out in order with no zero
+    value.  The loops are checked against the weight labels on the way.
     """
     m = _machine(two_n, ends)
     bits, is_div = m.bits, m.is_div
+    dom = ring.domain
 
     # the empty system is word 0 of degree 0
     words: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
@@ -768,12 +770,12 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         weights[p] = tuple(counts)
 
     slot_mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
-    add = domain.add
+    add = dom.add
     matrices: dict[int, SparseMatrix] = {}
     for p in range(1, max_degree + 1):
         row_w, col_w = weights[p - 1], weights[p]
         row_cols: list[list[int]] = [[] for _ in row_w]
-        row_sums: list[list[int]] = [[] for _ in row_w]
+        row_sums: list[list[object]] = [[] for _ in row_w]
         index = dict(zip(words[p - 1], count()))
         if p == 1:
             kinds = ["one"] if ends.augmented else []
@@ -782,23 +784,23 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         deletions = []
         for i, kind in enumerate(kinds):
             lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
-            # each hit with its merged id moved into place
+            # each hit: merged id moved into place, loops, value, opposite
             sq = subquotient and kind == "inner"
-            placed = [None if hit is None or (hit[1] and a_is_zero)
+            sign = dom.from_int(-1 if i % 2 else 1)
+            placed = [None if hit is None
                       or (sq and is_div[hit[0]] != is_div[xy >> bits]
                           + is_div[xy & slot_mask])
-                      else (hit[0] << lo, hit[1])
+                      or dom.is_zero(v := dom.mul(sign, ring.a_power(hit[1])))
+                      else (hit[0] << lo, hit[1], v, dom.neg(v))
                       for xy, hit in enumerate(_merge_table(two_n, ends, kind))]
-            sign = -1 if i % 2 else 1
             deletions.append((placed, lo, lo + 2 * bits, lo + bits,
-                              (1 << lo) - 1, domain.from_int(sign),
-                              domain.from_int(-sign)))
+                              (1 << lo) - 1))
         for col, w, w_col in zip(count(), words[p], col_w):
-            for table, lo, hi, mid, low_mask, sign, opposite in deletions:
+            for table, lo, hi, mid, low_mask in deletions:
                 hit = table[(w >> lo) & pair_mask]
                 if hit is None:
                     continue
-                merged, loops = hit
+                merged, loops, value, opposite = hit
                 try:
                     row = index[(w >> hi << mid) | merged | (w & low_mask)]
                 except KeyError:
@@ -818,14 +820,14 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
                         cols.pop()
                         sums.pop()
                     else:
-                        sums[-1] = add(sums[-1], sign)
+                        sums[-1] = add(sums[-1], value)
                 else:
                     cols.append(col)
-                    row_sums[row].append(sign)
+                    row_sums[row].append(value)
         matrices[p] = SparseMatrix.from_rows(
             len(row_w), len(col_w),
             ((r, tuple(cols), tuple(row_sums[r]))
-             for r, cols in enumerate(row_cols) if cols), domain)
+             for r, cols in enumerate(row_cols) if cols), dom)
     return _Assembly(words, weights, matrices)
 
 
@@ -840,24 +842,15 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     divider contribute nothing; every other deletion's target is in the
     basis, and GraffitoError names one that is not.
 
-    The words, labels and matrices come from _assemble.  At a = 0 it
-    writes every entry in the ring's own domain (Z, Q or F_p), and the
-    matrices are stored as they are.  At any other a it writes the integer
-    sums n: over Z[a] these are stored as they are (see ChainComplexData),
-    and over any other ring graded_matrix makes each n into
-    n * a^(loops closed), the only second pass over the entries.
+    The words, labels and matrices come from _assemble and are stored as
+    they are, over every ring: each entry is a sum of sign * a^(loops
+    closed) in the ring, and Z[a] is assembled at (Z, 1), whose entries are
+    the integers n of n * a^(w_col - w_row) that ChainComplexData keeps.
     """
     ends, ring = spec.ends, spec.ring
-    a_is_zero = ring.a_is_zero
+    at = PointedRing.make(ZZ, 1) if ring.domain.kind == INT_POLY_A else ring
     asm = _assemble(spec.two_n, ends, spec.max_degree, spec.weight,
-                    spec.dividers, spec.subquotient, a_is_zero,
-                    ring.domain if a_is_zero else ZZ)
-    if a_is_zero or ring.domain.kind == INT_POLY_A:
-        matrices = asm.matrices
-    else:
-        matrices = {p: graded_matrix(mat.rows, mat.cols, mat.row_data,
-                                     asm.weights[p - 1], asm.weights[p], ring)
-                    for p, mat in asm.matrices.items()}
+                    spec.dividers, spec.subquotient, at)
 
     label = f"loops(2n={spec.two_n}, ends={ends.code}"
     if ends.augmented:
@@ -870,7 +863,7 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     unaugmented = EndSpec(ends.left_open, ends.right_open)
     basis = {p: Basis(ws, _Spelling(spec.two_n, unaugmented, p))
              for p, ws in asm.words.items()}
-    return ChainComplexData(ring, spec.max_degree, basis, matrices,
+    return ChainComplexData(ring, spec.max_degree, basis, asm.matrices,
                             weights=asm.weights, description=label)
 
 

@@ -94,6 +94,7 @@ def test_homology_missing_filters(capsys):
 def test_shapes_and_degrees_no_complex_has_are_usage_errors(capsys):
     for argv in (("enum", "graffiti", "--two-n", "6", "--ends", "oo", "--count"),
                  ("enum", "graffiti", "--two-n", "6", "--ends", "oo"),
+                 ("enum", "graffiti", "--degree", "-2", "--count"),
                  ("homology", "--complex", "model", "--max-degree", "-1"),
                  ("homology", "--complex", "word", "--max-degree", "-1"),
                  ("homology", "--complex", "reduced-loops", "--max-degree", "-2")):

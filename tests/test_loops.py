@@ -416,10 +416,15 @@ def assert_in_domain(mat, dom):
             dom.validate(v)
 
 
+A_NONZERO_RINGS = (PointedRing.make(prime_field(3), 1), PointedRing.make(ZZ, 2),
+                   PointedRing.make(QQ, -2), PointedRing.make(prime_field(5), 2),
+                   PointedRing.make(ZZ, -1))
+
+
 def test_ring_step_maps_the_integer_assembly():
     # at a = 0 the assembly writes each entry in the field itself, and
     # mapping the Z build through over_field is the independent reference;
-    # at any other a graded_matrix reads the integer sums of the Z[a] build
+    # at any other a, graded_matrix of the Z[a] build's integer sums is one
     for spec in FIELD_SPECS:
         over_z = build_complex(ComplexSpec(4, Z0, **spec))
         top = spec["max_degree"]
@@ -432,16 +437,33 @@ def test_ring_step_maps_the_integer_assembly():
                 assert cx.matrices[p] == over_field(over_z.matrices[p], dom), \
                     (spec, dom, p)
                 assert_in_domain(cx.matrices[p], dom)
-    spec = dict(ends=CLOSED, max_degree=3)
-    over_za = build_complex(ComplexSpec(4, ZAU, **spec))
-    for ring in (PointedRing.make(prime_field(3), 1), PointedRing.make(ZZ, 2)):
-        cx = build_complex(ComplexSpec(4, ring, **spec))
-        assert cx.weights == over_za.weights
-        for p in range(1, 4):
-            z = over_za.matrices[p]  # integer; boundary(p) reads it over Z[a]
-            assert cx.boundary(p) == graded_matrix(
-                z.rows, z.cols, z.row_data, over_za.weights[p - 1],
-                over_za.weights[p], ring)
+    for spec in FIELD_SPECS[:5]:
+        over_za = build_complex(ComplexSpec(4, ZAU, **spec))
+        top = spec["max_degree"]
+        for ring in A_NONZERO_RINGS:
+            cx = build_complex(ComplexSpec(4, ring, **spec))
+            assert cx.weights == over_za.weights
+            for p in range(1, top + 1):
+                z = over_za.matrices[p]  # integer; boundary(p) reads it over Z[a]
+                assert cx.matrices[p] == graded_matrix(
+                    z.rows, z.cols, z.row_data, over_za.weights[p - 1],
+                    over_za.weights[p], ring), (spec, ring, p)
+                assert_in_domain(cx.matrices[p], ring.domain)
+
+
+def test_builds_render_no_graded_entries(monkeypatch):
+    # every ring, Z[a] included, is assembled in one pass at its own (R, a);
+    # no build hands integer sums to graded_matrix afterwards
+    def refuse(*args, **kwargs):
+        raise AssertionError("graded_matrix called by build_complex")
+
+    monkeypatch.setattr(homology_module, "graded_matrix", refuse)
+    monkeypatch.setattr(loops_module, "graded_matrix", refuse, raising=False)
+    rings = (ZAU, *(PointedRing.make(dom, 0) for dom in (ZZ, *FIELDS)),
+             *A_NONZERO_RINGS)
+    for ring in rings:
+        for spec in FIELD_SPECS[:5]:
+            build_complex(ComplexSpec(4, ring, **{**spec, "max_degree": 3}))
 
 
 def test_field_assembly_adds_same_sign_hits(monkeypatch):
@@ -622,6 +644,12 @@ def test_listings_refuse_shapes_no_complex_has():
                 count_graffiti(p, two_n, ends)
             with pytest.raises(GraffitoError):
                 enumerate_graffiti(p, two_n, code)
+    # and so is a negative degree; degree 0 stays valid
+    with pytest.raises(GraffitoError):
+        count_graffiti(-1)
+    with pytest.raises(GraffitoError):
+        enumerate_graffiti(-3, 4, "oo")
+    assert count_graffiti(0) == len(enumerate_graffiti(0)) == 0
     assert count_graffiti(1, 6) == len(enumerate_graffiti(1, 6)) == 25
     assert count_graffiti(2, 4, "oo") == len(enumerate_graffiti(2, 4, "oo"))
 
