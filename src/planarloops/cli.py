@@ -28,10 +28,10 @@ def _cmd_enum(args) -> int:
     if args.kind == "diagrams":
         items = [d.encode() for d in enumerate_diagrams(args.n, args.m)]
     elif args.kind == "letters":
-        if args.kl is None or args.kr is None:
-            kinds = [(2, 2), (0, 2), (2, 0), (0, 0)]
-        else:
-            kinds = [(args.kl, args.kr)]
+        if (args.kl is None) != (args.kr is None):
+            raise DiagramError("letters take --kl and --kr together, or neither")
+        kinds = ([(2, 2), (0, 2), (2, 0), (0, 0)] if args.kl is None
+                 else [(args.kl, args.kr)])
         items = [l.encode() for kl, kr in kinds for l in enumerate_letters(kl, kr)]
     else:
         ends = EndSpec.from_code(args.ends)

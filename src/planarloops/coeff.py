@@ -2,12 +2,12 @@
 
 Every computation in this package is exact; there is no floating point
 anywhere.  A domain owns the arithmetic, validation and canonical text forms
-of raw values (python ints, Fractions, ints mod p, or sparse exponent tuples
-for Z[a]); values carry no domain tag, so the caller keeps each with its
-domain.  Pointed rings (R, a) bundle a domain with a chosen element a, the
-value substituted for each closed loop, and LinearCombination is the
-free-module arithmetic over a pointed ring that loop chains and model
-polynomials share.
+of raw values (python ints for Z; ints for Q too, with a Fraction only where
+a division makes a non-integer; ints mod p; sparse exponent tuples for Z[a]);
+values carry no domain tag, so the caller keeps each with its domain.
+Pointed rings (R, a) bundle a domain with a chosen element a, the value
+substituted for each closed loop, and LinearCombination is the free-module
+arithmetic over a pointed ring that loop chains and model polynomials share.
 """
 
 from __future__ import annotations
@@ -73,27 +73,17 @@ class CoefficientDomain:
 
     # -- constants ---------------------------------------------------------
     def zero(self):
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        if self.kind == INT_POLY_A:
-            return ()
-        return 0
+        return () if self.kind == INT_POLY_A else 0
 
     def one(self):
-        if self.kind == RATIONALS:
-            return Fraction(1)
-        if self.kind == INT_POLY_A:
-            return ((0, 1),)
-        return 1
+        return ((0, 1),) if self.kind == INT_POLY_A else 1
 
     def from_int(self, n: int):
-        if self.kind == INTEGERS:
-            return n
-        if self.kind == RATIONALS:
-            return Fraction(n)
         if self.kind == PRIME_FIELD:
             return n % self.p
-        return _poly_canonical([(0, n)])
+        if self.kind == INT_POLY_A:
+            return _poly_canonical([(0, n)])
+        return n
 
     # -- arithmetic on raw values -----------------------------------------
     def add(self, s, t):
@@ -133,7 +123,7 @@ class CoefficientDomain:
         if self.kind == RATIONALS:
             if s == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(s)
+            return s if s in (1, -1) else Fraction(1, s)
         if self.kind == PRIME_FIELD:
             if s % self.p == 0:
                 raise ZeroDivisionError("inverse of 0")
@@ -141,13 +131,17 @@ class CoefficientDomain:
         raise DomainError(f"{self.kind} is not a field")
 
     def validate(self, s) -> None:
-        """Reject raw values that are not in canonical form for this domain."""
+        """Reject raw values that are not in canonical form for this domain.
+
+        A Q value is an int (not a bool) or a Fraction; the two compare,
+        hash and print alike wherever they are equal.
+        """
         if self.kind == INTEGERS:
             if not isinstance(s, int) or isinstance(s, bool):
                 raise DomainError(f"not an integer: {s!r}")
         elif self.kind == RATIONALS:
-            if not isinstance(s, Fraction):
-                raise DomainError(f"not a Fraction: {s!r}")
+            if not isinstance(s, (int, Fraction)) or isinstance(s, bool):
+                raise DomainError(f"not a rational: {s!r}")
         elif self.kind == PRIME_FIELD:
             if not isinstance(s, int) or not 0 <= s < self.p:
                 raise DomainError(f"not reduced mod {self.p}: {s!r}")
@@ -204,9 +198,13 @@ class CoefficientDomain:
                 raise DomainError(f"bad integer literal {text!r}")
             return int(text)
         if self.kind == RATIONALS:
-            if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            m = re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", text)
+            if not m:
                 raise DomainError(f"bad rational literal {text!r}")
-            return Fraction(text)
+            if m.group(1) is not None and int(m.group(1)) == 0:
+                raise DomainError(f"zero denominator in {text!r}")
+            q = Fraction(text)
+            return q.numerator if q.denominator == 1 else q
         if self.kind == PRIME_FIELD:
             m = re.fullmatch(r"(-?[0-9]+)(\s*mod\s*([0-9]+))?", text)
             if not m:

@@ -33,13 +33,13 @@ class SparseMatrix:
     row_data holds each nonempty row once, in ascending row order, as
     (r, cols, vals): cols a strictly increasing tuple of column indices and
     vals the tuple of their values, none of them zero.  Every domain's zero
-    (0, Fraction(0), the empty Z[a] tuple) is falsy, so all(vals) is the
-    zero test.  The constructor takes (r, c, v) triples in row-major order
-    and groups them; from_rows takes rows as they are stored.  Both run the
-    same check, once per row, and a row that fails it is scanned entry by
-    entry to name the fault.  over_field and weight_decompose derive rows
-    from a checked matrix that stay in order and nonzero, and store them
-    without a second check.  entries spells the triples afresh on each read.
+    (0, the empty Z[a] tuple) is falsy, so all(vals) is the zero test.  The
+    constructor takes (r, c, v) triples in row-major order and groups them;
+    from_rows takes rows as they are stored.  Both run the same check, once
+    per row, and a row that fails it is scanned entry by entry to name the
+    fault.  over_field and weight_decompose derive rows from a checked matrix
+    that stay in order and nonzero, and store them without a second check.
+    entries spells the triples afresh on each read.
     """
 
     rows: int
@@ -551,8 +551,8 @@ class _SparseSNF:
             # the pivot row leaves R now, so the visit below skips it
             row0 = dict(zip(*_entries(R.pop(r0))))
             v = row0[c0]
-            # a unit is its own inverse; dom.inv keeps a plain int pivot of
-            # a QQ matrix exact
+            # a unit is its own inverse; over Q any other pivot's inverse is
+            # a Fraction, and the rows it reaches hold Fractions from then on
             inv = v if v in (1, -1) else dom.inv(v)
             touched = []
             for r in chain(index[start[c0]:start[c0 + 1]], extra.pop(c0, ())):

@@ -43,6 +43,19 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_lone_letter_end_flag_is_a_usage_error(capsys):
+    # --kl and --kr name one letter kind together; one alone is refused
+    for flag in ("--kl", "--kr"):
+        code, out, err = run(capsys, "enum", "letters", flag, "2", "--count")
+        assert code == 2 and not out and err.startswith("error: "), flag
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "export", "--target", "chain", "--ring", "q",
+                         "1/0*" + PHI_X_TEXT)
+    assert code == 2 and not out and "zero denominator" in err
+
+
 def test_homology_subquotient(capsys):
     code, out, _ = run(capsys, "--json", "homology", "--complex", "subquotient",
                        "--w", "2", "--j", "0", "--ring", "z", "--max-degree", "5")

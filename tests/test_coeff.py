@@ -22,6 +22,22 @@ def test_rational_arith():
     assert QQ.add(QQ.parse("1/2"), QQ.parse("1/3")) == QQ.parse("5/6")
 
 
+def test_rational_values_are_ints_where_integral():
+    assert {type(QQ.zero()), type(QQ.one()), type(QQ.from_int(-3))} == {int}
+    for bad in (True, 0.5, "1"):
+        with pytest.raises(DomainError):
+            QQ.validate(bad)
+    assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+    assert type(QQ.inv(1)) is int and type(QQ.inv(-1)) is int
+    assert QQ.inv(-1) == -1
+    assert QQ.inv(2) == Fraction(1, 2)
+
+
+def test_rational_zero_denominator_is_a_domain_error():
+    with pytest.raises(DomainError, match="zero denominator"):
+        QQ.parse("1/0")
+
+
 def test_composite_modulus_rejected():
     with pytest.raises(DomainError):
         prime_field(6)
@@ -34,7 +50,9 @@ def _random_value(rng, domain):
     if domain is ZZ:
         return rng.randint(-30, 30)
     if domain is QQ:
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        # an int, or a Fraction (integral or not), so operands mix the two
+        n = rng.randint(-20, 20)
+        return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, 9))
     if domain.kind == "prime_field":
         return rng.randrange(domain.p)
     terms = {rng.randint(0, 3): rng.randint(-5, 5) for _ in range(rng.randint(0, 3))}

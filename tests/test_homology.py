@@ -1094,6 +1094,38 @@ def test_homology_table_universal_coefficients():
     assert all(h.basis_size == 1 for groups in table.values() for h in groups)
 
 
+# builds over Q store ints, as over Z: every entry here is an integer, and a
+# Fraction appears only where a division makes a non-integer.  Each case is
+# (build, pinned (free rank, torsion) of H_1, ..., H_{max_degree - 1}).
+def _q(a):
+    return PointedRing.make(QQ, a)
+
+
+Q_BUILDS = {
+    **{f"closed a={a}": (
+        lambda a=a: build_complex(ComplexSpec(4, _q(a), CLOSED, max_degree=4)),
+        [(1, ()), (0, ()), (0, ())]) for a in (0, 1, -2)},
+    "w=2": (lambda: build_complex(ComplexSpec(4, _q(0), CLOSED, max_degree=5,
+                                              weight=2)),
+            [(0, ())] * 4),
+    "w=2 j=0": (lambda: build_complex(ComplexSpec(
+        4, _q(0), CLOSED, max_degree=5, weight=2, dividers=0, subquotient=True)),
+                [(0, ()), (0, ()), (1, ()), (0, ())]),
+    "model": (lambda: truncated_complex(minimal_model(4, _q(0)), 5),
+              [(1, ()), (0, ()), (0, ()), (1, ())]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_BUILDS))
+def test_rational_builds_store_ints(name):
+    build, groups = Q_BUILDS[name]
+    cx = build()
+    assert {type(v) for mat in cx.matrices.values()
+            for _, _, vs in mat.row_data for v in vs} == {int}
+    assert [(h.free_rank, h.torsion)
+            for h in homology(cx, range(1, cx.max_degree))] == groups
+
+
 def test_homology_table_needs_integer_complex():
     za = build_complex(ComplexSpec(4, PointedRing.make(ZA), CLOSED, max_degree=2))
     with pytest.raises(DomainError):

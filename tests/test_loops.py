@@ -697,9 +697,9 @@ def test_complex_dumps_are_pinned(ends, ring):
     assert _dump_digest(build_complex(spec)) == DUMP_DIGESTS[ends, ring]
 
 
-# the same digest over the rings the table above leaves out: the Fraction
-# zero of Q (its dump spells the same bytes as the Z one), and the
-# conversion n * a^(loops closed) at a nonzero a
+# the same digest over the rings the table above leaves out: Q, whose
+# integral values are ints (its dump spells the same bytes as the Z one), and
+# the conversion n * a^(loops closed) at a nonzero a
 RING_DUMP_DIGESTS = {
     ("q", 0): "c050f8ad9fe703636e20d4735b0a9f154c95f2c25d99e8b89953bafc00afd4e4",
     ("f3", 1): "f0f3cf90a9ea80aa061df04414392eca907d33ffa944f68dfd697d4eaa979b14",
