@@ -143,10 +143,14 @@ class CoefficientDomain:
             if not isinstance(s, (int, Fraction)) or isinstance(s, bool):
                 raise DomainError(f"not a rational: {s!r}")
         elif self.kind == PRIME_FIELD:
-            if not isinstance(s, int) or not 0 <= s < self.p:
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < self.p:
                 raise DomainError(f"not reduced mod {self.p}: {s!r}")
         else:
-            if s != _poly_canonical(s):
+            try:
+                canonical = s == _poly_canonical(s)
+            except (TypeError, ValueError):
+                raise DomainError(f"not a polynomial: {s!r}") from None
+            if not canonical:
                 raise DomainError(f"polynomial not canonical: {s!r}")
             for e, _ in s:
                 if e < 0:

@@ -129,8 +129,11 @@ class SparseMatrix:
         return out
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
-        """The product, one row of self at a time against the rows of other,
-        so the rows come out in order."""
+        """The product by a sparse accumulator (Gustavson 1978), row by row,
+        so the rows come out in order: a row of self adds the rows of other
+        it picks into one list of other.cols zeros (plain ints over Z), the
+        touched columns are tested at C speed, and only a row that left
+        something nonzero emits it and sets those columns back to zero."""
         if self.cols != other.rows:
             raise LinearAlgebraError("shape mismatch in matrix product")
         dom = self.domain
@@ -138,23 +141,34 @@ class SparseMatrix:
             raise LinearAlgebraError(
                 f"domain mismatch in matrix product: {dom!r} and {other.domain!r}")
         integers = dom.kind == INTEGERS  # plain int arithmetic
-        right = {k: (cs, vs) for k, cs, vs in other.row_data}
+        add, scale, zero = dom.add, dom.mul, dom.zero()
+        right_cols, right_vals = [()] * other.rows, [()] * other.rows
+        for k, cs, vs in other.row_data:
+            right_cols[k], right_vals[k] = cs, vs
+        acc = [zero] * other.cols
         out = []
         for r, cs, vs in self.row_data:
-            acc: dict[int, object] = {}
             for k, v in zip(cs, vs):
-                if k not in right:
-                    continue
-                if integers:
-                    for c, w in zip(*right[k]):
-                        acc[c] = acc.get(c, 0) + v * w
+                if not integers:
+                    for c, w in zip(right_cols[k], right_vals[k]):
+                        acc[c] = add(acc[c], scale(v, w))
+                elif v == 1:
+                    for c, w in zip(right_cols[k], right_vals[k]):
+                        acc[c] += w
+                elif v == -1:
+                    for c, w in zip(right_cols[k], right_vals[k]):
+                        acc[c] -= w
                 else:
-                    for c, w in zip(*right[k]):
-                        acc[c] = dom.add(acc.get(c, dom.zero()), dom.mul(v, w))
-            # the sums that cancelled are falsy
-            nonzero = sorted(c for c, s in acc.items() if s)
-            if nonzero:
-                out.append((r, tuple(nonzero), tuple(map(acc.__getitem__, nonzero))))
+                    for c, w in zip(right_cols[k], right_vals[k]):
+                        acc[c] += v * w
+            touched = chain.from_iterable(map(right_cols.__getitem__, cs))
+            if any(map(acc.__getitem__, touched)):
+                touched = sorted(set(chain.from_iterable(
+                    map(right_cols.__getitem__, cs))))
+                row = nonzero_row(touched, map(acc.__getitem__, touched))
+                out.append((r, *row))
+                for c in row[0]:
+                    acc[c] = zero
         return SparseMatrix.from_rows(self.rows, other.cols, out, dom)
 
     def to_triples(self) -> list[list]:
@@ -953,13 +967,29 @@ def solve_integer(A: SparseMatrix, b: dict[int, int]) -> dict[int, int] | None:
     """
     if any(not 0 <= r < A.rows for r in b):
         raise LinearAlgebraError("vector index out of range")
+    b = _in_domain(ZZ, b)
     x = _SparseSNF(A, transforms=True).solve(b)
-    if x is not None and A.apply(x) != {r: v for r, v in b.items() if v}:
+    if x is not None and A.apply(x) != b:
         raise LinearAlgebraError("integral solution failed its check A x = b")
     return x
 
 
+def _in_domain(dom: CoefficientDomain, vec: dict[int, object]) -> dict[int, object]:
+    """vec without its zeros, in dom: a plain int is read through from_int,
+    any other value must pass validate (DomainError)."""
+    out = {}
+    for i, v in vec.items():
+        if type(v) is int:  # not a bool
+            v = dom.from_int(v)
+        else:
+            dom.validate(v)
+        if not dom.is_zero(v):
+            out[i] = v
+    return out
+
+
 def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
+    vec = _in_domain(c.ring.domain, vec)
     if p == 0:
         return True
     return not c.boundary(p).apply(vec)
@@ -974,7 +1004,7 @@ def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     if p + 1 > c.max_degree:
         raise LinearAlgebraError("degree out of trusted range for is_boundary")
     dom = c.ring.domain
-    vec = {i: v for i, v in vec.items() if not dom.is_zero(v)}
+    vec = _in_domain(dom, vec)
     if not vec:
         return True
     A = c.boundary(p + 1)
@@ -982,8 +1012,7 @@ def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
         return solve_integer(A, vec) is not None
     if dom.is_field():
         data = {(r, col): v for r, col, v in A.entries}
-        data.update({(i, A.cols): dom.from_int(v) if isinstance(v, int) else v
-                     for i, v in vec.items()})
+        data.update({(i, A.cols): v for i, v in vec.items()})
         augmented = SparseMatrix.from_dict(A.rows, A.cols + 1, data, dom)
         return rank_over_field(augmented, dom) == rank_over_field(A, dom)
     raise DomainError("is_boundary needs Z or field coefficients")

@@ -748,16 +748,22 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     """The words, weight labels and boundary matrices of a loop complex,
     with every entry written in the domain of ring.
 
-    A deletion with sign s that closes k loops writes s * a^k; its merge
-    table entry carries that value and its opposite, and a deletion whose
-    value vanishes (k > 0 at a = 0) is skipped, as in subquotient mode is
-    every inner merge that changes the divider count.  Column by column,
-    each deletion adds its value to the last entry of its row, or opens a
-    new one, and an entry that cancels (equals the opposite value) is
-    removed at once, so every row's columns come out in order with no zero
-    value.  The loops are checked against the weight labels on the way.
+    A deletion with sign s that closes k loops writes s * a^k, read with
+    its opposite from values[s][k], made once per build for every k a
+    merge closes; a deletion whose value vanishes (None there: k > 0 at
+    a = 0) is skipped, as in subquotient mode is every inner merge that
+    changes the divider count.  Column by column, each deletion adds its
+    value to the last entry of its row, or opens a new one, and an entry
+    that cancels (equals the opposite value) is removed at once, so every
+    row's columns come out in order with no zero value.  The loops are
+    checked against the weight labels on the way.
+
+    The machine, walks and merge tables are those of the ends without
+    augmentation, which has the same slot pools, so an augmented build
+    reuses the closed tables and adds only word 0 and the "one" deletion.
     """
-    m = _machine(two_n, ends)
+    base = EndSpec(ends.left_open, ends.right_open)
+    m = _machine(two_n, base)
     bits, is_div = m.bits, m.is_div
     dom = ring.domain
 
@@ -765,9 +771,20 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     words: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
     weights: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
     for p in range(1, max_degree + 1):
-        ws, counts = _raw_words(p, two_n, ends, weight, dividers)
+        ws, counts = _raw_words(p, two_n, base, weight, dividers)
         words[p] = tuple(ws)
         weights[p] = tuple(counts)
+
+    kinds = {1: ["one"] if ends.augmented else []}
+    for p in range(2, max_degree + 1):
+        kinds[p] = ["first"] + ["inner"] * (p - 2) + ["last"]
+    tables = {kind: _merge_table(two_n, base, kind)
+              for kind in chain.from_iterable(kinds.values())}
+    top = max((hit[1] for table in tables.values() for hit in table if hit),
+              default=0)
+    values = {s: [None if dom.is_zero(v := dom.mul(dom.from_int(s), ring.a_power(k)))
+                  else (v, dom.neg(v)) for k in range(top + 1)]
+              for s in (1, -1)}
 
     slot_mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
     add = dom.add
@@ -777,22 +794,18 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         row_cols: list[list[int]] = [[] for _ in row_w]
         row_sums: list[list[object]] = [[] for _ in row_w]
         index = dict(zip(words[p - 1], count()))
-        if p == 1:
-            kinds = ["one"] if ends.augmented else []
-        else:
-            kinds = ["first"] + ["inner"] * (p - 2) + ["last"]
         deletions = []
-        for i, kind in enumerate(kinds):
+        for i, kind in enumerate(kinds[p]):
             lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
             # each hit: merged id moved into place, loops, value, opposite
             sq = subquotient and kind == "inner"
-            sign = dom.from_int(-1 if i % 2 else 1)
+            signed = values[-1 if i % 2 else 1]
             placed = [None if hit is None
                       or (sq and is_div[hit[0]] != is_div[xy >> bits]
                           + is_div[xy & slot_mask])
-                      or dom.is_zero(v := dom.mul(sign, ring.a_power(hit[1])))
-                      else (hit[0] << lo, hit[1], v, dom.neg(v))
-                      for xy, hit in enumerate(_merge_table(two_n, ends, kind))]
+                      or (v := signed[hit[1]]) is None
+                      else (hit[0] << lo, hit[1], *v)
+                      for xy, hit in enumerate(tables[kind])]
             deletions.append((placed, lo, lo + 2 * bits, lo + bits,
                               (1 << lo) - 1))
         for col, w, w_col in zip(count(), words[p], col_w):

@@ -650,6 +650,49 @@ def test_integer_d_squared_locates_failures_like_the_generic_product():
     assert rep.failures == validate_d_squared(generic).failures
 
 
+D_SQUARED_ENDS = (CLOSED, EndSpec(augmented=True),
+                  *(EndSpec.from_code(code) for code in ("oo", "oc", "co")))
+
+
+@pytest.mark.parametrize("ends", D_SQUARED_ENDS,
+                         ids=lambda e: e.code + ("+aug" if e.augmented else ""))
+def test_corrupted_d3_fails_like_the_generic_product(ends):
+    # one wrong entry of d_3 breaks d_2 d_3 and d_3 d_4; the integer product
+    # reports the same entries as the Z[a] product of the rendered matrices
+    za = PointedRing.make(ZA)
+    cx = build_complex(ComplexSpec(4, za, ends, max_degree=4))
+    bad = dict(cx.matrices)
+    bad[3] = _with_first_entry(bad[3], lambda n: -n)
+    weighted = ChainComplexData(za, 4, cx.basis, bad, weights=cx.weights)
+    generic = ChainComplexData(za, 4, cx.basis,
+                               {p: weighted.boundary(p) for p in bad})
+    rep = validate_d_squared(weighted)
+    assert not rep.ok and {p for p, _, _ in rep.failures} <= {3, 4}
+    assert rep.failures == validate_d_squared(generic).failures
+
+
+@pytest.mark.parametrize("dom, scalar", (
+    (ZZ, lambda v: v),
+    (QQ, lambda v: Fraction(v, 3)),
+    (prime_field(5), lambda v: v % 5),
+    (ZA, lambda v: ZA.mul(ZA.from_int(v), ZA.parse("a")))),
+    ids=("Z", "Q", "F5", "Za"))
+def test_product_row_that_cancels_between_nonzero_rows(dom, scalar):
+    # row 1 of the product cancels in both columns that rows 0 and 2 fill,
+    # so the accumulator must be clean before row 1 and again after it
+    a = {(0, 0): 2, (1, 0): 1, (1, 1): 1, (2, 1): 3}
+    b = {(0, 0): 1, (0, 1): 2, (1, 0): -1, (1, 1): -2}
+    A, B = ({key: scalar(v) for key, v in x.items()} for x in (a, b))
+    want = {}
+    for (i, t), x in A.items():
+        for (t2, j), y in B.items():
+            if t == t2:
+                want[i, j] = dom.add(want.get((i, j), dom.zero()), dom.mul(x, y))
+    got = SparseMatrix.from_dict(3, 2, A, dom).mul(SparseMatrix.from_dict(2, 2, B, dom))
+    assert [r for r, _, _ in got.row_data] == [0, 2]
+    assert got.entries == SparseMatrix.from_dict(3, 2, want, dom).entries
+
+
 def test_integer_d_squared_rejects_misgraded_entries():
     za = PointedRing.make(ZA)
     cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
@@ -950,6 +993,23 @@ def test_cycle_and_boundary_examples():
     assert is_cycle(mz, {}, 3) and is_boundary(mz, {}, 3)
     mq = truncated_complex(minimal_model(4, PointedRing.make(QQ, 0)), 5)
     assert is_boundary(mq, {i3["x1.x1.x1"]: Fraction(1)}, 3)
+
+
+@pytest.mark.parametrize("dom", (ZZ, QQ, prime_field(2)), ids=repr)
+def test_cycle_and_boundary_refuse_values_outside_the_ring(dom):
+    # e_0 of degree 2 in the closed w = 1 block is a boundary over every ring
+    cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), CLOSED,
+                                   max_degree=4, weight=1))
+    for check in (is_cycle, is_boundary):
+        assert check(cx, {0: 1}, 2) and check(cx, {0: 3}, 2)  # ints read in dom
+        for bad in (0.5, 2.0, True, "x", *([] if dom is QQ else [Fraction(1, 2)])):
+            with pytest.raises(DomainError):
+                check(cx, {0: bad}, 2)
+    if dom is QQ:
+        assert is_boundary(cx, {0: Fraction(1, 2)}, 2)
+    if dom is ZZ:  # a half-integral b has no certified integral solution
+        with pytest.raises(DomainError):
+            solve_integer(cx.boundary(3), {0: Fraction(1, 2)})
 
 
 def test_vectors_with_indices_out_of_range_are_refused():

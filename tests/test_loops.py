@@ -317,6 +317,28 @@ def test_augmented_d_squared():
     assert d1.nnz() == 4  # every one-bar system hits the empty system
 
 
+def test_augmented_build_reuses_the_closed_tables():
+    # augmentation adds word 0 and the "one" deletion and leaves every slot
+    # pool as it is, so an augmented build reads the closed machine, walks
+    # and merge tables
+    caches = (loops_module._machine, loops_module._completions,
+              loops_module._merge_table)
+    for cache in caches:
+        cache.cache_clear()
+    closed = build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=4))
+    before = [cache.cache_info().currsize for cache in caches]
+    augmented = build_complex(ComplexSpec(4, ZAU, EndSpec(augmented=True),
+                                          max_degree=4))
+    assert [cache.cache_info().currsize for cache in caches] == [
+        before[0], before[1], before[2] + 1]
+    # the one new merge table is the closed machine's "one" table
+    hits = loops_module._merge_table.cache_info().hits
+    loops_module._merge_table(4, CLOSED, "one")
+    assert loops_module._merge_table.cache_info().hits == hits + 1
+    for p in range(2, 5):
+        assert augmented.matrices[p].row_data == closed.matrices[p].row_data
+
+
 # every end behaviour, and rings where a is 0, a unit, 2, or the generator
 ORACLE_ENDS = (CLOSED, EndSpec(augmented=True),
                *(EndSpec.from_code(code) for code in ("oo", "oc", "co")))
