@@ -152,7 +152,9 @@ class CoefficientDomain:
                 raise DomainError(f"not a polynomial: {s!r}") from None
             if not canonical:
                 raise DomainError(f"polynomial not canonical: {s!r}")
-            for e, _ in s:
+            for e, c in s:
+                if type(e) is not int or type(c) is not int:  # not a bool
+                    raise DomainError(f"not a polynomial over Z: {s!r}")
                 if e < 0:
                     raise DomainError("negative exponent")
 

@@ -149,18 +149,12 @@ class SparseMatrix:
         out = []
         for r, cs, vs in self.row_data:
             for k, v in zip(cs, vs):
-                if not integers:
-                    for c, w in zip(right_cols[k], right_vals[k]):
-                        acc[c] = add(acc[c], scale(v, w))
-                elif v == 1:
-                    for c, w in zip(right_cols[k], right_vals[k]):
-                        acc[c] += w
-                elif v == -1:
-                    for c, w in zip(right_cols[k], right_vals[k]):
-                        acc[c] -= w
-                else:
+                if integers:
                     for c, w in zip(right_cols[k], right_vals[k]):
                         acc[c] += v * w
+                else:
+                    for c, w in zip(right_cols[k], right_vals[k]):
+                        acc[c] = add(acc[c], scale(v, w))
             touched = chain.from_iterable(map(right_cols.__getitem__, cs))
             if any(map(acc.__getitem__, touched)):
                 touched = sorted(set(chain.from_iterable(

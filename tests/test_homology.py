@@ -1012,6 +1012,15 @@ def test_cycle_and_boundary_refuse_values_outside_the_ring(dom):
             solve_integer(cx.boundary(3), {0: Fraction(1, 2)})
 
 
+def test_cycle_refuses_values_outside_za():
+    cx = build_complex(ComplexSpec(4, PointedRing.make(ZA), CLOSED, max_degree=4))
+    assert is_cycle(cx, {0: 1}, 2) and is_cycle(cx, {0: ((1, -2),)}, 2)
+    for bad in (0.5, "x", ((0, Fraction(1, 2)),), ((0, 0.5),), ((0.5, 1),),
+                ((0, True),), ((True, 1),), ((-1, 1),), ((1, 1), (0, 1))):
+        with pytest.raises(DomainError):
+            is_cycle(cx, {0: bad}, 2)
+
+
 def test_vectors_with_indices_out_of_range_are_refused():
     wc = build_word_complex(2, 3)
     for j in (-1, wc.dim(2)):
