@@ -14,12 +14,13 @@ from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
                     new_graffito, nondivider_count, parse_chain,
                     parse_graffito, pivot_sequence, product, to_word)
 from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
-                      NCPoly, alpha_boundary_check, check_chain_map,
+                      LoopAlgebra, NCPoly, alpha_boundary_check,
+                      build_word_complex, check_chain_map,
                       check_involution_relations, four_model,
                       minimal_model, model_involutions, parse_poly, phi,
                       psi, specialize_complex, truncated_complex)
 from .homology import (Basis, ChainComplexData, HomologyGroup, SmithForm,
-                       SparseMatrix, build_word_complex, homology,
+                       SparseMatrix, homology,
                        homology_table, integer_kernel_basis, is_boundary, is_cycle,
                        rank_over_field, smith_normal_form, solve_integer,
                        validate_d_squared, weight_decompose)

@@ -13,8 +13,8 @@ import sys
 
 from .coeff import ZZ, DomainError, PointedRing, parse_ring
 from .diagram import DiagramError, enumerate_diagrams, enumerate_letters, parse_diagram
-from .freedga import minimal_model, truncated_complex
-from .homology import build_word_complex, homology, homology_table
+from .freedga import build_word_complex, minimal_model, truncated_complex
+from .homology import homology, homology_table
 from .loops import (CLOSED, ComplexSpec, EndSpec, GraffitoError,
                     build_complex, count_graffiti, enumerate_graffiti,
                     parse_chain, parse_graffito)
@@ -56,7 +56,7 @@ def _build_requested_complex(args, ring):
     name = args.complex
     if name == "model":
         return truncated_complex(minimal_model(args.two_n, ring),
-                                 args.max_degree, nonunital=True)
+                                 args.max_degree)
     if name == "word":
         return build_word_complex(args.alphabet, args.max_degree, ring)
     ends = {"reduced-loops": CLOSED,

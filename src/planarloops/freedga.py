@@ -6,7 +6,8 @@ rule d(uv) = d(u) v + (-1)^{deg u} u d(v), and verified to square to zero at
 construction.  The two models of the 2n = 4 loop complex, the comparison
 morphism between them, the diagram-valued morphism to the loop complex, and
 the reflection (anti)automorphisms are built here, along with truncation of
-an algebra to a word-basis chain complex.
+an algebra to a word-basis chain complex; the complex of words on a finite
+alphabet is one such truncation.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .coeff import INT_POLY_A, ZZ, DomainError, LinearCombination, PointedRing
 from .diagram import parse_diagram
 from .homology import ChainComplexData, SparseMatrix, graded_matrix
 from .loops import (Chain, differential as loops_differential, empty_system,
-                    new_graffito)
+                    loop_count, new_graffito)
 
 
 class AlgebraError(ValueError):
@@ -144,6 +146,28 @@ def parse_poly(ring: PointedRing, text: str) -> NCPoly:
     return NCPoly(ring, terms)
 
 
+def _degree(p, key_degree) -> int:
+    """Homological degree of a homogeneous element, from its keys."""
+    degs = {key_degree(k) for k in p.terms}
+    if len(degs) != 1:
+        raise AlgebraError(f"inhomogeneous element: degrees {sorted(degs)}")
+    return degs.pop()
+
+
+def _weight(p, key_weight) -> int:
+    """Total weight of a weight-homogeneous element, scalars included."""
+    dom = p.ring.domain
+    ws = set()
+    for k, c in p.terms.items():
+        cw = dom.weight(c)
+        if cw is None:
+            raise AlgebraError("coefficient is not weight-homogeneous")
+        ws.add(key_weight(k) + cw)
+    if len(ws) != 1:
+        raise AlgebraError(f"mixed weights {sorted(ws)}")
+    return ws.pop()
+
+
 @dataclass(frozen=True)
 class FreeDGA:
     """A free graded algebra with differential given on generators.
@@ -175,6 +199,9 @@ class FreeDGA:
             if not dd.is_zero():
                 raise AlgebraError(f"d^2({g.name}) = {dd} is nonzero")
 
+    def one(self) -> NCPoly:
+        return NCPoly.one(self.ring)
+
     def gen_map(self) -> dict[str, GradedGenerator]:
         return {g.name: g for g in self.generators}
 
@@ -195,24 +222,10 @@ class FreeDGA:
         return sum(gm[g].weight for g in word)
 
     def degree_of(self, p: NCPoly) -> int:
-        """Homological degree of a homogeneous polynomial (scalar weights count 0)."""
-        degs = {self.word_degree(w) for w in p.terms}
-        if len(degs) != 1:
-            raise AlgebraError(f"inhomogeneous polynomial: degrees {sorted(degs)}")
-        return degs.pop()
+        return _degree(p, self.word_degree)
 
     def weight_of(self, p: NCPoly) -> int:
-        """Total weight of a weight-homogeneous polynomial, scalars included."""
-        dom = self.ring.domain
-        ws = set()
-        for w, c in p.terms.items():
-            cw = dom.weight(c)
-            if cw is None:
-                raise AlgebraError("coefficient is not weight-homogeneous")
-            ws.add(self.word_weight(w) + cw)
-        if len(ws) != 1:
-            raise AlgebraError(f"mixed weights {sorted(ws)}")
-        return ws.pop()
+        return _weight(p, self.word_weight)
 
     def differential(self, p: NCPoly) -> NCPoly:
         """Leibniz extension: d(uv) = d(u) v + (-1)^{deg u} u d(v)."""
@@ -280,34 +293,49 @@ def four_model(ring: PointedRing) -> FreeDGA:
 # Morphisms
 # ---------------------------------------------------------------------------
 
-LOOPS_TARGET = "loops"
+@dataclass(frozen=True)
+class LoopAlgebra:
+    """The loop complex as the target of a model map: chains multiply by
+    juxtaposition, the unit is the empty system, and a system's weight is
+    its number of loops."""
+
+    ring: PointedRing
+
+    def one(self) -> Chain:
+        return Chain.of(self.ring, empty_system())
+
+    def differential(self, c: Chain) -> Chain:
+        return loops_differential(c)
+
+    def degree_of(self, c: Chain) -> int:
+        return _degree(c, attrgetter("degree"))
+
+    def weight_of(self, c: Chain) -> int:
+        return _weight(c, loop_count)
 
 
 @dataclass(frozen=True)
 class DgaMorphism:
-    """An algebra map determined on generators; target is a FreeDGA or the
-    loop complex (images are then chains, multiplied by juxtaposition)."""
+    """An algebra map determined on generators; target is a FreeDGA or a
+    LoopAlgebra (images are then chains)."""
 
     source: FreeDGA
-    target: object  # FreeDGA or LOOPS_TARGET
+    target: FreeDGA | LoopAlgebra
     images: dict    # name -> NCPoly or Chain
 
     def __post_init__(self):
         for g in self.source.generators:
             img = self.images[g.name]
-            deg, wt = _element_degree_weight(self.target, img, self.source.ring)
+            deg = self.target.degree_of(img)
             if deg != g.degree:
                 raise AlgebraError(f"image of {g.name} has degree {deg}, not {g.degree}")
+            wt = self.target.weight_of(img)
             if wt != g.weight:
                 raise AlgebraError(f"image of {g.name} has weight {wt}, not {g.weight}")
 
     def apply(self, p: NCPoly):
-        ring = self.source.ring
-        if self.target == LOOPS_TARGET:
-            unit = Chain.of(ring, empty_system())
-        else:
-            unit = NCPoly.one(ring)
-        out = type(unit)(ring)
+        unit = self.target.one()
+        out = type(unit)(unit.ring)
         for word, coeff in p.terms.items():
             img = unit
             for g in word:
@@ -320,25 +348,6 @@ class DgaMorphism:
         return DgaMorphism(self.source, other.target,
                            {g.name: other.apply(self.images[g.name])
                             for g in self.source.generators})
-
-
-def _element_degree_weight(target, img, ring):
-    from .loops import loop_count
-    if target == LOOPS_TARGET:
-        if img.is_zero():
-            raise AlgebraError("zero generator image")
-        dom = ring.domain
-        degs, wts = set(), set()
-        for g, c in img.terms.items():
-            degs.add(g.degree)
-            cw = dom.weight(c)
-            if cw is None:
-                raise AlgebraError("coefficient is not weight-homogeneous")
-            wts.add(loop_count(g) + cw)
-        if len(degs) != 1 or len(wts) != 1:
-            raise AlgebraError("generator image is not bihomogeneous")
-        return degs.pop(), wts.pop()
-    return target.degree_of(img), target.weight_of(img)
 
 
 def psi(ring: PointedRing) -> DgaMorphism:
@@ -379,7 +388,7 @@ def _loop_generator_images(ring: PointedRing) -> dict[str, Chain]:
 
 def phi(ring: PointedRing) -> DgaMorphism:
     """The diagram-valued model map: generators go to explicit loop systems."""
-    return DgaMorphism(four_model(ring), LOOPS_TARGET,
+    return DgaMorphism(four_model(ring), LoopAlgebra(ring),
                        _loop_generator_images(ring))
 
 
@@ -399,11 +408,7 @@ def check_chain_map(m: DgaMorphism) -> ChainMapReport:
     """d(m(g)) - m(d(g)) for every source generator, exactly."""
     defects = []
     for g in m.source.generators:
-        img = m.images[g.name]
-        if m.target == LOOPS_TARGET:
-            lhs = loops_differential(img)
-        else:
-            lhs = m.target.differential(img)
+        lhs = m.target.differential(m.images[g.name])
         rhs = m.apply(m.source.d_images[g.name])
         diff = lhs - rhs
         if not diff.is_zero():
@@ -507,13 +512,13 @@ def alpha_boundary_check(ring: PointedRing) -> ChainMapReport:
 # Truncation to a chain complex
 # ---------------------------------------------------------------------------
 
-def truncated_complex(algebra: FreeDGA, max_degree: int,
-                      nonunital: bool = True) -> ChainComplexData:
-    """Word-basis chain complex of the algebra through the given degree.
+def truncated_complex(algebra: FreeDGA, max_degree: int) -> ChainComplexData:
+    """Nonunital word-basis chain complex of the algebra through the given
+    degree.
 
-    Degree p is spanned by the words of homological degree p, ordered by
-    length then generator index; the nonunital variant drops the empty word
-    (and with it the constant part of every differential).  Each term (t, v)
+    Degree p is spanned by the nonempty words of homological degree p,
+    ordered by length then generator index; the empty word is left out, and
+    with it the constant part of every differential.  Each term (t, v)
     of d(g) puts (-1)^(degree of w[:i]) v at the word w[:i] + t + w[i+1:]
     in the column of w, for every position i of g in w.  Over Z[a] each v
     is n * a^(weight of g - weight of t), as the algebra checked at
@@ -523,8 +528,6 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
     graded = ring.domain.kind == INT_POLY_A
     dom = ZZ if graded else ring.domain
     words: dict[int, list[tuple[str, ...]]] = {p: [] for p in range(max_degree + 1)}
-    if not nonunital:
-        words[0].append(())
     # breadth first, one letter per round in generator order: each degree
     # receives its words by length, then generator index
     frontier = [((), 0)]
@@ -533,7 +536,7 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
                     for g in algebra.generators if d + g.degree <= max_degree]
         for w, d in frontier:
             words[d].append(w)
-    basis = {p: tuple(".".join(w) if w else "1" for w in words[p])
+    basis = {p: tuple(".".join(w) for w in words[p])
              for p in range(max_degree + 1)}
     weights = {p: tuple(algebra.word_weight(w) for w in words[p])
                for p in range(max_degree + 1)}
@@ -549,7 +552,7 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
             for i, g in enumerate(w):
                 for t, v in terms[g]:
                     tw = w[:i] + t + w[i + 1:]
-                    if not tw and nonunital:
+                    if not tw:
                         continue
                     key = (index[tw], col)
                     data[key] = dom.add(data.get(key, dom.zero()),
@@ -560,6 +563,26 @@ def truncated_complex(algebra: FreeDGA, max_degree: int,
     label = "model(" + ",".join(g.name for g in algebra.generators) + ")"
     return ChainComplexData(ring, max_degree, basis, matrices,
                             weights=weights, description=label)
+
+
+def build_word_complex(alphabet_size: int, max_degree: int,
+                       ring: PointedRing | None = None) -> ChainComplexData:
+    """Complex of nonempty words on a finite alphabet.
+
+    The truncation of the free algebra on letters "1", ..., "s" of degree 1
+    and weight 0 with d(letter) = 1: degree p is spanned by the words of
+    length p, and the boundary is the alternating sum of single-letter
+    deletions, the first with positive sign.  Its homology is one copy of
+    the ring in degree 1.
+    """
+    if alphabet_size < 1:
+        raise AlgebraError("alphabet_size must be >= 1")
+    ring = ring or PointedRing.make(ZZ, 0)
+    letters = tuple(GradedGenerator(str(i), 1, 0)
+                    for i in range(1, alphabet_size + 1))
+    algebra = FreeDGA(ring, letters, {g.name: NCPoly.one(ring) for g in letters})
+    return replace(truncated_complex(algebra, max_degree),
+                   description=f"words on {alphabet_size} letters")
 
 
 def specialize_complex(c: ChainComplexData, target: PointedRing) -> ChainComplexData:

@@ -983,10 +983,9 @@ def _in_domain(dom: CoefficientDomain, vec: dict[int, object]) -> dict[int, obje
 
 
 def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
-    vec = _in_domain(c.ring.domain, vec)
-    if p == 0:
-        return True
-    return not c.boundary(p).apply(vec)
+    """d_p vec = 0; d_0 is the zero map with no rows, which still checks the
+    indices of vec."""
+    return not c.boundary(p).apply(_in_domain(c.ring.domain, vec))
 
 
 def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
@@ -1041,7 +1040,7 @@ def _integral_representatives(c: ChainComplexData, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Weight decomposition and the word complex
+# Weight decomposition
 # ---------------------------------------------------------------------------
 
 def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
@@ -1128,40 +1127,3 @@ def homology_table(c: ChainComplexData, degrees, domains
 
     return {dom: [group(p, dom) for p in degrees] for dom in domains}
 
-
-def build_word_complex(alphabet_size: int, max_degree: int,
-                       ring: PointedRing | None = None) -> ChainComplexData:
-    """Complex of nonempty words on a finite alphabet.
-
-    Degree p is spanned by the words of length p; the boundary is the
-    alternating sum of single-letter deletions, the first deletion with
-    positive sign.  Its homology is one copy of the ring in degree 1.
-    """
-    if alphabet_size < 1:
-        raise LinearAlgebraError("alphabet_size must be >= 1")
-    ring = ring or PointedRing.make(ZZ, 0)
-    dom = ring.domain
-    basis: dict[int, tuple[str, ...]] = {0: ()}
-    words: dict[int, list[tuple[int, ...]]] = {0: []}
-    for p in range(1, max_degree + 1):
-        cur = [(i,) for i in range(1, alphabet_size + 1)] if p == 1 else \
-            [w + (i,) for w in words[p - 1] for i in range(1, alphabet_size + 1)]
-        words[p] = cur
-        basis[p] = tuple(".".join(map(str, w)) for w in cur)
-    mats = {}
-    one = dom.one()
-    for p in range(2, max_degree + 1):
-        index = {w: i for i, w in enumerate(words[p - 1])}
-        data = {}
-        for j, w in enumerate(words[p]):
-            for i in range(p):
-                tgt = index[w[:i] + w[i + 1:]]
-                sign = one if i % 2 == 0 else dom.neg(one)
-                key = (tgt, j)
-                data[key] = dom.add(data.get(key, dom.zero()), sign)
-        mats[p] = SparseMatrix.from_dict(
-            len(words[p - 1]), len(words[p]), data, dom)
-    if max_degree >= 1:
-        mats[1] = zero_matrix(0, len(words[1]), dom)
-    return ChainComplexData(ring, max_degree, basis, mats,
-                            description=f"words on {alphabet_size} letters")

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from .coeff import ZA, ZZ, PointedRing, parse_ring
 from .diagram import (Letter, catalan, cell_basis, enumerate_diagrams,
                       enumerate_letters, slice_diagram, unslice)
-from .freedga import (alpha_boundary_check, check_chain_map,
-                      check_involution_relations, four_model, minimal_model,
-                      model_involutions, phi, psi, sample_words,
-                      truncated_complex)
-from .homology import (build_word_complex, homology, homology_table,
-                       is_boundary, is_cycle, validate_d_squared)
+from .freedga import (alpha_boundary_check, build_word_complex,
+                      check_chain_map, check_involution_relations, four_model,
+                      minimal_model, model_involutions, phi, psi,
+                      sample_words, truncated_complex)
+from .homology import (homology, homology_table, is_boundary, is_cycle,
+                       validate_d_squared)
 from .loops import (CLOSED, Chain, ComplexSpec, EndSpec, build_complex,
                     chain_involution_lr, chain_involution_tb, chain_to_vector,
                     differential, divider_count, enumerate_graffiti, face,

@@ -93,6 +93,35 @@ def test_homology_model(capsys):
     assert ranks == [1, 0, 0, 1]
 
 
+_WORD_PLAIN = ("  H_1 = R   (basis 4)\n  H_2 = 0   (basis 16)\n"
+               "  H_3 = 0   (basis 64)\n  H_4 = 0   (basis 256)\n")
+_WORD_JSON = (
+    '{"complex": "words on 4 letters", "ring": "%s", "groups": ['
+    '{"degree": 1, "rank": 1, "torsion": [], "basis_size": 4}, '
+    '{"degree": 2, "rank": 0, "torsion": [], "basis_size": 16}, '
+    '{"degree": 3, "rank": 0, "torsion": [], "basis_size": 64}, '
+    '{"degree": 4, "rank": 0, "torsion": [], "basis_size": 256}]}\n')
+
+
+@pytest.mark.parametrize("ring,a,label", [
+    ("z", "0", "(Z, a=0)"), ("q", "0", "(Q, a=0)"),
+    ("f2", "0", "(F2, a=0 mod 2)"), ("z", "2", "(Z, a=2)")])
+def test_homology_word_complex_bytes_are_pinned(capsys, ring, a, label):
+    argv = ("homology", "--complex", "word", "--ring", ring, "--a", a)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert out == f"homology of words on 4 letters over {label}\n" + _WORD_PLAIN
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 0 and not err and out == _WORD_JSON % label
+
+
+def test_homology_word_complex_refuses_an_empty_alphabet(capsys):
+    code, out, err = run(capsys, "homology", "--complex", "word",
+                         "--alphabet", "0")
+    assert code == 2 and not out
+    assert err == "error: alphabet_size must be >= 1\n"
+
+
 def test_homology_rejects_polynomial_ring(capsys):
     code, _, err = run(capsys, "homology", "--complex", "model", "--ring", "za")
     assert code == 2 and "specialization" in err

@@ -8,7 +8,7 @@ from planarloops import (AlgebraError, NCPoly, PointedRing, QQ, ZA, ZZ,
                          four_model, loop_count, minimal_model,
                          model_involutions, parse_poly, phi, prime_field, psi,
                          specialize_complex, truncated_complex)
-from planarloops.freedga import DgaMorphism, LOOPS_TARGET, sample_words
+from planarloops.freedga import DgaMorphism, sample_words
 from planarloops.homology import validate_d_squared
 
 ZAU = PointedRing.make(ZA)
@@ -136,7 +136,7 @@ def test_corrupted_map_is_caught():
     ph = phi(ZAU)
     bad_images = dict(ph.images)
     bad_images["r"] = -bad_images["r"]
-    bad = DgaMorphism(ph.source, LOOPS_TARGET, bad_images)
+    bad = DgaMorphism(ph.source, ph.target, bad_images)
     assert not check_chain_map(bad).ok
 
 
@@ -200,13 +200,6 @@ def test_truncated_complex_bases():
     assert validate_d_squared(big).ok
 
 
-def test_unital_truncation_has_augmentation_row():
-    mm = truncated_complex(minimal_model(4, ZAU), 2, nonunital=False)
-    assert mm.basis[0] == ("1",)
-    assert mm.boundary(1).nnz() == 1
-    assert validate_d_squared(mm).ok
-
-
 def test_specialize_commutes_with_truncation():
     src = truncated_complex(minimal_model(4, ZAU), 5)
     for ring in (Z0, PointedRing.make(ZZ, 2),
@@ -228,13 +221,15 @@ def test_specialize_commutes_for_loop_complexes():
 
 
 def test_specialize_needs_graded_entries():
-    from planarloops import build_word_complex
+    from planarloops import ChainComplexData
     from planarloops.homology import LinearAlgebraError
+    src = truncated_complex(minimal_model(4, ZAU), 3)
+    unlabelled = ChainComplexData(ZAU, 3, src.basis,
+                                  {p: src.boundary(p) for p in src.matrices})
     with pytest.raises(AlgebraError, match="weight labels"):
-        specialize_complex(build_word_complex(2, 3, ZAU), Z0)
+        specialize_complex(unlabelled, Z0)
     # the target gets the rendered matrices: over (Z[a], a) itself they are
     # Z[a] matrices, which a weight-labelled complex refuses
-    src = truncated_complex(minimal_model(4, ZAU), 3)
     with pytest.raises(LinearAlgebraError, match="stores the integers n"):
         specialize_complex(src, ZAU)
 

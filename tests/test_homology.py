@@ -708,9 +708,14 @@ def test_integer_d_squared_rejects_misgraded_entries():
 
 
 def test_unweighted_za_complex_keeps_generic_d_squared():
-    wc = build_word_complex(2, 3, ring=PointedRing.make(ZA))
-    assert wc.weights is None
-    assert validate_d_squared(wc).ok
+    # the loop boundaries rendered over Z[a], with no weight labels, are
+    # stored as they are and multiplied over Z[a]
+    za = PointedRing.make(ZA)
+    cx = build_complex(ComplexSpec(4, za, CLOSED, max_degree=3))
+    generic = ChainComplexData(za, 3, cx.basis,
+                               {p: cx.boundary(p) for p in cx.matrices})
+    assert generic.weights is None and generic.stored(2).domain == ZA
+    assert validate_d_squared(generic).ok
 
 
 # few distinct values, so that sums in a product often cancel exactly
@@ -772,7 +777,7 @@ ZA_COMPLEXES = {
     "minimal-model": lambda: truncated_complex(
         minimal_model(4, PointedRing.make(ZA)), 5),
     "four-model": lambda: truncated_complex(
-        four_model(PointedRing.make(ZA)), 4, nonunital=False),
+        four_model(PointedRing.make(ZA)), 4),
 }
 
 
@@ -1026,6 +1031,13 @@ def test_vectors_with_indices_out_of_range_are_refused():
     for j in (-1, wc.dim(2)):
         with pytest.raises(LinearAlgebraError, match="vector index out of range"):
             is_cycle(wc, {j: 1}, 2)
+    # degree 0 has no boundary to apply, and still checks its indices
+    aug = build_complex(ComplexSpec(4, Z0, EndSpec(augmented=True), max_degree=2))
+    for cx, j in ((wc, 999), (aug, aug.dim(0)), (aug, -1)):
+        for check in (is_cycle, is_boundary):
+            with pytest.raises(LinearAlgebraError, match="vector index out of range"):
+                check(cx, {j: 1}, 0)
+    assert is_cycle(aug, {0: 1}, 0)
 
 
 def test_representatives_are_nonbounding_cycles():
@@ -1054,8 +1066,10 @@ def test_weight_decompose():
     direct = {h.degree: h.free_rank for h in homology(cx, range(1, 3))}
     for p in (1, 2):
         assert total[p] == direct[p]
-    with pytest.raises(LinearAlgebraError):
-        weight_decompose(build_word_complex(2, 3))
+    unlabelled = ChainComplexData(Z0, 1, {0: ("a",), 1: ("c",)},
+                                  {1: SparseMatrix(1, 1, ((0, 0, 1),))})
+    with pytest.raises(LinearAlgebraError, match="no loop-count labels"):
+        weight_decompose(unlabelled)
     # a complex of one weight is its own block, not a copy
     one = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3, weight=2))
     ((w, block),) = weight_decompose(one)
@@ -1084,6 +1098,10 @@ def test_word_complex_structure():
     wc = build_word_complex(3, 4)
     assert [wc.dim(p) for p in range(5)] == [0, 3, 9, 27, 81]
     assert validate_d_squared(wc).ok
+    # the Leibniz signs of d(letter) = 1 are the alternating deletions
+    rows, col = wc.index_map(2), wc.index_map(3)["1.2.3"]
+    assert {r: v for r, c, v in wc.boundary(3).entries if c == col} == {
+        rows["2.3"]: 1, rows["1.3"]: -1, rows["1.2"]: 1}
     lr = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=1))
     assert wc.to_json()["basis"]["1"] == ["1", "2", "3"]
 
