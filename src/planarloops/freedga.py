@@ -148,6 +148,8 @@ def parse_poly(ring: PointedRing, text: str) -> NCPoly:
 
 def _degree(p, key_degree) -> int:
     """Homological degree of a homogeneous element, from its keys."""
+    if not p.terms:
+        raise AlgebraError("a zero element has every degree")
     degs = {key_degree(k) for k in p.terms}
     if len(degs) != 1:
         raise AlgebraError(f"inhomogeneous element: degrees {sorted(degs)}")
@@ -156,6 +158,8 @@ def _degree(p, key_degree) -> int:
 
 def _weight(p, key_weight) -> int:
     """Total weight of a weight-homogeneous element, scalars included."""
+    if not p.terms:
+        raise AlgebraError("a zero element has every weight")
     dom = p.ring.domain
     ws = set()
     for k, c in p.terms.items():
@@ -321,11 +325,17 @@ class DgaMorphism:
 
     source: FreeDGA
     target: FreeDGA | LoopAlgebra
-    images: dict    # name -> NCPoly or Chain
+    images: dict    # name -> NCPoly or Chain; the int 0 is the zero image
 
     def __post_init__(self):
+        unit = self.target.one()
+        images = {name: type(unit)(unit.ring) if type(img) is int and img == 0
+                  else img for name, img in self.images.items()}
+        object.__setattr__(self, "images", images)
         for g in self.source.generators:
-            img = self.images[g.name]
+            img = images[g.name]
+            if img.is_zero():  # homogeneous of every degree and weight
+                continue
             deg = self.target.degree_of(img)
             if deg != g.degree:
                 raise AlgebraError(f"image of {g.name} has degree {deg}, not {g.degree}")

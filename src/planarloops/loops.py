@@ -8,13 +8,20 @@ element; the alternating sum of deletions is the differential.  Juxtaposing
 pictures multiplies them.  The one-bar letters, the loop-count (weight) and
 divider statistics, and the assembly of filtered subquotient complexes into
 boundary-matrix data all live here.
+
+The complex is a normalized bar construction, so the deletions inside a
+word's tail depend on its prefix only through the prefix's class: the
+boundaries are written from per-class tail templates, and the consistency
+checks run once per template merge, not per entry (_Tails).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
@@ -742,6 +749,131 @@ class _Assembly(NamedTuple):
     matrices: dict[int, SparseMatrix]
 
 
+class _Opposites(dict):
+    """v -> -v in one domain, by its neg, each computed once."""
+    def __missing__(self, v):
+        self[v] = w = self.neg(v)
+        return w
+
+
+class _Tails:
+    """Templates of the deletions inside word tails, one per class of
+    prefix, and the boundaries written from them (see _assemble).
+
+    A class is (state, loops still needed, dividers still needed), None
+    where no filter applies, state -1 once finished, None for the empty
+    prefix.  The tails from c with r inner slots finish a prefix of class c
+    with r inner slots and a last slot (from None: the degree-r words).
+    """
+
+    def __init__(self, m, tables, values, completions, weight, dividers,
+                 subquotient, dom, ints, top_degree):
+        self.m, self.tables, self.completions, self.ints = m, tables, completions, ints
+        self.signed = (values[-1], values[1])  # sign (-1)^(r-1), by r % 2
+        self.root, self.subquotient = (weight, dividers), subquotient
+        self.top_degree = top_degree
+        self.add, self.opposite = dom.add, _Opposites()
+        self.opposite.neg = dom.neg
+        self.spans, self.templates = {}, {}
+
+    def size(self, c, r) -> int:
+        """How many tails from c with r inner slots (r = -1: c finished)."""
+        s, loops, divs = c
+        if r < 0:
+            return int(loops in (None, 0) and divs in (None, 0))
+        return sum(n for (k, j), n in self.completions[r][s].items()
+                   if loops in (None, k) and divs in (None, j))
+
+    def span(self, c, r):
+        """{slot: (offset, class after, loops closed)} over the slots that
+        start a tail from c with r inner slots, and the number of tails."""
+        if (c, r) not in self.spans:
+            m, out, total = self.m, {}, 0
+            for t in range(len(m.first if c is None else m.inner if r else m.last)):
+                if c is None:
+                    after, k = (m.start[t], *self.root), 0
+                else:
+                    s, loops, divs = c
+                    s, k = m.step[s][t] if r else (-1, m.finish[s][t])
+                    after = (s, None if loops is None else loops - k,
+                             divs - m.is_div[t] if r and divs is not None else divs)
+                if n := self.size(after, r - 1):
+                    out[t] = total, after, k
+                    total += n
+            self.spans[c, r] = out, total
+        return self.spans[c, r]
+
+    def template(self, c, r) -> list:
+        if (c, r) not in self.templates:
+            self.templates[c, r] = [(tuple(cs), tuple(vs)) for cs, vs in self.rows(c, r)]
+        return self.templates[c, r]
+
+    def rows(self, c, r, negate=False):
+        """Yield the columns and the values of each row of E(c, r), the
+        deletions inside the tails from c with r inner slots into those with
+        r - 1 (d_r at c = None), as iterables, the values negated if asked.
+
+        The head deletion merges slots t1, t2 into u with sign (-1)^(r-1):
+        signs count from the tail's end.  Row k of the rows starting with u
+        is row k of E(c.u, r - 1) shifted into the columns starting with u,
+        plus a diagonal run per head merge into u; a head entry with t1 = u
+        lands among the shifted ones and is merged in.  d_top streams the
+        templates of its blocks unless two blocks share one.
+        """
+        m, ints, add = self.m, self.ints, self.add
+        cols_at, _ = self.span(c, r)
+        rows_at, _ = self.span(c, r - 1)
+        kind = "first" if c is None else "inner" if r > 1 else "last"
+        table, signed = self.tables[kind], self.signed[r % 2]
+        sq = self.subquotient and kind == "inner"
+        heads: dict[int, list] = {u: [] for u in rows_at}
+        for t1, (o1, c1, k1) in cols_at.items():
+            for t2, (o2, c2, k2) in self.span(c1, r - 1)[0].items():
+                hit = table[t1 << m.bits | t2]
+                if hit is None or (v := signed[hit[1]]) is None:
+                    continue
+                u, k = hit
+                if sq and m.is_div[u] != m.is_div[t1] + m.is_div[t2]:
+                    continue
+                if u not in rows_at or rows_at[u][1] != c2:
+                    raise GraffitoError(f"{kind} merge {t1}.{t2} = {u} after {c} "
+                                        f"hits no basis word")
+                if (diff := k1 + k2 - rows_at[u][2]) != k:
+                    raise GraffitoError(f"{kind} merge {t1}.{t2} = {u} closes {k} "
+                                        f"loops, but the weights differ by {diff}")
+                heads[u].append((o1 + o2, v))
+        shared = Counter(cu for _, cu, _ in rows_at.values())
+        for u, (_, cu, _) in rows_at.items():
+            n, lo, hi = self.size(cu, r - 2), 0, 0  # u's columns: lo to hi
+            sub = repeat(((), ()), n)
+            if r > 1 and u in cols_at:
+                lo = cols_at[u][0]
+                hi = lo + self.size(cu, r - 1)
+                keep = c is not None or r < self.top_degree or shared[cu] > 1
+                sub = self.template(cu, r - 1) if keep else self.rows(cu, r - 1)
+            hs = sorted(heads[u])
+            parts = [h for h in hs if h[0] < lo], [h for h in hs if h[0] >= hi]
+            runs = [zip(*[ints[b:b + n] for b, _ in part]) if part else repeat((), n)
+                    for part in parts]
+            before, after = (tuple(v for _, (v, _) in part) for part in parts)
+            inside = [(b - lo, v) for b, v in hs if lo <= b < hi]
+            shift, opposite = ints[lo:hi].__getitem__, self.opposite.__getitem__
+            for k, cb, (sc, sv), ca in zip(count(), runs[0], sub, runs[1]):
+                if inside:
+                    sc, sv = list(sc), list(sv)
+                    for b, (v, opp) in inside:
+                        i = bisect_left(sc, b + k)
+                        if i == len(sc) or sc[i] != b + k:
+                            sc.insert(i, b + k)
+                            sv.insert(i, v)
+                        elif sv[i] == opp:  # the entry cancels
+                            del sc[i], sv[i]
+                        else:
+                            sv[i] = add(sv[i], v)
+                vals = chain(before, sv, after)
+                yield chain(cb, map(shift, sc), ca), map(opposite, vals) if negate else vals
+
+
 def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
               dividers: int | None, subquotient: bool,
               ring: PointedRing) -> _Assembly:
@@ -752,11 +884,15 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     its opposite from values[s][k], made once per build for every k a
     merge closes; a deletion whose value vanishes (None there: k > 0 at
     a = 0) is skipped, as in subquotient mode is every inner merge that
-    changes the divider count.  Column by column, each deletion adds its
-    value to the last entry of its row, or opens a new one, and an entry
-    that cancels (equals the opposite value) is removed at once, so every
-    row's columns come out in order with no zero value.  The loops are
-    checked against the weight labels on the way.
+    changes the divider count.
+
+    Each boundary is written from tail templates memoised per (class,
+    inner slots left) and sized from _completions (_Tails.rows), and an
+    entry that cancels is removed.  Each merge is checked once: the class
+    after the merged pair must be the class after its target (else the
+    deletion hits no basis word), and the loops it closes the machine's
+    loop difference (else the weights differ).  The template shapes must
+    be the walk's in every degree.  Each column is one int object.
 
     The machine, walks and merge tables are those of the ends without
     augmentation, which has the same slot pools, so an augmented build
@@ -764,7 +900,6 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     """
     base = EndSpec(ends.left_open, ends.right_open)
     m = _machine(two_n, base)
-    bits, is_div = m.bits, m.is_div
     dom = ring.domain
 
     # the empty system is word 0 of degree 0
@@ -775,72 +910,40 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         words[p] = tuple(ws)
         weights[p] = tuple(counts)
 
-    kinds = {1: ["one"] if ends.augmented else []}
-    for p in range(2, max_degree + 1):
-        kinds[p] = ["first"] + ["inner"] * (p - 2) + ["last"]
-    tables = {kind: _merge_table(two_n, base, kind)
-              for kind in chain.from_iterable(kinds.values())}
+    kinds = ["one"] * (ends.augmented and max_degree > 0)
+    kinds += ["first", "last"] * (max_degree > 1) + ["inner"] * (max_degree > 2)
+    tables = {kind: _merge_table(two_n, base, kind) for kind in kinds}
     top = max((hit[1] for table in tables.values() for hit in table if hit),
               default=0)
     values = {s: [None if dom.is_zero(v := dom.mul(dom.from_int(s), ring.a_power(k)))
                   else (v, dom.neg(v)) for k in range(top + 1)]
               for s in (1, -1)}
 
-    slot_mask, pair_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
-    add = dom.add
-    matrices: dict[int, SparseMatrix] = {}
+    ints = list(range(max(map(len, words.values()))))
+    tails = _Tails(m, tables, values,
+                   [_completions(two_n, base, r) for r in range(max_degree)],
+                   weight, dividers, subquotient, dom, ints, max_degree)
     for p in range(1, max_degree + 1):
-        row_w, col_w = weights[p - 1], weights[p]
-        row_cols: list[list[int]] = [[] for _ in row_w]
-        row_sums: list[list[object]] = [[] for _ in row_w]
-        index = dict(zip(words[p - 1], count()))
-        deletions = []
-        for i, kind in enumerate(kinds[p]):
-            lo = (p - 1 - i) * bits  # slot i + 1 sits lo bits up
-            # each hit: merged id moved into place, loops, value, opposite
-            sq = subquotient and kind == "inner"
-            signed = values[-1 if i % 2 else 1]
-            placed = [None if hit is None
-                      or (sq and is_div[hit[0]] != is_div[xy >> bits]
-                          + is_div[xy & slot_mask])
-                      or (v := signed[hit[1]]) is None
-                      else (hit[0] << lo, hit[1], *v)
-                      for xy, hit in enumerate(tables[kind])]
-            deletions.append((placed, lo, lo + 2 * bits, lo + bits,
-                              (1 << lo) - 1))
-        for col, w, w_col in zip(count(), words[p], col_w):
-            for table, lo, hi, mid, low_mask in deletions:
-                hit = table[(w >> lo) & pair_mask]
-                if hit is None:
-                    continue
-                merged, loops, value, opposite = hit
-                try:
-                    row = index[(w >> hi << mid) | merged | (w & low_mask)]
-                except KeyError:
-                    raise GraffitoError(
-                        f"deletion {p - 1 - lo // bits} of word "
-                        f"{_slot_ids(w, p + 1, bits)} hits no basis word"
-                    ) from None
-                if loops != w_col - row_w[row]:
-                    raise GraffitoError(
-                        f"deletion {p - 1 - lo // bits} of word "
-                        f"{_slot_ids(w, p + 1, bits)} closes {loops} loops, "
-                        f"but the weights differ by {w_col - row_w[row]}")
-                cols = row_cols[row]
-                if cols and cols[-1] == col:
-                    sums = row_sums[row]
-                    if sums[-1] == opposite:  # the entry cancels
-                        cols.pop()
-                        sums.pop()
-                    else:
-                        sums[-1] = add(sums[-1], value)
-                else:
-                    cols.append(col)
-                    row_sums[row].append(value)
+        firsts, total = tails.span(None, p)
+        if total != len(words[p]) or any(o != bisect_left(words[p], f << p * m.bits)
+                                         for f, (o, _, _) in firsts.items()):
+            raise GraffitoError(f"the degree-{p} basis is not the tails counted, "
+                                f"so a deletion hits no basis word")
+    one = []  # d_1: the augmentation, if any
+    for col, w in zip(ints, words[1] if ends.augmented and max_degree else ()):
+        if (k := tables["one"][w][1]) != weights[1][col]:
+            raise GraffitoError(f"the one merge of word {col} closes {k} loops, "
+                                f"but the weights differ by {weights[1][col]}")
+        if values[1][k]:
+            one.append((col, values[1][k][0]))
+    matrices = {1: SparseMatrix.from_rows(len(words[0]), len(words[1]),
+                                          [(0, *map(tuple, zip(*one)))] if one else (),
+                                          dom)} if max_degree else {}
+    for p in range(2, max_degree + 1):
         matrices[p] = SparseMatrix.from_rows(
-            len(row_w), len(col_w),
-            ((r, tuple(cols), tuple(row_sums[r]))
-             for r, cols in enumerate(row_cols) if cols), dom)
+            len(words[p - 1]), len(words[p]),
+            ((i, c, tuple(vs)) for i, (cs, vs) in
+             enumerate(tails.rows(None, p, negate=p % 2 == 0)) if (c := tuple(cs))), dom)
     return _Assembly(words, weights, matrices)
 
 

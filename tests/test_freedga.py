@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from planarloops import (AlgebraError, NCPoly, PointedRing, QQ, ZA, ZZ,
+from planarloops import (AlgebraError, Chain, NCPoly, PointedRing, QQ, ZA, ZZ,
                          alpha_boundary_check, check_chain_map,
                          check_involution_relations, differential,
                          four_model, loop_count, minimal_model,
@@ -138,6 +138,30 @@ def test_corrupted_map_is_caught():
     bad_images["r"] = -bad_images["r"]
     bad = DgaMorphism(ph.source, ph.target, bad_images)
     assert not check_chain_map(bad).ok
+
+
+def test_morphism_accepts_zero_images():
+    # zero is homogeneous of every degree and weight: the int 0 and an empty
+    # polynomial or chain are accepted as images, and a word through a zero
+    # image maps to zero
+    x = NCPoly.gen(Z0, "x")
+    src, tgt = minimal_model(4, Z0), four_model(Z0)
+    for zero in (0, NCPoly.zero(Z0)):
+        f = DgaMorphism(src, tgt, {"x1": x, "x3": zero})
+        assert f.images["x3"] == NCPoly.zero(Z0)
+        for word in ("x3", "x1.x3", "x3.x1", "x1.x3.x1", "x3.x3"):
+            assert f.apply(parse_poly(Z0, word)).is_zero(), word
+        assert f.apply(parse_poly(Z0, "x1.x1")) == x * x
+    loops = phi(Z0)
+    g = DgaMorphism(loops.source, loops.target,
+                    {**loops.images, "y": Chain(Z0)})
+    assert g.apply(parse_poly(Z0, "x.y")).is_zero()
+    assert g.apply(parse_poly(Z0, "x")) == loops.images["x"]
+    # where a degree or a weight is needed, zero has none
+    with pytest.raises(AlgebraError, match="zero element"):
+        tgt.degree_of(NCPoly.zero(Z0))
+    with pytest.raises(AlgebraError, match="zero element"):
+        tgt.weight_of(NCPoly.zero(Z0))
 
 
 def test_model_involutions():

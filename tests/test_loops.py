@@ -486,20 +486,31 @@ def test_builds_render_no_graded_entries(monkeypatch):
             build_complex(ComplexSpec(4, ring, **{**spec, "max_degree": 3}))
 
 
+def _one_state_machine(m):
+    """The machine m with one state, which every slot keeps, and no loop."""
+    return m._replace(start=[0] * len(m.first), step=[[(0, 0)] * len(m.inner)],
+                      finish=[[0] * len(m.last)])
+
+
+def _use_machine(monkeypatch, machine):
+    # the transfer tables are cached per (two_n, ends, r), so they are read
+    # uncached off the stand-in machine while it is in place
+    monkeypatch.setattr(loops_module, "_machine", lambda two_n, ends: machine)
+    monkeypatch.setattr(loops_module, "_completions",
+                        loops_module._completions.__wrapped__)
+
+
 def test_field_assembly_adds_same_sign_hits(monkeypatch):
     # no natural complex has an entry of size 2, so fake merge tables make
     # some: a first merge keeps its first slot, a last merge its last slot,
     # and an inner merge of two different ids keeps the smaller one (one id
     # twice is killed).  Then deletions 0 and 2 of (x0, x1, x1, x3) both hit
     # (x0, x1, x3) with sign +1, and deletions 1 and 3 of (x0, x1, x2, x2, x4)
-    # with x1 < x2 both hit (x0, x1, x2, x4) with sign -1.  Every word gets
-    # weight 0, so the weight check passes.
+    # with x1 < x2 both hit (x0, x1, x2, x4) with sign -1.  A one-state
+    # machine that closes no loop agrees with every fake merge, so the
+    # template checks pass and every word has weight 0.
     m = loops_module._machine(4, CLOSED)
-    real_words = loops_module._raw_words
-
-    def unweighted_words(*args):
-        words, _ = real_words(*args)
-        return words, [0] * len(words)
+    _use_machine(monkeypatch, _one_state_machine(m))
 
     def fake_merge_table(two_n, ends, kind):
         table = [None] * (1 << 2 * m.bits)
@@ -518,7 +529,6 @@ def test_field_assembly_adds_same_sign_hits(monkeypatch):
                         table[y << m.bits | z] = min(y, z), 0
         return tuple(table)
 
-    monkeypatch.setattr(loops_module, "_raw_words", unweighted_words)
     monkeypatch.setattr(loops_module, "_merge_table", fake_merge_table)
     build = lambda dom: build_complex(
         ComplexSpec(4, PointedRing.make(dom, 0), CLOSED, max_degree=4))
@@ -539,6 +549,18 @@ def test_field_assembly_adds_same_sign_hits(monkeypatch):
         for p in range(1, 5):
             assert cx.matrices[p] == over_field(over_z.matrices[p], dom), (dom, p)
             assert_in_domain(cx.matrices[p], dom)
+
+
+def test_assembly_refuses_a_machine_that_disagrees_with_the_merges(monkeypatch):
+    # a step that sends one (state, inner id) to the wrong state puts the
+    # merges through that id in a class other than their target's
+    m = loops_module._machine(4, CLOSED)
+    step = [list(row) for row in m.step]
+    state, loops = step[m.start[0]][0]
+    step[m.start[0]][0] = (1 - state, loops)
+    _use_machine(monkeypatch, m._replace(step=step))
+    with pytest.raises(GraffitoError, match="merge .* hits no basis word"):
+        build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=3))
 
 
 def test_field_builds_at_a_zero_map_no_integer_matrix(monkeypatch):
@@ -731,6 +753,71 @@ RING_DUMP_DIGESTS = {
 def test_ring_dumps_are_pinned(ring, a):
     cx = build_complex(ComplexSpec(4, parse_ring(ring, a), CLOSED, max_degree=4))
     assert _dump_digest(cx) == RING_DUMP_DIGESTS[ring, a]
+
+
+# sha256 of json.dumps(to_triples()) of each boundary d_1 .. d_top, per
+# (two_n, ring, ends, weight, dividers, top), for builds past the dumps
+# above: the F2 two-loop block, the closed Z[a] complex in degree 5, the
+# divider-free three-loop subquotient rows and 2n = 6; "z2" is Z at a = 2
+MATRIX_DIGESTS = {
+    (4, "f2", "cc", 2, None, 6): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "3f8e9a42a1ae2ab1d5f2bd609a35051de7a739b632d0ff86778df4eccd96529b",
+        "8206a27e9f1d1a4bd2c7551da3da728778b25ba47af804a3fd002048cd32877f",
+        "bf27fc443f8117f14e0a4547e21f215c48a349cc7549b0620f9f1ce077b16967",
+        "83ccf0ca909ddb6839b1a033a9a8a4c0820c6403f964c287a8f0644aca0f1ed9",
+        "a9a652e097deb2fb21a92a3c070330e2c67ac3ec5525b81394aed25e1af0c231",
+    ),
+    (4, "za", "cc", None, None, 5): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "ed83aff6e8359167665a76a144f899bfb579a786755076a4514c4c70115516c2",
+        "a10388109481f5f24510710174d854b0ed00b1243464c2f51219e74a84bc8f5f",
+        "4482282a14462c13d5457248c0eb8e7d399b0af4a9f50b74ad37aa888993faec",
+        "bfea84dbbd1766dc47ea65452595426cc72efff70888c72f9ab137554a9f75cc",
+    ),
+    (4, "za", "oo", None, None, 4): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "db5f2c90f41c8c174e978a733d5be09276901300a223987cf8ddca9e0afd290a",
+        "6b9f3abccca01f6632192344e9eb2b6bdc265f9be0dd9391ef3de52d300a4a57",
+        "8c69f74a03dcbb1b9cd7ab13195742d0ca14819f4ad91868fb08a5b9e059d52e",
+    ),
+    (4, "za", "augmented", None, None, 4): (
+        "428d5a66dd98019a230196e7fe864205f483affad479627a616911ec2d9e798a",
+        "ed83aff6e8359167665a76a144f899bfb579a786755076a4514c4c70115516c2",
+        "a10388109481f5f24510710174d854b0ed00b1243464c2f51219e74a84bc8f5f",
+        "4482282a14462c13d5457248c0eb8e7d399b0af4a9f50b74ad37aa888993faec",
+    ),
+    (4, "z2", "cc", None, None, 4): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "cd84269a4a66affe1b8e3fc6fb84f8b2dd31363c5f27bf92571730500af5ff2d",
+        "5760835b1fc775840942dfcde867b366b7de57ae9338cc3ccdc6f280468f4d3b",
+        "9c254dbeaff4b4e464d3a5cc3c4537bb30efea8bb99defd47cc06bedc69faa84",
+    ),
+    (4, "z", "cc", 3, 0, 6): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "17a54b0ae4c23ae4c5513f3ce96510643c916481fea2776da91a81c77c133559",
+        "5e6071809532a8dabf17333b820cc261e2d67cc23d244193b977f37c8c1a633f",
+        "4ae822184ed2b51cf6ffc38fd2e5ae604f284c29af4451951ceac9fddd3d5d34",
+        "4ada22f9ce83bd1daf380a1a879d8caee4939e7e9a1f1187b79c04b4a8671953",
+    ),
+    (6, "z", "cc", 2, None, 3): (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "6279ff9c496eb7b5809999f26f650dc7a825a086d8bbfd6839ea06ecb2ab3105",
+        "8dc9972b829b7a6fc2f91c6fab369fdb871e458fe44da465f8f69143a0ad0da1",
+    ),
+}
+
+
+@pytest.mark.parametrize("two_n, ring, ends, w, j, top", sorted(MATRIX_DIGESTS, key=str))
+def test_boundary_matrices_are_pinned(two_n, ring, ends, w, j, top):
+    spec = ComplexSpec(two_n, parse_ring(*(("z", 2) if ring == "z2" else (ring,))),
+                       EndSpec(augmented=True) if ends == "augmented"
+                       else EndSpec.from_code(ends), max_degree=top, weight=w,
+                       dividers=j, subquotient=j is not None)
+    cx = build_complex(spec)
+    assert [hashlib.sha256(json.dumps(cx.matrices[p].to_triples()).encode()).hexdigest()
+            for p in range(1, top + 1)] == list(MATRIX_DIGESTS[two_n, ring, ends, w, j, top])
 
 
 # the weight blocks of the closed complex over Z through degree 4, each
