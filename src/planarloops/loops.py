@@ -804,8 +804,11 @@ class _Tails:
         return self.spans[c, r]
 
     def template(self, c, r) -> list:
+        # rows are made through lists: a tuple of known length reuses the
+        # tuples freed by earlier builds, which tuple(iterator) never does
         if (c, r) not in self.templates:
-            self.templates[c, r] = [(tuple(cs), tuple(vs)) for cs, vs in self.rows(c, r)]
+            self.templates[c, r] = [(tuple([*cs]), tuple([*vs]))
+                                    for cs, vs in self.rows(c, r)]
         return self.templates[c, r]
 
     def rows(self, c, r, negate=False):
@@ -942,8 +945,8 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     for p in range(2, max_degree + 1):
         matrices[p] = SparseMatrix.from_rows(
             len(words[p - 1]), len(words[p]),
-            ((i, c, tuple(vs)) for i, (cs, vs) in
-             enumerate(tails.rows(None, p, negate=p % 2 == 0)) if (c := tuple(cs))), dom)
+            ((i, c, tuple([*vs])) for i, (cs, vs) in  # lists: see _Tails.template
+             enumerate(tails.rows(None, p, negate=p % 2 == 0)) if (c := tuple([*cs]))), dom)
     return _Assembly(words, weights, matrices)
 
 
