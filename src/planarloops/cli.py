@@ -12,7 +12,8 @@ import json
 import sys
 
 from .coeff import ZZ, DomainError, PointedRing, parse_ring
-from .diagram import DiagramError, enumerate_diagrams, enumerate_letters, parse_diagram
+from .diagram import (DiagramError, count_diagrams, enumerate_diagrams,
+                      enumerate_letters, parse_diagram)
 from .freedga import build_word_complex, minimal_model, truncated_complex
 from .homology import homology, homology_table
 from .loops import (CLOSED, ComplexSpec, EndSpec, GraffitoError,
@@ -26,6 +27,9 @@ USAGE_ERROR = 2
 
 def _cmd_enum(args) -> int:
     if args.kind == "diagrams":
+        if args.count:
+            print(count_diagrams(args.n, args.m))
+            return 0
         items = [d.encode() for d in enumerate_diagrams(args.n, args.m)]
     elif args.kind == "letters":
         if (args.kl is None) != (args.kr is None):
@@ -54,6 +58,9 @@ def _cmd_enum(args) -> int:
 
 def _build_requested_complex(args, ring):
     name = args.complex
+    filtered = name == "subquotient" or name.startswith("open-")
+    if not filtered and (args.w is not None or args.j is not None):
+        raise GraffitoError(f"{name} takes no --w or --j")
     if name == "model":
         return truncated_complex(minimal_model(args.two_n, ring),
                                  args.max_degree)
@@ -69,7 +76,7 @@ def _build_requested_complex(args, ring):
         raise GraffitoError(f"unknown complex selector {name!r}")
     weight = dividers = None
     subq = False
-    if name == "subquotient" or name.startswith("open-"):
+    if filtered:
         if args.w is None or args.j is None:
             raise GraffitoError(f"{name} needs --w and --j")
         weight, dividers, subq = args.w, args.j, True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 Endpoint = tuple[str, int]  # ('L', i) or ('R', j), 1-based top to bottom
@@ -63,10 +63,18 @@ class TLDiagram:
                for a, b in self.pairs]
         for (a1, b1), (a2, b2) in combinations(pos, 2):
             lo, hi = min(a1, b1), max(a1, b1)
-            in1 = lo < a2 < hi
-            in2 = lo < b2 < hi
-            if in1 != in2:
+            if (lo < a2 < hi) != (lo < b2 < hi):
                 raise DiagramError("pairs cross: diagram is not planar")
+
+    @cached_property
+    def partners(self) -> tuple[int, ...]:
+        """Partner array: endpoint k's partner, with L1..Ln as 0..n-1 and
+        R1..Rm as n..n+m-1."""
+        out = [0] * (self.n + self.m)
+        for a, b in self.pairs:
+            i, j = (i - 1 if side == "L" else self.n + i - 1 for side, i in (a, b))
+            out[i], out[j] = j, i
+        return tuple(out)
 
     # -- basic statistics ---------------------------------------------------
     def through_count(self) -> int:
@@ -127,14 +135,12 @@ def parse_diagram(text: str) -> TLDiagram:
     n, mm, body = int(m.group(1)), int(m.group(2)), m.group(3)
     pairs = []
     if body:
-        pos = 0
         for chunk in body.split(","):
             pm = _PAIR_RE.fullmatch(chunk)
             if not pm:
                 raise DiagramError(f"bad pair {chunk!r} in {text!r}")
             pairs.append(((pm.group(1), int(pm.group(2))),
                           (pm.group(3), int(pm.group(4)))))
-            pos += 1
     return new_diagram(n, mm, pairs)
 
 
@@ -146,73 +152,58 @@ def identity_diagram(n: int) -> TLDiagram:
 EMPTY_DIAGRAM = TLDiagram(0, 0, ())
 
 
+def glue(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[tuple[int, ...], int]:
+    """The product of two diagrams given by partner arrays, a of an (n,m)
+    diagram and b of an (m,l) one, glued along the m middle points: the
+    (n,l) product's partner array and its number of closed loops.
+
+    Each outer end walks, alternating between a and b, to its partner; the
+    middle points that no walk visits lie on the closed loops.
+    """
+    n = len(a) - m
+    out = [-1] * (len(a) + len(b) - 2 * m)
+    seen = bytearray(m)
+    for i in range(len(out)):
+        if out[i] < 0:
+            in_a, p = (True, a[i]) if i < n else (False, b[i - n + m])
+            while p >= n if in_a else p < m:  # at a middle point: cross over
+                seen[p - n if in_a else p] = 1
+                p, in_a = b[p - n] if in_a else a[p + n], not in_a
+            out[i] = j = p if in_a else p - m + n
+            out[j] = i
+    loops = 0
+    for g in range(m):
+        if not seen[g]:
+            loops += 1
+            while not seen[g]:
+                seen[g] = seen[b[g]] = 1
+                g = a[b[g] + n] - n
+    return tuple(out), loops
+
+
+@lru_cache(maxsize=None)
+def _from_partners(n: int, partners: tuple[int, ...]) -> TLDiagram:
+    """The validated diagram with n left points and this partner array."""
+    def end(k):
+        return ("L", k + 1) if k < n else ("R", k - n + 1)
+    return new_diagram(n, len(partners) - n,
+                       [(end(i), end(j)) for i, j in enumerate(partners) if i < j])
+
+
 @lru_cache(maxsize=None)
 def compose(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
-    """Concatenate d1 (n,m) with d2 (m,l); return the diagram and loop count.
-
-    The m right points of d1 are glued to the m left points of d2.  Paths
-    ending on the outer boundary give the pairs of the result; closed cycles
-    among glued points are the loops.
-    """
+    """Concatenate d1 (n,m) with d2 (m,l); return the diagram and loop count,
+    computed by glue on the two partner arrays."""
     if d1.m != d2.n:
         raise DiagramError(f"shape mismatch: ({d1.n},{d1.m}) then ({d2.n},{d2.m})")
-    # Adjacency on glued points 1..m per side; outer endpoints stand alone.
-    link1: dict = {}
-    link2: dict = {}
-    for a, b in d1.pairs:
-        ka = ("g", a[1]) if a[0] == "R" else ("out", "L", a[1])
-        kb = ("g", b[1]) if b[0] == "R" else ("out", "L", b[1])
-        link1[ka] = kb
-        link1[kb] = ka
-    for a, b in d2.pairs:
-        ka = ("g", a[1]) if a[0] == "L" else ("out", "R", a[1])
-        kb = ("g", b[1]) if b[0] == "L" else ("out", "R", b[1])
-        link2[ka] = kb
-        link2[kb] = ka
-    pairs = []
-    visited = set()
-    for start in list(link1) + list(link2):
-        if start[0] != "out" or start in visited:
-            continue
-        visited.add(start)
-        side = 1 if start in link1 else 2
-        cur = link1[start] if side == 1 else link2[start]
-        while cur[0] == "g":
-            side = 3 - side
-            cur = (link1 if side == 1 else link2)[cur]
-        visited.add(cur)
-        pairs.append(((start[1], start[2]), (cur[1], cur[2])))
-    loops = 0
-    seen = set()
-    for g in range(1, d1.m + 1):
-        node = ("g", g)
-        if node in seen or node not in link1:
-            continue
-        cur, side = node, 1
-        closed = True
-        while True:
-            seen.add(cur)
-            cur = (link1 if side == 1 else link2)[cur]
-            side = 3 - side
-            if cur[0] == "out":
-                closed = False
-                break
-            if cur == node and side == 1:
-                break
-            seen.add(cur)
-        if closed:
-            loops += 1
-    # Gluing over 0 points leaves both traversal maps without cycles.
-    return new_diagram(d1.n, d2.m, pairs), loops
+    res, loops = glue(d1.partners, d2.partners, d1.m)
+    return _from_partners(d1.n, res), loops
 
 
 @lru_cache(maxsize=None)
 def enumerate_diagrams(n: int, m: int) -> tuple[TLDiagram, ...]:
     """All (n,m) diagrams in canonical (encoding-lexicographic) order."""
-    if n < 0 or m < 0:
-        raise DiagramError(f"endpoint counts {n}, {m} must not be negative")
-    if (n + m) % 2 != 0:
-        raise DiagramError(f"endpoint count {n}+{m} must be even")
+    count_diagrams(n, m)
     order = [("L", i) for i in range(1, n + 1)] + [("R", j) for j in range(m, 0, -1)]
 
     def matchings(points):
@@ -231,7 +222,18 @@ def enumerate_diagrams(n: int, m: int) -> tuple[TLDiagram, ...]:
     return tuple(sorted(out, key=TLDiagram.encode))
 
 
+def count_diagrams(n: int, m: int) -> int:
+    """Number of (n,m) diagrams, checked for shape and counted unlisted."""
+    if n < 0 or m < 0:
+        raise DiagramError(f"endpoint counts {n}, {m} must not be negative")
+    if (n + m) % 2 != 0:
+        raise DiagramError(f"endpoint count {n}+{m} must be even")
+    return catalan((n + m) // 2)
+
+
 def catalan(k: int) -> int:
+    if k < 0:
+        raise DiagramError(f"no Catalan number for k={k}")
     num, den = 1, 1
     for i in range(k):
         num *= 2 * k - i

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
                       LinkState, TLDiagram, cell_basis, close_up, compose,
-                      enumerate_diagrams, slice_diagram, unslice)
+                      enumerate_diagrams, glue, slice_diagram, unslice)
 from .homology import Basis, ChainComplexData, SparseMatrix
 
 
@@ -144,8 +144,7 @@ def parse_graffito(text: str) -> Graffito:
     factors = tuple(parse_diagram(part) for part in m.group(2).split("|"))
     if factors == (EMPTY_DIAGRAM,):
         return empty_system()
-    two_n = factors[0].m
-    return new_graffito(two_n, m.group(1), factors)
+    return new_graffito(factors[0].m, m.group(1), factors)
 
 
 def parse_chain(text: str, ring: PointedRing) -> "Chain":
@@ -277,8 +276,6 @@ def differential(c: Chain) -> Chain:
     dom = ring.domain
     out: dict[Graffito, object] = {}
     for g, v in c.terms.items():
-        if g.degree == 0:
-            continue
         for i in range(g.degree):
             if g.degree == 1 and (g.left_open or g.right_open):
                 continue
@@ -401,10 +398,8 @@ def _loop_ids(x: Graffito) -> list[dict[int, int]]:
             va = (k, a[1]) if a[0] == "L" else (k + 1, a[1])
             vb = (k, b[1]) if b[0] == "L" else (k + 1, b[1])
             union(va, vb)
-    out = []
-    for bar in range(1, p + 1):
-        out.append({node: find((bar, node)) for node in range(1, x.two_n + 1)})
-    return out
+    return [{node: find((bar, node)) for node in range(1, x.two_n + 1)}
+            for bar in range(1, p + 1)]
 
 
 def pivot_sequence(x: Graffito) -> tuple[Letter, ...]:
@@ -417,13 +412,9 @@ def pivot_sequence(x: Graffito) -> tuple[Letter, ...]:
         raise GraffitoError("pivots are read off closed systems")
     if divider_count(x):
         raise GraffitoError("pivots are defined for divider-free systems")
-    word = to_word(x)
     ids = _loop_ids(x)
-    out = []
-    for j, letter in enumerate(word):
-        if len(set(ids[j].values())) >= 2:
-            out.append(letter)
-    return tuple(out)
+    return tuple(letter for letter, at in zip(to_word(x), ids)
+                 if len(set(at.values())) >= 2)
 
 
 def pivot_letters(max_degree: int = 4) -> tuple[Letter, ...]:
@@ -535,27 +526,19 @@ def _machine(two_n: int, ends: EndSpec) -> _Machine:
     slot id fills a field `bits` wide, the first slot most significant, so
     words of one length sort numerically in slot order.  The running state
     while scanning left to right is the composite of the closed-up prefix,
-    an element of the (0, 2n) diagram list, plus the loops already closed.
+    an element of the (0, 2n) diagram list, plus the loops already closed;
+    transitions are glued and looked up on partner arrays.
     """
     first, inner, last = _slot_pools(two_n, ends)
-    states = enumerate_diagrams(0, two_n)
-    sid = {d: k for k, d in enumerate(states)}
-    start = []
-    for f in first:
-        cf = close_up(LinkState(f, RIGHT_CELL)).diagram if ends.left_open else f
-        start.append(sid[cf])
-    closed_last = []
-    for f in last:
-        cf = close_up(LinkState(f, LEFT_CELL)).diagram if ends.right_open else f
-        closed_last.append(cf)
-    step = []
-    for s in states:
-        row = []
-        for d in inner:
-            res, loops = compose(s, d)
-            row.append((sid[res], loops))
-        step.append(row)
-    finish = [[compose(s, d)[1] for d in closed_last] for s in states]
+    states = [d.partners for d in enumerate_diagrams(0, two_n)]
+    sid = {a: k for k, a in enumerate(states)}
+    start = [sid[(close_up(LinkState(f, RIGHT_CELL)).diagram if ends.left_open
+                  else f).partners] for f in first]
+    closed_last = [(close_up(LinkState(f, LEFT_CELL)).diagram if ends.right_open
+                    else f).partners for f in last]
+    step = [[(sid[res], loops) for res, loops in
+             (glue(s, d.partners, two_n) for d in inner)] for s in states]
+    finish = [[glue(s, d, two_n)[1] for d in closed_last] for s in states]
     bits = max(1, (max(len(first), len(inner), len(last)) - 1).bit_length())
     return _Machine(first, inner, last, bits, start, step, finish,
                     tuple(d.through_count() == 0 for d in inner),
@@ -715,26 +698,32 @@ def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
 
 @lru_cache(maxsize=None)
 def _merge_table(two_n: int, ends: EndSpec, kind: str) -> tuple:
-    """One kind of bar deletion in id space, filled by compose once per
-    machine: at index (x_id << bits) | y_id, the merged id and the loops
+    """One kind of bar deletion in id space, glued on partner arrays once
+    per machine: at index (x_id << bits) | y_id, the merged id and the loops
     closed, or None for a cell-quotient kill.  The kind names the slots
     joined: "one" first and last (the augmentation, onto word 0), "first"
-    first and inner, "last" inner and last, "inner" two inner slots."""
+    first and inner, "last" inner and last, "inner" two inner slots.  A
+    product missing from the target pool must be a kill: two left ends
+    paired at an open left end, or two right ends at an open right end."""
     m = _machine(two_n, ends)
-    left, right, merge = {
-        "one": (m.first, m.last, lambda res: 0),
-        "first": (m.first, m.inner, lambda res: None if ends.left_open
-                  and res.has_ll_pair() else m.first_index[res]),
-        "last": (m.inner, m.last, lambda res: None if ends.right_open
-                 and res.has_rr_pair() else m.last_index[res]),
-        "inner": (m.inner, m.inner, m.inner_index.__getitem__),
+    kl = 2 if ends.left_open else 0
+    left, right, target, kill = {
+        "one": (m.first, m.last, None, None),
+        "first": (m.first, m.inner, m.first, lambda res: any(p < kl for p in res[:kl])),
+        "last": (m.inner, m.last, m.last, lambda res: any(p >= two_n for p in res[two_n:])),
+        "inner": (m.inner, m.inner, m.inner, None),
     }[kind]
+    # "one" sends every product onto word 0
+    lookup = {d.partners: j for j, d in enumerate(target)}.get if target else lambda res: 0
     table = [None] * (1 << 2 * m.bits)
     for a, x in enumerate(left):
         for b, y in enumerate(right):
-            res, loops = compose(x, y)
-            if (merged := merge(res)) is not None:
+            res, loops = glue(x.partners, y.partners, two_n)
+            if (merged := lookup(res)) is not None:
                 table[(a << m.bits) | b] = merged, loops
+            elif not (kill and kill(res)):
+                raise GraffitoError(f"the {kind} merge of {x} and {y} leaves the "
+                                    f"slot pool and is no cell-quotient kill")
     return tuple(table)
 
 

@@ -599,6 +599,8 @@ SUITES = {
 def run_suite(name: str, **params) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(name)
+    if params.get("samples", 1) < 1:
+        raise ValueError(f"samples must be at least 1, got {params['samples']}")
     report = SUITES[name](**params)
     report.checks.sort(key=lambda c: c.name)
     return report

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+import planarloops.cli as cli_module
 from planarloops.cli import main
 from planarloops import PointedRing, ZA
+from planarloops.diagram import catalan
 from planarloops.loops import Chain
 from planarloops.render import (ascii_chain, ascii_graffito, layout_graffito,
                                 svg_graffito)
@@ -48,6 +50,33 @@ def test_lone_letter_end_flag_is_a_usage_error(capsys):
     for flag in ("--kl", "--kr"):
         code, out, err = run(capsys, "enum", "letters", flag, "2", "--count")
         assert code == 2 and not out and err.startswith("error: "), flag
+
+
+def test_diagram_count_lists_nothing(capsys, monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("--count listed the diagrams")
+
+    monkeypatch.setattr(cli_module, "enumerate_diagrams", refuse)
+    code, out, _ = run(capsys, "enum", "diagrams", "--n", "40", "--m", "0", "--count")
+    assert code == 0 and out.strip() == str(catalan(20)) == "6564120420"
+    for n, m in (("3", "0"), ("-2", "0"), ("0", "-1")):
+        code, out, err = run(capsys, "enum", "diagrams", "--n", n, "--m", m, "--count")
+        assert code == 2 and not out and err.startswith("error: "), (n, m)
+
+
+def test_filters_on_an_unfiltered_complex_are_a_usage_error(capsys):
+    # only the subquotient and open complexes take a weight or divider filter
+    for name in ("reduced-loops", "augmented-loops", "model", "word"):
+        for flag, value in (("--w", "2"), ("--j", "0")):
+            code, out, err = run(capsys, "homology", "--complex", name, "--two-n", "6",
+                                 flag, value, "--max-degree", "3")
+            assert (code, out) == (2, "") and "takes no --w or --j" in err, (name, flag)
+
+
+def test_verify_refuses_fewer_than_one_sample(capsys):
+    for samples in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "leibniz", "--samples", samples)
+        assert code == 2 and not out and "samples must be at least 1" in err
 
 
 def test_zero_denominator_is_a_usage_error(capsys):

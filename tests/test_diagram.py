@@ -7,9 +7,10 @@ from planarloops import (DiagramError, Letter, LinkState, cell_basis,
                          close_up, compose, enumerate_diagrams,
                          enumerate_letters, identity_diagram, new_diagram,
                          parse_diagram, parse_letter, slice_diagram, unslice)
-from planarloops.diagram import LEFT_CELL, RIGHT_CELL, catalan
+from planarloops.diagram import LEFT_CELL, RIGHT_CELL, catalan, glue
 
 from conftest import P, Q, W, Pc, Qc
+from tl_oracle import reference_compose
 
 
 # -- independent oracle: enumerate all perfect matchings, filter noncrossing --
@@ -81,6 +82,9 @@ def test_catalan_counts():
         k = total // 2
         for n in range(total + 1):
             assert len(enumerate_diagrams(n, total - n)) == catalan(k)
+    for k in (-1, -2):
+        with pytest.raises(DiagramError, match="Catalan"):
+            catalan(k)
 
 
 def test_enumeration_is_canonically_sorted():
@@ -92,6 +96,38 @@ def test_through_count():
     assert identity_diagram(4).through_count() == 4
     assert parse_diagram("TL(4,4){L1-R3,L2-L3,L4-R4,R1-R2}").through_count() == 2
     assert parse_diagram("TL(4,4){L1-L4,L2-L3,R1-R2,R3-R4}").through_count() == 0
+
+
+def assert_matches_reference(a, b):
+    want, loops = reference_compose(a, b)
+    assert glue(a.partners, b.partners, a.m) == (want.partners, loops)
+    assert compose(a, b) == (want, loops)
+
+
+def test_glue_matches_reference_on_every_small_shape():
+    """Every pair of an (n,m) and an (m,l) diagram with n+m, m+l <= 8."""
+    pairs = 0
+    for n in range(9):
+        for m in range(n % 2, 9 - n, 2):
+            for l in range(m % 2, 9 - m, 2):
+                for a in enumerate_diagrams(n, m):
+                    for b in enumerate_diagrams(m, l):
+                        assert_matches_reference(a, b)
+                        pairs += 1
+    assert pairs == 3493
+
+
+def test_glue_matches_reference_on_sampled_six_point_pairs():
+    rng = random.Random(24)
+    pool = enumerate_diagrams(6, 6)
+    for _ in range(2000):
+        assert_matches_reference(rng.choice(pool), rng.choice(pool))
+
+
+def test_partner_array_labels_left_then_right_ends():
+    d = parse_diagram("TL(4,2){L1-R1,L2-L3,L4-R2}")
+    assert d.partners == (4, 2, 1, 5, 0, 3)
+    assert new_diagram(0, 0, ()).partners == () and identity_diagram(3).partners == (3, 4, 5, 0, 1, 2)
 
 
 def test_compose_associative_with_loops():

@@ -9,8 +9,8 @@ import pytest
 
 from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
                          PointedRing, QQ, ZA, ZZ, build_complex,
-                         chain_to_vector, close_ends, differential,
-                         divider_count, empty_system, enumerate_graffiti, face, from_word, identity_diagram,
+                         chain_to_vector, close_ends, compose, differential,
+                         divider_count, enumerate_diagrams, homology, empty_system, enumerate_graffiti, face, from_word, identity_diagram,
                          four_model, involution_lr, involution_tb, loop_count,
                          minimal_model, new_graffito, nondivider_count,
                          parse_chain, parse_diagram, parse_graffito, parse_ring,
@@ -22,6 +22,7 @@ from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
 from planarloops.homology import (Basis, graded_matrix, homology_table,
                                  over_field, validate_d_squared)
 
+from tl_oracle import reference_compose, reference_merge_table
 from conftest import (DEG3_EXAMPLE, DEG3_FACES, DIVIDER_EXAMPLE,
                       DIVIDER_RAISING, DIVIDER_RAISING_TARGET, PHI_R, PHI_X,
                       PHI_XH, PIVOT_LETTERS, PRODUCT_EXAMPLE)
@@ -402,18 +403,68 @@ def test_assembly_raises_on_a_deletion_outside_the_basis(monkeypatch):
 
 def test_assembly_checks_loops_against_weights(monkeypatch):
     loops_module.count_graffiti(1)  # fill the weight machine before the patch
-    # empty merge tables, filled by the faulty compose and dropped afterwards
+    # empty merge tables, filled by the faulty kernel and dropped afterwards
     monkeypatch.setattr(loops_module, "_merge_table",
                         functools.lru_cache(loops_module._merge_table.__wrapped__))
-    real = loops_module.compose
+    real = loops_module.glue
 
-    def one_loop_too_many(x, y):
-        res, loops = real(x, y)
+    def one_loop_too_many(a, b, m):
+        res, loops = real(a, b, m)
         return res, loops + 1
 
-    monkeypatch.setattr(loops_module, "compose", one_loop_too_many)
+    monkeypatch.setattr(loops_module, "glue", one_loop_too_many)
     with pytest.raises(GraffitoError, match="weights differ"):
         build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
+
+
+def test_merge_table_refuses_a_product_outside_its_pool(monkeypatch):
+    """A product missing from the target pool is dropped only as a
+    cell-quotient kill; any other miss stops the table fill."""
+    loops_module.count_graffiti(1)  # fill the machine before the patch
+    monkeypatch.setattr(loops_module, "_merge_table",
+                        functools.lru_cache(loops_module._merge_table.__wrapped__))
+    real = loops_module.glue
+    identity = identity_diagram(4).partners  # not an inner slot
+
+    def off_pool(a, b, m):
+        return (identity, real(a, b, m)[1]) if len(a) == len(b) == 8 else real(a, b, m)
+
+    monkeypatch.setattr(loops_module, "glue", off_pool)
+    with pytest.raises(GraffitoError, match="inner merge .* leaves the slot pool"):
+        loops_module._merge_table(4, CLOSED, "inner")
+
+
+MACHINE_SHAPES = [(2, "cc"), (4, "cc"), (4, "oo"), (4, "oc"), (4, "co"), (6, "cc")]
+
+
+@pytest.mark.parametrize("two_n, code", MACHINE_SHAPES)
+def test_merge_tables_equal_the_reference_fill(two_n, code):
+    ends = EndSpec.from_code(code)
+    m = loops_module._machine(two_n, ends)
+    for kind in ("one", "first", "last", "inner"):
+        assert (loops_module._merge_table(two_n, ends, kind)
+                == reference_merge_table(m, ends, kind)), kind
+    states = enumerate_diagrams(0, two_n)
+    assert m.step == [[(states.index(res), loops) for res, loops in
+                       (reference_compose(s, d) for d in m.inner)] for s in states]
+
+
+def test_table_fill_makes_no_compose_cache_entry(monkeypatch):
+    """The machine and merge tables glue partner arrays: filling them from
+    empty caches neither calls nor fills the compose cache."""
+    for name in ("_machine", "_completions", "_merge_table"):
+        monkeypatch.setattr(loops_module, name,
+                            functools.lru_cache(getattr(loops_module, name).__wrapped__))
+    before = compose.cache_info()
+    for kind in ("one", "first", "last", "inner"):
+        loops_module._merge_table(4, CLOSED, kind)
+    assert compose.cache_info() == before
+
+
+def test_six_point_weight_two_block_is_pinned():
+    cx = build_complex(ComplexSpec(6, Z0, CLOSED, max_degree=3, weight=2))
+    assert [(h.degree, h.free_rank, h.torsion) for h in homology(cx, [1, 2])] == [
+        (1, 0, ()), (2, 0, (2,))]
 
 
 # every kind of spec the CLI and the benchmark build at a = 0
