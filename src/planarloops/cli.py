@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .coeff import ZZ, DomainError, PointedRing, parse_ring
+from .coeff import INT_POLY_A, ZZ, DomainError, PointedRing, parse_ring
 from .diagram import (DiagramError, count_diagrams, enumerate_diagrams,
                       enumerate_letters, parse_diagram)
 from .freedga import build_word_complex, minimal_model, truncated_complex
@@ -87,7 +87,7 @@ def _build_requested_complex(args, ring):
 
 def _cmd_homology(args) -> int:
     ring = parse_ring(args.ring, args.a)
-    if ring.domain.kind == "int_poly_a":
+    if ring.domain.kind == INT_POLY_A:
         raise DomainError("homology is computed over Z or a field; "
                           "pick a specialization (--ring z --a 0, ...)")
     degrees = range(1, args.max_degree)

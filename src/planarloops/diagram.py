@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain
 
 Endpoint = tuple[str, int]  # ('L', i) or ('R', j), 1-based top to bottom
 
@@ -21,92 +21,68 @@ class DiagramError(ValueError):
     """Invalid diagram data: parity, matching, or planarity failures."""
 
 
-def _circular_position(ep: Endpoint, n: int, m: int) -> int:
-    # Boundary order L1..Ln, Rm..R1 (counterclockwise around the square).
-    side, i = ep
-    if side == "L":
-        if not 1 <= i <= n:
-            raise DiagramError(f"endpoint {ep} out of range for n={n}")
-        return i - 1
-    if side == "R":
-        if not 1 <= i <= m:
-            raise DiagramError(f"endpoint {ep} out of range for m={m}")
-        return n + (m - i)
-    raise DiagramError(f"bad endpoint {ep!r}")
-
-
 @dataclass(frozen=True)
 class TLDiagram:
-    """A Temperley-Lieb (n,m) diagram stored as sorted endpoint pairs."""
+    """A Temperley-Lieb (n,m) diagram stored as its partner array: endpoint
+    k's partner, with L1..Ln as 0..n-1 and R1..Rm as n..n+m-1."""
 
     n: int
     m: int
-    pairs: tuple[tuple[Endpoint, Endpoint], ...]
+    partners: tuple[int, ...]
 
     def __post_init__(self):
-        n, m = self.n, self.m
+        n, m, p = self.n, self.m, self.partners
         if n < 0 or m < 0 or (n + m) % 2 != 0:
             raise DiagramError(f"endpoint count {n}+{m} must be even and nonnegative")
-        seen = set()
-        for a, b in self.pairs:
-            for ep in (a, b):
-                if ep in seen:
-                    raise DiagramError(f"endpoint {ep} matched twice")
-                seen.add(ep)
-        expected = {("L", i) for i in range(1, n + 1)} | {("R", j) for j in range(1, m + 1)}
-        if seen != expected:
-            raise DiagramError("pairs are not a perfect matching of all endpoints")
-        canon = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        if canon != self.pairs:
-            raise DiagramError("pairs are not in canonical order")
-        pos = [(_circular_position(a, n, m), _circular_position(b, n, m))
-               for a, b in self.pairs]
-        for (a1, b1), (a2, b2) in combinations(pos, 2):
-            lo, hi = min(a1, b1), max(a1, b1)
-            if (lo < a2 < hi) != (lo < b2 < hi):
-                raise DiagramError("pairs cross: diagram is not planar")
+        if type(p) is not tuple or len(p) != n + m:
+            raise DiagramError(f"partners must be a tuple of {n + m} endpoints")
+        for k, j in enumerate(p):
+            if not 0 <= j < n + m or j == k or p[j] != k:
+                raise DiagramError("partners are not a perfect matching of all endpoints")
+        # Around the square, L1..Ln then Rm..R1, each endpoint closes the
+        # arc on top of the stack or opens one; planar iff all arcs close.
+        stack = []
+        for k in chain(range(n), range(n + m - 1, n - 1, -1)):
+            if stack and stack[-1] == p[k]:
+                stack.pop()
+            else:
+                stack.append(k)
+        if stack:
+            raise DiagramError("pairs cross: diagram is not planar")
 
     @cached_property
-    def partners(self) -> tuple[int, ...]:
-        """Partner array: endpoint k's partner, with L1..Ln as 0..n-1 and
-        R1..Rm as n..n+m-1."""
-        out = [0] * (self.n + self.m)
-        for a, b in self.pairs:
-            i, j = (i - 1 if side == "L" else self.n + i - 1 for side, i in (a, b))
-            out[i], out[j] = j, i
-        return tuple(out)
+    def pairs(self) -> tuple[tuple[Endpoint, Endpoint], ...]:
+        """Endpoint pairs in canonical (index) order, for text and drawing."""
+        def end(k):
+            return ("L", k + 1) if k < self.n else ("R", k - self.n + 1)
+        return tuple((end(i), end(j)) for i, j in enumerate(self.partners) if i < j)
 
     # -- basic statistics ---------------------------------------------------
     def through_count(self) -> int:
         """Number of strands connecting the left boundary to the right."""
-        return sum(1 for a, b in self.pairs if a[0] != b[0])
+        return sum(1 for j in self.partners[:self.n] if j >= self.n)
 
     def is_identity(self) -> bool:
-        return self.n == self.m and all(
-            a == ("L", i) and b == ("R", i)
-            for i, (a, b) in enumerate(self.pairs, 1))
+        return self.n == self.m and self == identity_diagram(self.n)
 
     def has_ll_pair(self) -> bool:
-        return any(a[0] == "L" and b[0] == "L" for a, b in self.pairs)
+        return any(j < self.n for j in self.partners[:self.n])
 
     def has_rr_pair(self) -> bool:
-        return any(a[0] == "R" and b[0] == "R" for a, b in self.pairs)
+        return any(j >= self.n for j in self.partners[self.n:])
 
     # -- reflections ---------------------------------------------------------
     def reflect_lr(self) -> "TLDiagram":
-        """Swap the roles of the two boundaries (an (n,m) -> (m,n) map)."""
-        swap = {"L": "R", "R": "L"}
-        return new_diagram(self.m, self.n,
-                           [((swap[a[0]], a[1]), (swap[b[0]], b[1]))
-                            for a, b in self.pairs])
+        """Swap the roles of the two boundaries (an (n,m) -> (m,n) map): a
+        rotation of the endpoint labels by m."""
+        n, m, p = self.n, self.m, self.partners
+        return TLDiagram(m, n, tuple((j + m) % (n + m) for j in p[n:] + p[:n]))
 
     def reflect_tb(self) -> "TLDiagram":
         """Flip top to bottom: Li -> L(n+1-i), Rj -> R(m+1-j)."""
-        def flip(ep):
-            side, i = ep
-            return (side, (self.n if side == "L" else self.m) + 1 - i)
-        return new_diagram(self.n, self.m,
-                           [(flip(a), flip(b)) for a, b in self.pairs])
+        n, m, p = self.n, self.m, self.partners
+        flip = (*range(n - 1, -1, -1), *range(n + m - 1, n - 1, -1))
+        return TLDiagram(n, m, tuple(flip[p[k]] for k in flip))
 
     # -- text codec -----------------------------------------------------------
     def encode(self) -> str:
@@ -118,9 +94,22 @@ class TLDiagram:
 
 
 def new_diagram(n: int, m: int, pairs) -> TLDiagram:
-    """Validated, canonicalized diagram from any iterable of endpoint pairs."""
-    canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
-    return TLDiagram(n, m, canon)
+    """Validated diagram from any iterable of endpoint pairs."""
+    def index(ep):
+        side, i = ep
+        if side == "L" and 1 <= i <= n:
+            return i - 1
+        if side == "R" and 1 <= i <= m:
+            return n + i - 1
+        raise DiagramError(f"endpoint {ep!r} out of range for ({n},{m})")
+
+    out = [-1] * (n + m)
+    for a, b in pairs:
+        i, j = index(a), index(b)
+        if out[i] >= 0 or out[j] >= 0 or i == j:
+            raise DiagramError(f"pair {a}-{b} reuses a matched endpoint")
+        out[i], out[j] = j, i
+    return TLDiagram(n, m, tuple(out))
 
 
 _DIAGRAM_RE = re.compile(r"TL\((\d+),(\d+)\)\{([^}]*)\}")
@@ -146,7 +135,7 @@ def parse_diagram(text: str) -> TLDiagram:
 
 @lru_cache(maxsize=None)
 def identity_diagram(n: int) -> TLDiagram:
-    return new_diagram(n, n, [(("L", i), ("R", i)) for i in range(1, n + 1)])
+    return TLDiagram(n, n, (*range(n, 2 * n), *range(n)))
 
 
 EMPTY_DIAGRAM = TLDiagram(0, 0, ())
@@ -182,22 +171,13 @@ def glue(a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[tuple[int, ...
 
 
 @lru_cache(maxsize=None)
-def _from_partners(n: int, partners: tuple[int, ...]) -> TLDiagram:
-    """The validated diagram with n left points and this partner array."""
-    def end(k):
-        return ("L", k + 1) if k < n else ("R", k - n + 1)
-    return new_diagram(n, len(partners) - n,
-                       [(end(i), end(j)) for i, j in enumerate(partners) if i < j])
-
-
-@lru_cache(maxsize=None)
 def compose(d1: TLDiagram, d2: TLDiagram) -> tuple[TLDiagram, int]:
     """Concatenate d1 (n,m) with d2 (m,l); return the diagram and loop count,
     computed by glue on the two partner arrays."""
     if d1.m != d2.n:
         raise DiagramError(f"shape mismatch: ({d1.n},{d1.m}) then ({d2.n},{d2.m})")
     res, loops = glue(d1.partners, d2.partners, d1.m)
-    return _from_partners(d1.n, res), loops
+    return TLDiagram(d1.n, d2.m, res), loops
 
 
 @lru_cache(maxsize=None)
@@ -302,12 +282,11 @@ def slice_diagram(d: TLDiagram) -> tuple[LinkState, LinkState]:
     """
     if d.n != d.m:
         raise DiagramError("slice is defined for square diagrams")
-    through = sorted((a[1], b[1]) for a, b in d.pairs if a[0] == "L" and b[0] == "R")
+    # Pairs run in index order, so through-strands come sorted by left end.
+    through = [(a[1], b[1]) for a, b in d.pairs if a[0] != b[0]]
     k = len(through)
-    left_pairs = [p for p in d.pairs if p[0][0] == "L" and p[1][0] == "L"]
-    right_pairs = [p for p in d.pairs if p[0][0] == "R" and p[1][0] == "R"]
-    lp = list(left_pairs)
-    rp = list(right_pairs)
+    lp = [p for p in d.pairs if p[1][0] == "L"]
+    rp = [p for p in d.pairs if p[0][0] == "R"]
     for s, (li, rj) in enumerate(through, 1):
         lp.append((("L", li), ("R", s)))
         rp.append((("L", s), ("R", rj)))

@@ -189,7 +189,7 @@ class FreeDGA:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise AlgebraError("generator names must be unique")
-        graded = self.ring.a_is_zero or self.ring.domain.kind == "int_poly_a"
+        graded = self.ring.a_is_zero or self.ring.domain.kind == INT_POLY_A
         for g in self.generators:
             img = self.d_images[g.name]
             if not img.is_zero():

@@ -142,9 +142,8 @@ def parse_graffito(text: str) -> Graffito:
     if not m:
         raise GraffitoError(f"cannot parse loop system {text!r}")
     factors = tuple(parse_diagram(part) for part in m.group(2).split("|"))
-    if factors == (EMPTY_DIAGRAM,):
-        return empty_system()
-    return new_graffito(factors[0].m, m.group(1), factors)
+    two_n = 4 if factors == (EMPTY_DIAGRAM,) else factors[0].m
+    return new_graffito(two_n, m.group(1), factors)
 
 
 def parse_chain(text: str, ring: PointedRing) -> "Chain":

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .coeff import ZA, ZZ, PointedRing, parse_ring
+from .coeff import INTEGERS, ZA, ZZ, PointedRing, parse_ring
 from .diagram import (Letter, catalan, cell_basis, enumerate_diagrams,
                       enumerate_letters, slice_diagram, unslice)
 from .freedga import (alpha_boundary_check, build_word_complex,
@@ -353,7 +353,7 @@ def suite_main_technical(max_degree=5, rings=("z", "f2"), **_):
             if got != [(1, ())] + [(0, ())] * (max_degree - 2):
                 return False, f"one-loop row homology over {code}: {got}"
             gen = phi(ring).images["x"]
-            if ring.domain.kind == "integers":
+            if ring.domain.kind == INTEGERS:
                 if not _generated_by(cx, gen, 1):
                     return False, "distinguished one-bar class does not generate"
             else:
@@ -375,7 +375,7 @@ def suite_main_technical(max_degree=5, rings=("z", "f2"), **_):
             v = chain_to_vector(gen, cx, 3)
             if not is_cycle(cx, v, 3) or is_boundary(cx, v, 3):
                 return False, "four-term cycle is not a nonbounding cycle"
-            if ring.domain.kind == "integers" and not _generated_by(cx, gen, 3):
+            if ring.domain.kind == INTEGERS and not _generated_by(cx, gen, 3):
                 return False, "four-term cycle does not generate"
             return True, "one copy of R in degree 3, the four-term cycle generates"
         col.run(f"main-w2-{code}", two_loop)
@@ -596,11 +596,32 @@ SUITES = {
 }
 
 
+# The least max_degree at which each suite that takes one checks what it
+# names: below it a suite checks nothing or leaves its trusted range.
+MIN_DEGREE = {
+    "d-squared": 2,
+    "model-d-squared": 2,
+    "letters": 1,
+    "word-complex": 2,
+    "main-technical": 4,
+    "open-contractibility": 2,
+    "pivot-properties": 3,
+    "filtration-properties": 2,
+    "model-vs-complex": 2,
+}
+
+
 def run_suite(name: str, **params) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(name)
     if params.get("samples", 1) < 1:
         raise ValueError(f"samples must be at least 1, got {params['samples']}")
+    if "max_degree" in params:
+        if name not in MIN_DEGREE:
+            raise ValueError(f"suite {name} takes no max_degree")
+        if params["max_degree"] < MIN_DEGREE[name]:
+            raise ValueError(f"suite {name} needs max_degree at least "
+                             f"{MIN_DEGREE[name]}, got {params['max_degree']}")
     report = SUITES[name](**params)
     report.checks.sort(key=lambda c: c.name)
     return report

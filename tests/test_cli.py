@@ -79,6 +79,16 @@ def test_verify_refuses_fewer_than_one_sample(capsys):
         assert code == 2 and not out and "samples must be at least 1" in err
 
 
+def test_verify_max_degree_below_a_suites_minimum_is_a_usage_error(capsys):
+    for suite, low in (("main-technical", "3"), ("main-technical", "1"),
+                       ("pivot-properties", "2"), ("d-squared", "1"),
+                       ("letters", "0"), ("filtration-properties", "-1")):
+        code, out, err = run(capsys, "verify", suite, "--max-degree", low)
+        assert code == 2 and not out and "needs max_degree at least" in err, suite
+    code, out, err = run(capsys, "verify", "leibniz", "--max-degree", "3")
+    assert code == 2 and not out and "takes no max_degree" in err
+
+
 def test_zero_denominator_is_a_usage_error(capsys):
     code, out, err = run(capsys, "export", "--target", "chain", "--ring", "q",
                          "1/0*" + PHI_X_TEXT)
@@ -207,6 +217,15 @@ def test_export_parse_error(capsys):
     code, _, err = run(capsys, "export", "--target", "diagram",
                        "--format", "ascii", "TL(2,2){L1-R1}")
     assert code == 2 and "error" in err
+
+
+def test_export_of_an_open_empty_system_is_a_usage_error(capsys):
+    for code in ("oo", "oc", "co"):
+        out_code, out, err = run(capsys, "export", "--target", "graffito",
+                                 f"G({code})[TL(0,0){{}}]")
+        assert out_code == 2 and not out and "the empty system has closed ends" in err
+    out_code, out, _ = run(capsys, "export", "--target", "graffito", "G(cc)[TL(0,0){}]")
+    assert out_code == 0 and out.strip() == "(empty)"
 
 
 def test_render_structure():

@@ -7,28 +7,30 @@ from planarloops import (DiagramError, Letter, LinkState, cell_basis,
                          close_up, compose, enumerate_diagrams,
                          enumerate_letters, identity_diagram, new_diagram,
                          parse_diagram, parse_letter, slice_diagram, unslice)
-from planarloops.diagram import LEFT_CELL, RIGHT_CELL, catalan, glue
+from planarloops.diagram import (LEFT_CELL, RIGHT_CELL, TLDiagram, catalan,
+                                 glue)
 
 from conftest import P, Q, W, Pc, Qc
-from tl_oracle import reference_compose
+from tl_oracle import (reference_compose, reference_reflect_lr,
+                       reference_reflect_tb)
 
 
 # -- independent oracle: enumerate all perfect matchings, filter noncrossing --
 
+def perfect_matchings(pts):
+    if not pts:
+        yield []
+        return
+    first, rest = pts[0], pts[1:]
+    for i, other in enumerate(rest):
+        for sub in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + sub
+
+
 def brute_noncrossing_count(n, m):
     points = list(range(n + m))  # circular order: left side then right reversed
-
-    def matchings(pts):
-        if not pts:
-            yield []
-            return
-        first, rest = pts[0], pts[1:]
-        for i, other in enumerate(rest):
-            for sub in matchings(rest[:i] + rest[i + 1:]):
-                yield [(first, other)] + sub
-
     count = 0
-    for m_ in matchings(points):
+    for m_ in perfect_matchings(points):
         ok = True
         for (a1, b1), (a2, b2) in combinations(m_, 2):
             lo, hi = min(a1, b1), max(a1, b1)
@@ -39,6 +41,42 @@ def brute_noncrossing_count(n, m):
     return count
 
 
+def small_shapes(total):
+    return [(n, t - n) for t in range(0, total + 1, 2) for n in range(t + 1)]
+
+
+def test_partner_arrays_accepted_are_exactly_the_noncrossing_ones():
+    for n, m in small_shapes(8):
+        planar = {d.partners for d in enumerate_diagrams(n, m)}
+        accepted = set()
+        for matching in perfect_matchings(list(range(n + m))):
+            p = [0] * (n + m)
+            for i, j in matching:
+                p[i], p[j] = j, i
+            try:
+                accepted.add(TLDiagram(n, m, tuple(p)).partners)
+            except DiagramError as e:
+                assert "not planar" in str(e), (n, m, p)
+        assert accepted == planar, (n, m)
+
+
+def test_bad_partner_arrays_are_refused():
+    shape, matching = "must be a tuple of", "not a perfect matching"
+    for n, m, p, why in ((2, 2, (2, 3, 0), shape),
+                         (2, 2, (2, 3, 0, 1, 0), shape),
+                         (2, 2, [2, 3, 0, 1], shape),
+                         (1, 0, (0,), "must be even"),
+                         (2, 0, (1, 2), matching),  # partner out of range
+                         (2, 0, (-1, 0), matching),
+                         (2, 2, (0, 3, 2, 1), matching),  # fixed points
+                         (1, 1, (1, 1), matching),
+                         (2, 2, (2, 3, 1, 0), matching)):  # not an involution
+        with pytest.raises(DiagramError, match=why):
+            TLDiagram(n, m, p)
+    with pytest.raises(DiagramError, match="not planar"):
+        TLDiagram(2, 2, (3, 2, 1, 0))
+
+
 def test_new_diagram_examples():
     d = new_diagram(2, 2, [(("L", 1), ("R", 1)), (("L", 2), ("R", 2))])
     assert d == identity_diagram(2)
@@ -46,6 +84,13 @@ def test_new_diagram_examples():
         new_diagram(2, 2, [(("L", 1), ("R", 2)), (("L", 2), ("R", 1))])
     with pytest.raises(DiagramError):
         new_diagram(1, 2, [(("L", 1), ("R", 1)), (("R", 2), ("R", 2))])
+    with pytest.raises(DiagramError, match="reuses a matched endpoint"):
+        new_diagram(2, 2, [(("L", 1), ("R", 1)), (("L", 1), ("R", 2))])
+    for bad in (("L", 3), ("R", 0), ("X", 1)):
+        with pytest.raises(DiagramError, match="out of range"):
+            new_diagram(2, 2, [(("L", 1), bad)])
+    with pytest.raises(DiagramError, match="not a perfect matching"):
+        new_diagram(2, 2, [(("L", 1), ("R", 1))])
 
 
 def test_compose_examples():
@@ -169,6 +214,19 @@ def test_reflections():
         assert ab.reflect_lr() == ba_r and l1 == l2
 
 
+def test_reflections_and_statistics_match_the_pair_forms():
+    for n, m in small_shapes(10):
+        for d in enumerate_diagrams(n, m):
+            assert d.reflect_lr() == reference_reflect_lr(d)
+            assert d.reflect_tb() == reference_reflect_tb(d)
+            sides = [a[0] + b[0] for a, b in d.pairs]
+            assert d.through_count() == sides.count("LR")
+            assert d.has_ll_pair() == ("LL" in sides)
+            assert d.has_rr_pair() == ("RR" in sides)
+            assert d.is_identity() == (n == m and d.pairs == tuple(
+                (("L", i), ("R", i)) for i in range(1, n + 1)))
+
+
 def test_slice_roundtrip_and_bijection():
     for d in enumerate_diagrams(4, 4):
         left, right = slice_diagram(d)
@@ -256,8 +314,10 @@ def test_cell_side_validation():
 
 
 def test_diagram_text_roundtrip():
-    for d in enumerate_diagrams(4, 4) + enumerate_diagrams(2, 4):
-        assert parse_diagram(d.encode()) == d
+    for n, m in small_shapes(10):
+        for d in enumerate_diagrams(n, m):
+            assert new_diagram(n, m, d.pairs) == d
+            assert parse_diagram(d.encode()) == d
     assert parse_diagram(" TL(2,2){ L1-R1 , L2-R2 } ") == identity_diagram(2)
     with pytest.raises(DiagramError):
         parse_diagram("TL(2,2){L1-R1}")

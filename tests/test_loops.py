@@ -62,6 +62,9 @@ def test_graffito_codec():
         for g in enumerate_graffiti(2, ends=code):
             assert parse_graffito(g.encode()) == g
     assert parse_graffito(empty_system().encode()) == empty_system()
+    for code in ("oo", "oc", "co"):
+        with pytest.raises(GraffitoError, match="the empty system has closed ends"):
+            parse_graffito(f"G({code})[TL(0,0){{}}]")
 
 
 def test_face_examples():

@@ -1,6 +1,7 @@
-"""Reference Temperley-Lieb product: the path-following walk on endpoint
-labels that the library used before its integer kernel, kept as an oracle
-for `diagram.glue` and the merge tables filled through it."""
+"""Reference Temperley-Lieb operations on endpoint labels, kept as oracles
+for the partner-array forms the library uses: the path-following product
+behind `diagram.glue` and the merge tables filled through it, and the two
+reflections."""
 
 from planarloops.diagram import DiagramError, TLDiagram, new_diagram
 
@@ -83,3 +84,18 @@ def reference_merge_table(m, ends, kind) -> tuple:
             if (merged := merge(res)) is not None:
                 table[(a << m.bits) | b] = merged, loops
     return tuple(table)
+
+
+def reference_reflect_lr(d: TLDiagram) -> TLDiagram:
+    """Swap the roles of the two boundaries (an (n,m) -> (m,n) map)."""
+    swap = {"L": "R", "R": "L"}
+    return new_diagram(d.m, d.n, [((swap[a[0]], a[1]), (swap[b[0]], b[1]))
+                                  for a, b in d.pairs])
+
+
+def reference_reflect_tb(d: TLDiagram) -> TLDiagram:
+    """Flip top to bottom: Li -> L(n+1-i), Rj -> R(m+1-j)."""
+    def flip(ep):
+        side, i = ep
+        return (side, (d.n if side == "L" else d.m) + 1 - i)
+    return new_diagram(d.n, d.m, [(flip(a), flip(b)) for a, b in d.pairs])
