@@ -410,34 +410,44 @@ def _entries(row) -> tuple:
 
 
 class _SparseSNF:
-    """Markowitz sweep with a replayable record, then the dense residual core.
+    """Lone-column peel and Markowitz sweep with a replayable record, then the
+    dense residual core.
 
-    The sweep pivots on a unit over Z and on any nonzero over a field, on a
-    candidate of least cost (len(row) - 1) * (count[col] - 1), with count[c]
-    the number of live rows holding column c.  Its queue holds one entry
-    (cost, row, col) per row, the row's cheapest candidate with ties broken
-    by the lower column, and rows of equal cost by the lower row; each row
-    touched by a pivot is queued afresh, and an entry whose cost has risen
-    since is re-queued when popped (npops counts the pops).  Row operations
-    row_r -= q * row_r0 clear the pivot column outside the pivot row, which
-    is then dropped; nfill counts the entries they create where a row held
-    none.  Over a field that empties the matrix: the pivot count is the rank
-    and the core is 0 x 0.  Over Z the rows left over form the residual
-    core, reduced densely.  pivot_cols holds the sweep's pivot columns.
+    Both pivot on a unit over Z and on any nonzero over a field.  The peel
+    comes first and needs no row operation: with count[c] the number of
+    live rows holding column c, a row holding a column of count 1 leaves R
+    on its lowest such column (over Z the lowest holding a unit), since no
+    other row has an entry there to clear.  It runs in rounds, each visiting
+    the stored rows in ascending order with live counts, until a round
+    peels nothing; npeeled counts its pivots.  The lowest column matters:
+    pivoting on the highest lone column leaves the rows left to the sweep
+    more fill-in and a larger core.  The sweep then pivots on a candidate of
+    least cost (len(row) - 1) * (count[col] - 1).  Its queue holds one
+    entry (cost, row, col) per row, the row's cheapest candidate with ties
+    broken by the lower column, and rows of equal cost by the lower row;
+    each row touched by a pivot is queued afresh, and an entry whose cost
+    has risen since is re-queued when popped (npops counts the pops).  Row
+    operations row_r -= q * row_r0 clear the pivot column outside the pivot
+    row, which is then dropped; nfill counts the entries they create where a
+    row held none.  Over a field that empties the matrix: the pivot count
+    is the rank and the core is 0 x 0.  Over Z the rows left over form the
+    residual core, reduced densely.  pivot_cols holds the pivot columns of
+    both.
 
     A is never written to: a row of R stays A's (cols, vals) until a row
     operation first writes to it and copies it into a dict.  A pivot whose
-    column no other row holds needs no row operation: its row just leaves
-    R, and with transforms joins pivots.  At the first row operation, when
-    every row of R is still stored, the rows holding column c are listed in
-    an index transposed from them (a flat list of row ids with per-column
-    offsets), and from then on in extra[c] once they gain c by fill-in; a
-    listed row that has pivoted or lost c is skipped.  A sweep that needs
-    no row operation makes no index.
+    column no other row holds, peeled or popped, needs no row operation: its
+    row just leaves R, and with transforms joins pivots.  At the first row
+    operation, when every row of R is still stored, the rows holding column
+    c are listed in an index transposed from them (a flat list of row ids
+    with per-column offsets), and from then on in extra[c] once they gain c
+    by fill-in; a listed row that has pivoted or lost c is skipped.  The
+    index covers only the rows the peel left, and a sweep that needs no row
+    operation makes none.
 
     Rows in cleared are dropped before the sweep.  homology() reduces d_1,
-    d_2, ... in one chain and clears the rows of d_{p+1} at the sweep pivot
-    columns of d_p, itself reduced with its own rows cleared.  Those pivots
+    d_2, ... in one chain and clears the rows of d_{p+1} at the pivot columns
+    of d_p, itself reduced with its own rows cleared.  Those pivots
     are units and L d_p is unit-triangular on the pivot rows and columns,
     so its pivot rows span a direct summand of the chains, complementary to
     the coordinates off the pivot columns, on which d_{p+1}^T vanishes:
@@ -451,7 +461,8 @@ class _SparseSNF:
     With transforms (over Z only) the sweep records its operations in ops
     as (r, r0, q) and its pivot rows in pivots as (r0, c0, entries).  With L
     the recorded operations, L A has pivot rows, residual rows whose entries
-    lie in the residual columns and form the core, and zero rows.  No
+    lie in the residual columns and form the core, and zero rows.  Like a
+    popped pivot row, a peeled one holds no earlier pivot column.  No
     operation reads a non-pivot row, so L and its inverse are the identity
     on vectors supported there.  The core is reduced with transforms too,
     for the integral solves.  Non-pivot columns outside the core are free.
@@ -469,7 +480,7 @@ class _SparseSNF:
         self.ops: list[tuple[int, int, int]] = []
         self.pivots: list[tuple[int, int, dict[int, int]]] = []
         self.pivot_cols: set[int] = set()
-        self.npops, self.nfill = self._sweep(dom, transforms)
+        self.npeeled, self.npops, self.nfill = self._sweep(dom, transforms)
         self.npivots = len(self.pivot_cols)
         self.res_rows = sorted(r for r, row in self.R.items() if row)
         self.res_cols = sorted({c for r in self.res_rows
@@ -514,14 +525,52 @@ class _SparseSNF:
             return None
         return (len(cs) - 1) * (blen - 1), r, bcol
 
-    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> tuple[int, int]:
-        """Eliminate pivots until none is left; returns the number of queue
-        entries popped and of entries filled in."""
+    def _leave(self, r0: int, c0: int, transforms: bool) -> None:
+        """Row r0 leaves R on column c0, which no other row holds, so no row
+        operation is due."""
+        cs, vs = _entries(self.R.pop(r0))
+        count = self.count
+        for c in cs:
+            count[c] -= 1
+        self.pivot_cols.add(c0)
+        if transforms:
+            self.pivots.append((r0, c0, dict(zip(cs, vs))))
+
+    def _peel(self, units: bool, transforms: bool) -> int:
+        """The peel of the class docstring; returns the number of rows it
+        pivots.  A stored row's columns ascend, so its lowest lone column is
+        its first of count 1."""
+        R, count = self.R, self.count
+        npeeled = 0
+        while True:
+            before = npeeled
+            for r in list(R):
+                cs, vs = R[r]
+                counts = list(map(count.__getitem__, cs))
+                if 1 not in counts:
+                    continue
+                k = counts.index(1)
+                if units:
+                    try:
+                        while vs[k] != 1 and vs[k] != -1:
+                            k = counts.index(1, k + 1)
+                    except ValueError:  # its lone columns hold no unit
+                        continue
+                self._leave(r, cs[k], transforms)
+                npeeled += 1
+            if npeeled == before:
+                return npeeled
+
+    def _sweep(self, dom: CoefficientDomain, transforms: bool) -> tuple[int, int, int]:
+        """Peel the rows on lone columns, then eliminate pivots until none is
+        left; returns the numbers of rows peeled, of queue entries popped
+        and of entries filled in."""
         units = dom.kind == INTEGERS
         p = dom.p  # entries are reduced mod p over F_p
         R, count = self.R, self.count
         for c in chain.from_iterable(cs for cs, _ in R.values()):
             count[c] += 1
+        npeeled = self._peel(units, transforms)
         index, extra = None, {}  # listed at the first row operation
         heap = [e for r in R if (e := self._best(r, units))]
         heapq.heapify(heap)
@@ -538,13 +587,7 @@ class _SparseSNF:
                 continue
             c0 = best[2]
             if count[c0] == 1:
-                # no other row holds c0, so no row operation is due
-                cs, vs = _entries(R.pop(r0))
-                for c in cs:
-                    count[c] -= 1
-                self.pivot_cols.add(c0)
-                if transforms:
-                    self.pivots.append((r0, c0, dict(zip(cs, vs))))
+                self._leave(r0, c0, transforms)
                 continue
             if index is None:
                 # no row has been written yet, so R holds stored rows, and
@@ -599,7 +642,7 @@ class _SparseSNF:
             for r in touched:
                 if e := self._best(r, units):
                     heapq.heappush(heap, e)
-        return npops, nfill
+        return npeeled, npops, nfill
 
     @functools.cached_property
     def _readers(self) -> tuple[dict[int, int], dict[int, list[int]]]:

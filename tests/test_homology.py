@@ -524,50 +524,69 @@ def _sweep_record(work) -> str:
 
 def test_sweep_record_is_pinned():
     """The transform record of d_5 of the closed two-loop block over Z, as
-    the sweep with a dict per row and a set per column made it."""
+    the lone-column peel and the sweep after it make it."""
     d5, _ = _two_loop_boundaries(ZZ)
     work = _SparseSNF(d5, transforms=True)
-    assert (work.npops, work.npivots, work.nfill, len(work.ops)) == \
-        (3431, 740, 13303, 1660)
+    assert (work.npeeled, work.npops, work.npivots, work.nfill, len(work.ops)) == \
+        (16, 3421, 740, 13205, 1660)
     assert (work.res_rows, work.res_cols) == ([], [])
     assert (work.core.invariants, work.core.rank) == ((), 0)
     assert _sweep_record(work) == \
-        "bf2d14179beef6a0b7b5d1e6b20ae30958435cd4ff040a13034b2e9e4bff0cfe"
+        "f5b20c6dac4e7413efcdc8b708a0ad7e0e5288844e9771551fe411586c10bef3"
 
 
 @pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
 def test_sweep_counts_are_pinned(dom):
-    """Queue pops, pivots and fill-in of d_5 and of d_6 cleared at d_5's
-    pivot columns, on the closed two-loop block."""
+    """Peeled pivots, queue pops, pivots and fill-in of d_5 and of d_6
+    cleared at d_5's pivot columns, on the closed two-loop block."""
     d5, d6 = _two_loop_boundaries(dom)
     low = _SparseSNF(d5)
     high = _SparseSNF(d6, cleared=low.pivot_cols)
-    assert (low.npops, low.npivots, low.nfill) == (3431, 740, 13303)
-    assert (high.npops, high.npivots, high.nfill) == (3871, 3796, 853)
+    assert (low.npeeled, low.npops, low.npivots, low.nfill) == (16, 3421, 740, 13205)
+    assert (high.npeeled, high.npops, high.npivots, high.nfill) == (3796, 0, 3796, 0)
 
 
 @pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
 def test_chained_sweep_counts_are_pinned(dom):
-    """Queue pops, pivots and fill-in of d_5 and d_6 of the closed two-loop
-    block as homology() reduces them: in the chain from d_1 up, each cleared
-    at the pivot columns of the one below.  d_4's 133 pivots drop the rows
-    of d_5 that fill in when it is reduced on its own."""
+    """Peeled pivots, queue pops, pivots and fill-in of d_5 and d_6 of the
+    closed two-loop block as homology() reduces them: in the chain from d_1
+    up, each cleared at the pivot columns of the one below.  d_4's 133
+    pivots drop the rows of d_5 that fill in when it is reduced on its own,
+    and every pivot left lies in a column one row holds, so the peel takes
+    them all: no queue pop, no fill-in and no column index."""
     cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), CLOSED,
                                    max_degree=6, weight=2))
     counts, cleared = [], frozenset()
     for q in range(1, 7):
         work = _SparseSNF(cx.boundary(q), cleared=cleared)
-        counts.append((work.npops, work.npivots, work.nfill))
+        counts.append((work.npeeled, work.npops, work.npivots, work.nfill))
         cleared = work.pivot_cols
-    assert counts[4:] == [(755, 740, 109), (3900, 3796, 1036)]
+    assert counts[4:] == [(740, 0, 740, 0), (3796, 0, 3796, 0)]
+
+
+def test_peel_takes_the_lowest_lone_column():
+    """The peel pivots each row on its lowest column of count 1.  On d_4 to
+    d_6 of the closed four-loop block over Z, reduced in the chain, that
+    keeps the fill-in and the residual cores small; pivoting on the highest
+    lone column fills d_5 with 7,407 entries and leaves it a 1 x 465 core."""
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=6, weight=4))
+    counts, cleared = [], frozenset()
+    for q in range(1, 7):
+        work = _SparseSNF(cx.boundary(q), cleared=cleared)
+        counts.append((work.npops, work.npivots, work.nfill,
+                       (len(work.res_rows), len(work.res_cols))))
+        cleared = work.pivot_cols
+    assert counts[3:] == [(0, 173, 0, (0, 0)), (683, 2542, 5840, (1, 438)),
+                          (1620, 25202, 13170, (2, 153))]
 
 
 def test_sweep_memory_per_stored_entry():
     """The sweep keeps A's stored rows, copying one only when a pivot first
     writes to it, and finds a column's rows through an index transposed
-    from them: on the cleared F2 d_6 of the closed two-loop block (80,288
-    entries) it peaks at about 35 bytes per entry of d_6, where a dict per
-    row and a set per column took 137."""
+    from the rows the peel leaves: on the cleared F2 d_6 of the closed
+    two-loop block (80,288 entries) the peel takes every pivot, no index is
+    made, and it peaks at about 8 bytes per entry of d_6, where indexing
+    every row took about 30 and a dict per row and a set per column 137."""
     d5, d6 = _two_loop_boundaries(prime_field(2))
     cleared = _SparseSNF(d5).pivot_cols
     tracemalloc.start()

@@ -1,5 +1,7 @@
 """Every named verification suite passes at its default parameters."""
 
+import time
+
 import pytest
 
 from planarloops.verify import MIN_DEGREE, SUITES, run_suite
@@ -29,3 +31,12 @@ def test_suites_pass_at_their_least_max_degree(name):
 def test_suites_without_a_degree_refuse_max_degree(name):
     with pytest.raises(ValueError, match="takes no max_degree"):
         run_suite(name, max_degree=5)
+
+
+def test_letters_counts_high_degrees_without_listing():
+    """Past degree 4 the letters suite counts the basis without listing it,
+    so degree 40 (4 * 13^39 systems) checks in well under a second."""
+    t0 = time.perf_counter()
+    report = run_suite("letters", max_degree=40)
+    assert report.ok, report.render()
+    assert time.perf_counter() - t0 < 10
