@@ -8,11 +8,12 @@ from .diagram import (DiagramError, Letter, LinkState, TLDiagram, cell_basis,
                       identity_diagram, new_diagram, parse_diagram,
                       parse_letter, slice_diagram, unslice)
 from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
-                    build_complex, chain_to_vector, close_ends, differential,
-                    divider_count, empty_system, enumerate_graffiti, face,
-                    from_word, involution_lr, involution_tb, loop_count,
-                    new_graffito, nondivider_count, parse_chain,
-                    parse_graffito, pivot_sequence, product, to_word)
+                    build_complex, chain_to_vector, close_ends, count_graffiti,
+                    differential, divider_count, empty_system,
+                    enumerate_graffiti, face, from_word, involution_lr,
+                    involution_tb, loop_count, new_graffito, nondivider_count,
+                    parse_chain, parse_graffito, pivot_sequence, product,
+                    to_word)
 from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       LoopAlgebra, NCPoly, alpha_boundary_check,
                       build_word_complex, check_chain_map,

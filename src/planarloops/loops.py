@@ -631,52 +631,66 @@ def _raw_words(degree, two_n, ends, weight, dividers):
     the lexicographic order of the slot ids, and the numeric order of the
     packed words.
 
-    The walk grows all prefixes of one length at a time.  The slots that
-    may follow a prefix depend only on its class (state, loops, and
-    dividers under a divider filter), so each level keeps its prefixes in
-    canonical order beside their class ids, and extends each by its class's
-    admissible slot ids, ascending, tabulated once per class.  The prefixes
-    are in canonical order and each one's children in ascending slot id, so
-    the next level is in canonical order too.  A slot is admissible when
-    `_completions` says some way of finishing still meets the filters.
+    A word is a first slot and a tail, whose class tabulates it once per
+    call (_TailTables).  The blocks under each first slot go straight into
+    the output, not into a table, so the largest table kept has degree - 2
+    inner slots.  Under a weight filter every word closes `weight` loops
+    and no counts are carried.
     """
     if degree < 1:
         return [], []
     m = _machine(two_n, ends)
-    bits, step, finish, is_div = m.bits, m.step, m.finish, m.is_div
-    wf, df = weight is not None, dividers is not None
-    # per r and state, the (loops, dividers) that finishing can still add;
-    # a coordinate without a filter is held at 0
-    reach = [[{(loops if wf else 0, divs if df else 0) for loops, divs in t}
-              for t in _completions(two_n, ends, r)] for r in range(degree)]
-    # a class is (state, loops, dividers), its id the order it first
-    # appears in on its level, which is also the order of `classes`
-    classes: dict[tuple[int, int, int], int] = {}
-    words = [f for f, s in enumerate(m.start)
-             if (weight if wf else 0, dividers if df else 0) in reach[-1][s]]
-    keys = [classes.setdefault((m.start[f], 0, 0), len(classes)) for f in words]
-    for r in range(degree - 1, 0, -1):
-        below, children = reach[r - 1], {}
-        js, ks = [], []  # per class id: next slot ids, their class ids
-        for s, loops, divs in classes:
-            row_j, row_k = [], []
-            for j, (ns, dl) in enumerate(step[s]):
-                nl, nd = loops + dl, divs + is_div[j] if df else 0
-                if (weight - nl if wf else 0, dividers - nd if df else 0) in below[ns]:
-                    row_j.append(j)
-                    row_k.append(children.setdefault((ns, nl, nd), len(children)))
-            js.append(row_j)
-            ks.append(row_k)
-        words = [w << bits | j for w, k in zip(words, keys) for j in js[k]]
-        keys = list(chain.from_iterable(map(ks.__getitem__, keys)))
-        classes = children
-    js, ls = [], []  # per class id: last slot ids, the finished word's loops
-    for s, loops, _ in classes:
-        js.append([j for j, dl in enumerate(finish[s])
-                   if not wf or loops + dl == weight])
-        ls.append([loops + finish[s][j] for j in js[-1]])
-    out = [w << bits | j for w, k in zip(words, keys) for j in js[k]]
-    return out, list(chain.from_iterable(map(ls.__getitem__, keys)))
+    tables = _TailTables(m, carry=weight is None)
+    out: list[int] = []
+    counts: list[int] = []
+    for f, s in enumerate(m.start):
+        tables.grow(out, counts, f, s, weight, dividers, degree - 1)
+    return out, counts if tables.carry else [weight] * len(out)
+
+
+class _TailTables(dict):
+    """Class -> (tails, loops each closes) for one walk, filled on demand.
+
+    A tail is r inner slots and a last slot, packed in r + 1 slots.  The
+    tails that may follow a prefix depend only on its class (state, loops
+    still needed, dividers still needed, r), None where no filter applies.
+    A class's tails ascend: for each next slot in ascending id, the table
+    of the class after it shifted under that slot, one block made at C
+    speed by map; a slot whose table is empty adds nothing.  The loops are
+    kept only if carried, else the lists stay empty.  The tables live in
+    the instance, so they go as soon as the walk drops it.
+    """
+
+    def __init__(self, m: _Machine, carry: bool):
+        super().__init__()
+        self.m, self.carry = m, carry
+
+    def __missing__(self, c):
+        self[c] = table = [], []
+        self.grow(*table, 0, *c)
+        return table
+
+    def grow(self, ws, ls, head, s, loops, divs, r) -> None:
+        """Append head.t to ws for each tail t of class (s, loops, divs, r),
+        and if carried the loops t closes to ls."""
+        bits, carry = self.m.bits, self.carry
+        if r == 0:
+            if divs in (None, 0):
+                row = self.m.finish[s]
+                js = [j for j, k in enumerate(row) if loops in (None, k)]
+                ws.extend(map((head << bits).__or__, js))
+                if carry:
+                    ls.extend(map(row.__getitem__, js))
+            return
+        shift, is_div = r * bits, self.m.is_div
+        for j, (ns, k) in enumerate(self.m.step[s]):
+            if (loops is not None and loops < k) or (divs is not None and divs < is_div[j]):
+                continue
+            tw, tl = self[ns, None if loops is None else loops - k,
+                          None if divs is None else divs - is_div[j], r - 1]
+            ws.extend(map(((head << bits | j) << shift).__or__, tw))
+            if carry:
+                ls.extend(map(k.__add__, tl) if k else tl)
 
 
 def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,

@@ -580,22 +580,42 @@ def test_peel_takes_the_lowest_lone_column():
                           (1620, 25202, 13170, (2, 153))]
 
 
-def test_sweep_memory_per_stored_entry():
-    """The sweep keeps A's stored rows, copying one only when a pivot first
-    writes to it, and finds a column's rows through an index transposed
-    from the rows the peel leaves: on the cleared F2 d_6 of the closed
-    two-loop block (80,288 entries) the peel takes every pivot, no index is
-    made, and it peaks at about 8 bytes per entry of d_6, where indexing
-    every row took about 30 and a dict per row and a set per column 137."""
-    d5, d6 = _two_loop_boundaries(prime_field(2))
-    cleared = _SparseSNF(d5).pivot_cols
+def _sweep_peak(A, cleared) -> int:
+    """Peak bytes traced while the sweep reduces A with the cleared rows."""
     tracemalloc.start()
     try:
-        _SparseSNF(d6, cleared=cleared)
-        peak = tracemalloc.get_traced_memory()[1]
+        _SparseSNF(A, cleared=cleared)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * d6.nnz()
+
+
+def test_sweep_memory_per_stored_entry():
+    """The sweep keeps A's stored rows, copying one only when a pivot first
+    writes to it.  On the cleared F2 d_6 of the closed two-loop block
+    (80,288 entries) the lone-column peel takes every pivot, so no row is
+    copied and no column index is made: the peak is about 8 bytes per entry
+    of d_6.  The index is bounded by the next test."""
+    d5, d6 = _two_loop_boundaries(prime_field(2))
+    cleared = _SparseSNF(d5).pivot_cols
+    assert _sweep_peak(d6, cleared) < 64 * d6.nnz()
+
+
+def test_sweep_index_memory_per_stored_entry():
+    """The sweep finds a column's rows through an index transposed from the
+    stored rows the peel leaves, a flat list of row ids.  On d_6 of the
+    closed four-loop block over Z (712,846 entries), cleared in the chain
+    from d_1 up, the sweep pops 1,620 queue entries, fills in 13,170 and
+    builds the index: the peak is about 22 bytes per entry of d_6, under a
+    bound of 32 that leaves about 45 % headroom.  Making a dict per stored
+    row up front takes about 41."""
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=6, weight=4))
+    cleared = frozenset()
+    for q in range(1, 6):
+        cleared = _SparseSNF(cx.boundary(q), cleared=cleared).pivot_cols
+    d6 = cx.boundary(6)
+    assert d6.nnz() == 712_846
+    assert _sweep_peak(d6, cleared) < 32 * d6.nnz()
 
 
 @settings(max_examples=100, deadline=None)

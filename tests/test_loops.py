@@ -23,6 +23,7 @@ from planarloops.homology import (Basis, graded_matrix, homology_table,
                                  over_field, validate_d_squared)
 
 from tl_oracle import reference_compose, reference_merge_table
+from walk_oracle import level_walk
 from conftest import (DEG3_EXAMPLE, DEG3_FACES, DIVIDER_EXAMPLE,
                       DIVIDER_RAISING, DIVIDER_RAISING_TARGET, PHI_R, PHI_X,
                       PHI_XH, PIVOT_LETTERS, PRODUCT_EXAMPLE)
@@ -701,10 +702,11 @@ def test_walks_are_pinned(two_n, code, w, j, top):
 
 
 def test_walk_memory_is_bounded():
-    # the walk holds the level it grows and the one before it, not every
-    # level: 360,964 degree-6 words of weight 6, at most 112 B each at the
-    # peak, the returned lists included
-    count_graffiti(6)  # fill the transfer tables first
+    # the walk keeps one tail table per class, the largest with four inner
+    # slots, and writes the blocks under each first slot straight into the
+    # output: 360,964 degree-6 words of weight 6 peak at about 58 B each,
+    # the returned lists included, where the level walk took about 96
+    count_graffiti(6)  # fill the machine first
     tracemalloc.start()
     try:
         words, _ = loops_module._raw_words(6, 4, CLOSED, 6, None)
@@ -712,7 +714,21 @@ def test_walk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(words) == 360_964
-    assert peak <= 112 * len(words), peak / len(words)
+    assert peak <= 80 * len(words), peak / len(words)
+
+
+@pytest.mark.parametrize("two_n, ends, top",
+                         [*((4, ends, 5) for ends in ORACLE_ENDS), (6, CLOSED, 3)],
+                         ids=["4-cc", "4-cc+aug", "4-oo", "4-oc", "4-co", "6-cc"])
+def test_walk_equals_the_level_walk(two_n, ends, top):
+    # the tail tables prune by empty sub-tails, the level walk by the
+    # transfer tables; a degree-p word closes at most n * p loops and has
+    # at most p - 1 dividers, and the filters run one past each
+    for p in range(1, top + 1):
+        for w in (None, *range(two_n // 2 * p + 2)):
+            for j in (None, *range(p + 1)):
+                assert (loops_module._raw_words(p, two_n, ends, w, j)
+                        == level_walk(p, two_n, ends, w, j)), (p, w, j)
 
 
 @pytest.mark.parametrize("ends", ORACLE_ENDS,
@@ -748,6 +764,12 @@ def test_listings_refuse_shapes_no_complex_has():
     assert count_graffiti(0) == len(enumerate_graffiti(0)) == 0
     assert count_graffiti(1, 6) == len(enumerate_graffiti(1, 6)) == 25
     assert count_graffiti(2, 4, "oo") == len(enumerate_graffiti(2, 4, "oo"))
+
+
+def test_count_graffiti_is_exported():
+    # the README, the CLI and verify count through it beside the listing
+    from planarloops import count_graffiti as exported
+    assert exported is count_graffiti
 
 
 def test_count_graffiti_degree_7_without_listing():
