@@ -2,13 +2,17 @@
 suites, and diagram export.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or parse
-errors.  All output is deterministic given the arguments and seed.
+errors, and 141 (128 + SIGPIPE, what a shell shows for a program stopped
+by a closed pipe) when the reader closes standard output early, as `| head`
+does.
+All output is deterministic given the arguments and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coeff import INT_POLY_A, ZZ, DomainError, PointedRing, parse_ring
@@ -23,6 +27,7 @@ from . import render
 from .verify import SUITES, run_suite
 
 USAGE_ERROR = 2
+CLOSED_PIPE = 141
 
 
 def _cmd_enum(args) -> int:
@@ -202,19 +207,20 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
+    command = {"enum": _cmd_enum, "homology": _cmd_homology,
+               "verify": _cmd_verify, "export": _cmd_export}[args.command]
     try:
-        if args.command == "enum":
-            return _cmd_enum(args)
-        if args.command == "homology":
-            return _cmd_homology(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "export":
-            return _cmd_export(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except (DiagramError, GraffitoError, DomainError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

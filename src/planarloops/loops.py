@@ -813,7 +813,7 @@ class _Tails:
                                     for cs, vs in self.rows(c, r)]
         return self.templates[c, r]
 
-    def rows(self, c, r, negate=False):
+    def rows(self, c, r, negate=False, extra=(), base=0):
         """Yield the columns and the values of each row of E(c, r), the
         deletions inside the tails from c with r inner slots into those with
         r - 1 (d_r at c = None), as iterables, the values negated if asked.
@@ -822,8 +822,13 @@ class _Tails:
         signs count from the tail's end.  Row k of the rows starting with u
         is row k of E(c.u, r - 1) shifted into the columns starting with u,
         plus a diagonal run per head merge into u; a head entry with t1 = u
-        lands among the shifted ones and is merged in.  d_top streams the
-        templates of its blocks unless two blocks share one.
+        lands among the shifted ones and is merged in.
+
+        extra holds more diagonal runs (offset, values) over all the rows,
+        and base is added to every column.  d_top keeps no template that
+        only one of its blocks reads: it yields rows(c.u, r - 1) with the
+        block's heads as extra and the block's first column as base, so
+        each of those rows is built once.
         """
         m, ints, add = self.m, self.ints, self.add
         cols_at, _ = self.span(c, r)
@@ -831,7 +836,7 @@ class _Tails:
         kind = "first" if c is None else "inner" if r > 1 else "last"
         table, signed = self.tables[kind], self.signed[r % 2]
         sq = self.subquotient and kind == "inner"
-        heads: dict[int, list] = {u: [] for u in rows_at}
+        heads = {u: [(d + o, v) for d, v in extra] for u, (o, _, _) in rows_at.items()}
         for t1, (o1, c1, k1) in cols_at.items():
             for t2, (o2, c2, k2) in self.span(c1, r - 1)[0].items():
                 hit = table[t1 << m.bits | t2]
@@ -850,19 +855,24 @@ class _Tails:
         shared = Counter(cu for _, cu, _ in rows_at.values())
         for u, (_, cu, _) in rows_at.items():
             n, lo, hi = self.size(cu, r - 2), 0, 0  # u's columns: lo to hi
+            hs = sorted(heads[u])
+            if extra:  # own heads lie in distinct column blocks
+                hs = _merge_heads(hs, add, self.opposite)
             sub = repeat(((), ()), n)
             if r > 1 and u in cols_at:
                 lo = cols_at[u][0]
                 hi = lo + self.size(cu, r - 1)
-                keep = c is not None or r < self.top_degree or shared[cu] > 1
-                sub = self.template(cu, r - 1) if keep else self.rows(cu, r - 1)
-            hs = sorted(heads[u])
+                if c is None and r == self.top_degree and shared[cu] == 1:
+                    yield from self.rows(cu, r - 1, negate,
+                                         [(b - lo, v) for b, v in hs], base + lo)
+                    continue
+                sub = self.template(cu, r - 1)
             parts = [h for h in hs if h[0] < lo], [h for h in hs if h[0] >= hi]
-            runs = [zip(*[ints[b:b + n] for b, _ in part]) if part else repeat((), n)
-                    for part in parts]
+            runs = [zip(*[ints[base + b:base + b + n] for b, _ in part]) if part
+                    else repeat((), n) for part in parts]
             before, after = (tuple(v for _, (v, _) in part) for part in parts)
             inside = [(b - lo, v) for b, v in hs if lo <= b < hi]
-            shift, opposite = ints[lo:hi].__getitem__, self.opposite.__getitem__
+            shift, opposite = ints[base + lo:base + hi].__getitem__, self.opposite.__getitem__
             for k, cb, (sc, sv), ca in zip(count(), runs[0], sub, runs[1]):
                 if inside:
                     sc, sv = list(sc), list(sv)
@@ -879,6 +889,21 @@ class _Tails:
                 yield chain(cb, map(shift, sc), ca), map(opposite, vals) if negate else vals
 
 
+def _merge_heads(hs, add, opposite) -> list:
+    """Sorted heads (offset, (v, -v)) with the runs at one offset summed,
+    and a pair that cancels dropped; opposite maps a sum to its negative."""
+    out = []
+    for b, (v, opp) in hs:
+        if out and out[-1][0] == b:
+            w, w_opp = out.pop()[1]
+            if v != w_opp:
+                total = add(w, v)
+                out.append((b, (total, opposite[total])))
+        else:
+            out.append((b, (v, opp)))
+    return out
+
+
 def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
               dividers: int | None, subquotient: bool,
               ring: PointedRing) -> _Assembly:
@@ -893,11 +918,13 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
 
     Each boundary is written from tail templates memoised per (class,
     inner slots left) and sized from _completions (_Tails.rows), and an
-    entry that cancels is removed.  Each merge is checked once: the class
-    after the merged pair must be the class after its target (else the
-    deletion hits no basis word), and the loops it closes the machine's
-    loop difference (else the weights differ).  The template shapes must
-    be the walk's in every degree.  Each column is one int object.
+    entry that cancels is removed; a top-degree block whose template no
+    other block reads hands its heads to the level below and keeps none.
+    Each merge is checked once: the class after the merged pair must be
+    the class after its target (else the deletion hits no basis word), and
+    the loops it closes the machine's loop difference (else the weights
+    differ).  The template shapes must be the walk's in every degree.  Each
+    column is one int object.
 
     The machine, walks and merge tables are those of the ends without
     augmentation, which has the same slot pools, so an augmented build

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,24 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enum", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader stops after one line, as `| head -1` does; the listing
+    # (about 200 kB) outgrows the pipe's buffer, so the writer meets the
+    # closed pipe while it still has lines to print
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "planarloops.cli", "enum", "graffiti",
+                             "--degree", "3", "--ends", "oo"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"G(oo)[")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli_module.CLOSED_PIPE
+    assert not err, err.decode()  # no traceback, nor anything else
 
 
 def test_lone_letter_end_flag_is_a_usage_error(capsys):

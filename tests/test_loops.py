@@ -372,6 +372,46 @@ def test_build_complex_matches_chain_differential(ends):
                 assert chain_to_vector(d, cx, p - 1) == cols.get(j, {}), (ring, g)
 
 
+@pytest.mark.parametrize("field, pairs", [
+    (Z0, [((1, -1), (1, -1), (2, -2)), ((1, -1), (-1, 1), None)]),
+    (PointedRing.make(prime_field(2), 0), [((1, 1), (1, 1), None)]),
+    (PointedRing.make(prime_field(3), 0), [((1, 2), (1, 2), (2, 1)), ((2, 1), (1, 2), None)]),
+], ids=["Z", "F2", "F3"])
+def test_merge_heads_adds_or_cancels_runs_at_one_offset(field, pairs):
+    opposite = loops_module._Opposites()
+    opposite.neg = field.domain.neg
+    lone = (1, field.domain.neg(1))
+    for x, y, total in pairs:
+        merged = loops_module._merge_heads([(0, lone), (3, x), (3, y), (5, lone)],
+                                           field.domain.add, opposite)
+        middle = [] if total is None else [(3, total)]
+        assert merged == [(0, lone), *middle, (5, lone)], (x, y)
+
+
+def test_top_blocks_built_from_the_level_below_match_chain_differential(monkeypatch):
+    # d_5 of the closed two-loop block over F2: each top block no other block
+    # shares is built by the level below with the block's heads handed down,
+    # where 20 of them meet a head of that level at one offset and cancel
+    met = []
+    real = loops_module._merge_heads
+
+    def counting(hs, add, opposite):
+        out = real(hs, add, opposite)
+        met.append(len(hs) - len(out))
+        return out
+
+    monkeypatch.setattr(loops_module, "_merge_heads", counting)
+    f2 = PointedRing.make(prime_field(2), 0)
+    cx = build_complex(ComplexSpec(4, f2, CLOSED, max_degree=5, weight=2))
+    assert sum(met) == 2 * 20
+    cols: dict = {}
+    for r, cs, vs in cx.boundary(5).row_data:
+        for j, v in zip(cs, vs):
+            cols.setdefault(j, {})[r] = v
+    for j, g in enumerate(enumerate_graffiti(5, weight=2)):
+        assert chain_to_vector(differential(Chain.of(f2, g)), cx, 4) == cols.get(j, {}), g
+
+
 def test_weight_labels_match_loop_counts():
     # the object layer reads each basis element's statistics afresh
     specs = [ComplexSpec(4, Z0, ends, max_degree=3) for ends in ORACLE_ENDS]
