@@ -5,8 +5,9 @@ coeff domains.  One sparse elimination with Markowitz pivoting serves every
 ring.  Over Z it pivots on units only (boundary matrices are overwhelmingly
 unimodular), so only a small residual core ever sees the gcd-based Smith
 reduction; integral solves, kernels and representatives replay the sweep's
-record.  Over a field it pivots on any nonzero and its pivot count is the
-rank.  Everything is exact.
+record.  Over a field it pivots on any nonzero, its pivot count is the
+rank, and boundary solves replay its record the same way.  Everything is
+exact.
 """
 
 from __future__ import annotations
@@ -445,35 +446,42 @@ class _SparseSNF:
     index covers only the rows the peel left, and a sweep that needs no row
     operation makes none.
 
-    Rows in cleared are dropped before the sweep.  homology() reduces d_1,
-    d_2, ... in one chain and clears the rows of d_{p+1} at the pivot columns
-    of d_p, itself reduced with its own rows cleared.  Those pivots
-    are units and L d_p is unit-triangular on the pivot rows and columns,
-    so its pivot rows span a direct summand of the chains, complementary to
-    the coordinates off the pivot columns, on which d_{p+1}^T vanishes:
-    over Z the dropped rows of d_{p+1} are integer combinations of the kept
-    ones, so d_{p+1} without them has the same row lattice, hence the same
-    rank and invariants.  This needs only d_p d_{p+1} = 0, which any subset
-    of d_p's rows keeps, so each link of the chain holds.  The core's
-    pivots are not units and are never cleared.  Cleared rows read as zero
-    rows, so clearing serves the invariants only, never the transforms.
+    Rows in cleared are dropped before the sweep.  _chain reduces d_1,
+    d_2, ... in one ascending chain and clears the rows of d_{p+1} at the
+    pivot columns of d_p, itself reduced with its own rows cleared.  Those
+    pivots are units and L d_p is unit-triangular on the pivot rows and
+    columns, so its pivot rows span a direct summand of the chains,
+    complementary to the coordinates off the pivot columns, on which
+    d_{p+1}^T vanishes: over Z the dropped rows of d_{p+1} are integer
+    combinations of the kept ones, so d_{p+1} without them has the same row
+    lattice, hence the same rank, invariants and kernel.  This needs only
+    d_p d_{p+1} = 0, which any subset of d_p's rows keeps, so each link of
+    the chain holds.  The core's pivots are not units and are never
+    cleared.  Clearing serves the transforms as well: the kernel of the
+    cleared d_{p+1} is its whole kernel, and a cycle of d_p is fixed by its
+    entries off d_p's pivot columns, so it lies in the image of d_{p+1}
+    exactly when its entries on the kept rows lie in the image of the
+    cleared d_{p+1}.  A cleared row is in no system the sweep solves: solve
+    ignores b there, and the caller checks the solution against all of A.
 
-    With transforms (over Z only) the sweep records its operations in ops
-    as (r, r0, q) and its pivot rows in pivots as (r0, c0, entries).  With L
-    the recorded operations, L A has pivot rows, residual rows whose entries
-    lie in the residual columns and form the core, and zero rows.  Like a
-    popped pivot row, a peeled one holds no earlier pivot column.  No
-    operation reads a non-pivot row, so L and its inverse are the identity
-    on vectors supported there.  The core is reduced with transforms too,
-    for the integral solves.  Non-pivot columns outside the core are free.
+    With transforms the sweep records its operations in ops as (r, r0, q),
+    q reduced mod p over F_p, and its pivot rows in pivots as (r0, c0,
+    entries).  With L the recorded operations, L A has pivot rows, residual
+    rows whose entries lie in the residual columns and form the core, zero
+    rows, and the cleared rows.  Like a popped pivot row, a peeled one holds
+    no earlier pivot column.  No operation reads a non-pivot row, so L and
+    its inverse are the identity on vectors supported there.  The core is
+    reduced with transforms too, for the integral solves; over a field it
+    is 0 x 0.  Non-pivot columns outside the core are free.
     """
 
     def __init__(self, A: SparseMatrix, transforms: bool = False,
                  cleared: frozenset[int] | set[int] = frozenset()):
         dom = A.domain
-        if dom.kind != INTEGERS and (transforms or not dom.is_field()):
-            raise DomainError("Smith normal form needs integer entries")
-        self.nrows, self.ncols = A.rows, A.cols
+        if dom.kind != INTEGERS and not dom.is_field():
+            raise DomainError("the sweep needs integer or field entries")
+        self.dom = dom
+        self.nrows, self.ncols, self.cleared = A.rows, A.cols, cleared
         self.R: dict[int, tuple | dict[int, object]] = {
             r: (cs, vs) for r, cs, vs in A.row_data if r not in cleared}
         self.count = [0] * A.cols
@@ -499,7 +507,7 @@ class _SparseSNF:
 
     @functools.cached_property
     def zero_rows(self) -> list[int]:
-        bound = {r0 for r0, _, _ in self.pivots}.union(self.res_rows)
+        bound = {r0 for r0, _, _ in self.pivots}.union(self.res_rows, self.cleared)
         return [r for r in range(self.nrows) if r not in bound]
 
     def _best(self, r: int, units: bool) -> tuple[int, int, int] | None:
@@ -665,6 +673,7 @@ class _SparseSNF:
         entry of x depends on later pivots only: pivots are solved in
         descending order, and only those reached from the support of x and y.
         """
+        p = self.dom.p  # values are reduced mod p over F_p
         by_row, by_col = self._readers
         queued = {by_row[r] for r, v in y.items() if v and r in by_row}
         for c in x:
@@ -677,8 +686,14 @@ class _SparseSNF:
             for c, w in row.items():
                 if c != c0:
                     s -= w * x.get(c, 0)
+            if p:
+                s %= p
             if s:
-                x[c0] = s * row[c0]  # a unit is its own inverse
+                v = row[c0]
+                # a unit is its own inverse
+                x[c0] = s * v if v == 1 or v == -1 else s * self.dom.inv(v)
+                if p:
+                    x[c0] %= p
                 for k in by_col.get(c0, ()):
                     if k not in queued:
                         queued.add(k)
@@ -686,12 +701,17 @@ class _SparseSNF:
         return x
 
     def solve(self, b: dict[int, int]) -> dict[int, int] | None:
-        """One integral x with A x = b, or None when there is none."""
+        """One x over A's domain with A x = b on every row that was not
+        cleared, or None when there is none; b's entries on cleared rows are
+        not read."""
+        p = self.dom.p
         y = dict(b)
         for r, r0, q in self.ops:
             v = y.get(r0)
             if v:
                 y[r] = y.get(r, 0) - q * v
+                if p:
+                    y[r] %= p
         if any(y.get(r) for r in self.zero_rows):
             return None
         core = self.core
@@ -733,18 +753,6 @@ class _SparseSNF:
                 if s:
                     x[c] = s
         return self._lift(x, {})
-
-    def kernel_coords(self, vecs):
-        """Coordinates of kernel vectors in the basis of kernel_vector."""
-        index = {c: t for t, c in enumerate(self.free_cols)}
-        nf, kvinv = len(self.free_cols), self.core.vinv[self.core.rank:]
-        for vec in vecs:
-            out = {index[c]: v for c, v in vec.items() if c in index and v}
-            for j, row in enumerate(kvinv):
-                s = sum(w * vec.get(c, 0) for w, c in zip(row, self.res_cols))
-                if s:
-                    out[nf + j] = s
-            yield out
 
     def cokernel_free_generators(self) -> list[dict[int, int]]:
         """Vectors whose classes generate the free part of coker A.
@@ -935,17 +943,36 @@ class HomologyGroup:
         return f"H_{self.degree} = " + (" + ".join(parts) if parts else "0")
 
 
+def _chain(c: ChainComplexData, top: int, transforms=()):
+    """Reduce d_1, d_2, ..., d_top of c in one ascending chain over Z or the
+    field of c, each without the rows at the sweep pivot columns of the one
+    below (clearing; see _SparseSNF), and yield (q, d_q, its sweep) in
+    turn, the sweep of each degree in transforms with its record.  The
+    low boundaries are small, and their pivots remove the rows that would
+    fill in above."""
+    dom = c.ring.domain
+    cleared: frozenset[int] | set[int] = frozenset()
+    for q in range(1, top + 1):
+        A = c.boundary(q)
+        if dom.kind != INTEGERS:
+            A = over_field(A, dom)
+        work = _SparseSNF(A, transforms=q in transforms, cleared=cleared)
+        yield q, A, work
+        cleared = work.pivot_cols
+
+
 def homology(c: ChainComplexData, degrees, representatives: bool = False
              ) -> list[HomologyGroup]:
     """Homology groups at the requested degrees.
 
     Every requested degree p must satisfy p < max_degree so that both
     adjacent boundaries are trusted; the truncation edge is never reported.
-    d_1, d_2, ..., d_{max(degrees)+1} are reduced once each, in one
-    ascending chain over Z or the field; each drops the rows at the
-    previous one's sweep pivot columns, which leaves its rank and
-    invariants unchanged (clearing; see _SparseSNF).  The low boundaries
-    are small, and their pivots remove the rows that would fill in above.
+    d_1, d_2, ..., d_{max(degrees)+1} are reduced once each by _chain; each
+    drops the rows at the previous one's sweep pivot columns, which leaves
+    its rank and invariants unchanged.  Over Z, representatives of each
+    requested degree p come from d_p's sweep in the chain, recorded with
+    its transforms, and from d_{p+1}: the cleared d_p has the whole kernel
+    lattice, so nothing is reduced twice.
     """
     degrees = list(degrees)
     for p in degrees:
@@ -958,24 +985,27 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
     if dom.kind != INTEGERS and not dom.is_field():
         raise DomainError(
             "homology is computed over Z or a field; specialize first")
+    certify = set(degrees) if representatives and dom.kind == INTEGERS else set()
     reduced = [(0, ())]  # q -> (rank, torsion invariants) of d_q; d_0 = 0
-    cleared: frozenset[int] | set[int] = frozenset()
-    for q in range(1, max(degrees, default=-1) + 2):
-        A = c.boundary(q)
-        work = _SparseSNF(A if dom.kind == INTEGERS else over_field(A, dom),
-                          cleared=cleared)
+    low = {}  # p in certify -> (d_p, its transform sweep), until d_{p+1} comes
+    if 0 in certify:
+        d0 = c.boundary(0)
+        low[0] = d0, _SparseSNF(d0, transforms=True)
+    reps = {}
+    for q, A, work in _chain(c, max(degrees, default=-1) + 1, certify):
         reduced.append((work.npivots + work.core.rank,
                         tuple(d for d in work.core.invariants if d > 1)))
-        cleared = work.pivot_cols
+        if q - 1 in low:
+            reps[q - 1] = _integral_representatives(q - 1, *low.pop(q - 1), A)
+        if q in certify:
+            low[q] = A, work
 
     out = []
     for p in degrees:
         n_p = c.dim(p)
         r_low = reduced[p][0]
         rank, tors = reduced[p + 1]
-        reps = (_integral_representatives(c, p)
-                if representatives and dom.kind == INTEGERS else None)
-        out.append(HomologyGroup(p, n_p - r_low - rank, tors, n_p, reps))
+        out.append(HomologyGroup(p, n_p - r_low - rank, tors, n_p, reps.get(p)))
     return out
 
 
@@ -985,6 +1015,8 @@ def integer_kernel_basis(A: SparseMatrix) -> list[dict[int, int]]:
     One back-substitution through the unit pivots per free column, and one
     per kernel column of the residual core.
     """
+    if A.domain.kind != INTEGERS:
+        raise DomainError("integer_kernel_basis needs integer entries")
     work = _SparseSNF(A, transforms=True)
     basis = [work.kernel_vector({t: 1}) for t in range(work.kernel_rank)]
     # one product A K checks every vector, a column of K, against one
@@ -996,19 +1028,27 @@ def integer_kernel_basis(A: SparseMatrix) -> list[dict[int, int]]:
     return basis
 
 
+def _checked_solve(A: SparseMatrix, b: dict, work: _SparseSNF) -> dict | None:
+    """work.solve(b), where work is A's sweep with transforms, and a
+    solution is checked against the whole of A, cleared rows included."""
+    x = work.solve(b)
+    if x is not None and A.apply(x) != b:
+        raise LinearAlgebraError("solution failed its check A x = b")
+    return x
+
+
 def solve_integer(A: SparseMatrix, b: dict[int, int]) -> dict[int, int] | None:
     """One integral solution of A x = b, or None when none exists.
 
     Replays the unit-pivot sweep on b, solves the residual core densely and
     back-substitutes the unit pivots; a solution is checked against A.
     """
+    if A.domain.kind != INTEGERS:
+        raise DomainError("solve_integer needs integer entries")
     if any(not 0 <= r < A.rows for r in b):
         raise LinearAlgebraError("vector index out of range")
     b = _in_domain(ZZ, b)
-    x = _SparseSNF(A, transforms=True).solve(b)
-    if x is not None and A.apply(x) != b:
-        raise LinearAlgebraError("integral solution failed its check A x = b")
-    return x
+    return _checked_solve(A, b, _SparseSNF(A, transforms=True))
 
 
 def _in_domain(dom: CoefficientDomain, vec: dict[int, object]) -> dict[int, object]:
@@ -1032,52 +1072,68 @@ def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
 
 
 def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
-    """Exact solvability of d_{p+1} w = vec in the coefficient ring.
+    """Exact solvability of d_{p+1} w = vec over Z or the field of c.
 
-    Over Z by a certified integral solve; over a field by comparing the rank
-    of d_{p+1} with the rank of d_{p+1} with vec appended as a column.
+    A non-cycle is no boundary.  For a cycle, _chain reduces d_1, ...,
+    d_{p+1}, and d_{p+1} x = vec is solved on the rows of d_{p+1} that the
+    chain keeps: a cycle is fixed by its entries off d_p's pivot columns,
+    the cleared rows (see _SparseSNF), so vec is a boundary exactly when
+    that projected system has a solution.  A True is backed by an x with
+    d_{p+1} x = vec, checked against the whole of d_{p+1}.
     """
     if p + 1 > c.max_degree:
         raise LinearAlgebraError("degree out of trusted range for is_boundary")
     dom = c.ring.domain
     vec = _in_domain(dom, vec)
+    if dom.kind != INTEGERS and not dom.is_field():
+        raise DomainError("is_boundary needs Z or field coefficients")
+    if c.boundary(p).apply(vec):
+        return False
     if not vec:
         return True
-    A = c.boundary(p + 1)
-    if dom.kind == INTEGERS:
-        return solve_integer(A, vec) is not None
-    if dom.is_field():
-        data = {(r, col): v for r, col, v in A.entries}
-        data.update({(i, A.cols): v for i, v in vec.items()})
-        augmented = SparseMatrix.from_dict(A.rows, A.cols + 1, data, dom)
-        return rank_over_field(augmented, dom) == rank_over_field(A, dom)
-    raise DomainError("is_boundary needs Z or field coefficients")
+    for _, A, work in _chain(c, p + 1, transforms=(p + 1,)):
+        pass  # the chain's last link is d_{p+1}, swept with its record
+    return _checked_solve(A, vec, work) is not None
 
 
-def _integral_representatives(c: ChainComplexData, p: int):
-    """Representative cycles for the free part of H_p; torsion is reported
-    by the invariants alone.
+def _integral_representatives(p: int, low_A: SparseMatrix, low: _SparseSNF,
+                              high: SparseMatrix):
+    """Representative cycles for the free part of H_p, from d_p = low_A, its
+    sweep low with transforms, and d_{p+1} = high; torsion is reported by
+    the invariants alone.
 
-    The columns of d_{p+1} are rewritten in the kernel-lattice coordinates
-    of d_p (integrally exact: that basis spans the whole kernel lattice).
-    The free cokernel generators of the result, mapped back through the
+    X is d_{p+1} in the kernel-lattice coordinates of d_p (integrally exact:
+    that basis spans the whole kernel lattice), made from the stored rows
+    of d_{p+1}: its row t < len(free_cols) is the row of d_{p+1} at free
+    column t, and each later row the combination of the rows at the
+    residual columns that one kernel vector of the core takes, read off
+    its vinv.  The free cokernel generators of X, mapped back through the
     kernel basis, are the representatives; each is checked to be a cycle.
     """
-    if c.ring.domain.kind != INTEGERS:
-        raise DomainError("representatives are computed over Z")
-    low = _SparseSNF(c.boundary(p), transforms=True)
-    high = c.boundary(p + 1)
-    cols: dict[int, dict[int, int]] = {}
+    free = {c: t for t, c in enumerate(low.free_cols)}
+    res = {c: i for i, c in enumerate(low.res_cols)}
+    rows, core_rows = [], {}
     for r, cs, vs in high.row_data:
-        for j, v in zip(cs, vs):
-            cols.setdefault(j, {})[r] = v
-    data = {(i, j): v for j, coords in zip(cols, low.kernel_coords(cols.values()))
-            for i, v in coords.items()}
-    X = SparseMatrix.from_dict(low.kernel_rank, high.cols, data, ZZ)
+        if r in free:  # free columns ascend, so these rows stay in order
+            rows.append((free[r], cs, vs))
+        elif r in res:
+            core_rows[res[r]] = cs, vs
+    nf = len(free)
+    for j, coeffs in enumerate(low.core.vinv[low.core.rank:]):
+        acc: dict[int, int] = {}
+        for i, w in enumerate(coeffs):
+            if w and i in core_rows:
+                for col, v in zip(*core_rows[i]):
+                    acc[col] = acc.get(col, 0) + w * v
+        cols = sorted(acc)
+        cs, vs = nonzero_row(cols, map(acc.__getitem__, cols))
+        if cs:
+            rows.append((nf + j, cs, vs))
+    X = SparseMatrix.from_rows(low.kernel_rank, high.cols, rows, ZZ)
     reps = tuple(low.kernel_vector(g)
                  for g in _SparseSNF(X, transforms=True).cokernel_free_generators())
     for rep in reps:
-        if not is_cycle(c, rep, p):
+        if low_A.apply(rep):
             raise LinearAlgebraError(f"representative in degree {p} is not a cycle")
     return reps
 

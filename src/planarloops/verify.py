@@ -389,7 +389,8 @@ def suite_main_technical(max_degree=5, rings=("z", "f2"), **_):
                 hs = homology(cx, range(1, max_degree))
                 if any(h.free_rank or h.torsion for h in hs):
                     return False, f"w={w} row not acyclic over {code}"
-            return True, "rows with three and four loops are acyclic in degrees 1..4"
+            return True, (f"rows with three and four loops are acyclic in degrees "
+                          f"1..{max_degree - 1}")
         col.run(f"main-w34-{code}", higher)
     return SuiteReport("main-technical", col.checks)
 

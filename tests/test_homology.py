@@ -8,12 +8,13 @@ from itertools import groupby
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from planarloops import (Chain, ChainComplexData, CoefficientDomain,
                          ComplexSpec, DomainError, EndSpec, NCPoly,
                          PointedRing, QQ, SmithForm, SparseMatrix, ZA, ZZ,
-                         build_complex, build_word_complex, four_model,
+                         build_complex, build_word_complex, chain_to_vector,
+                         four_model,
                          homology, homology_table, integer_kernel_basis,
                          is_boundary, is_cycle, minimal_model, phi, prime_field,
                          rank_over_field, smith_normal_form, solve_integer,
@@ -910,15 +911,22 @@ PIECE = st.tuples(st.integers(0, 5), st.sampled_from([0, 1, 1, 2, 6, 12]))
 @st.composite
 def complexes_with_known_homology(draw, top=5):
     """A direct sum of Z --k--> Z and free Z in degrees 0..top, each degree
-    conjugated by a random unimodular matrix, with its pieces."""
+    conjugated by a random unimodular matrix, with its pieces and, per
+    degree p, the cycles (dense vectors) that generate them there: the free
+    Z of a piece (p, 0), and the lower end of a piece (p + 1, k), which
+    spans Z/k in H_p (a boundary when k = 1)."""
     pieces = [(max(p, 1) if k else p, k)
               for p, k in draw(st.lists(PIECE, max_size=20))]
     dims = [0] * (top + 1)
     entries = {p: {} for p in range(1, top + 1)}
+    ends = {p: [] for p in range(top + 1)}  # indices before conjugation
     for p, k in pieces:
         if k:
             entries[p][dims[p - 1], dims[p]] = k
+            ends[p - 1].append(dims[p - 1])
             dims[p - 1] += 1
+        else:
+            ends[p].append(dims[p])
         dims[p] += 1
     # d_p -> U_{p-1} d_p U_p^{-1}, so d^2 = 0 still holds
     conj = []
@@ -949,7 +957,9 @@ def complexes_with_known_homology(draw, top=5):
     for p in range(2, top + 1):
         assert not mats[p - 1].mul(mats[p]).entries
     basis = {p: tuple(f"e{p}.{i}" for i in range(n)) for p, n in enumerate(dims)}
-    return ChainComplexData(Z0, top, basis, mats), pieces
+    # a chain v becomes U_p v, so the generator e_i becomes column i of U_p
+    gens = {p: [[row[i] for row in conj[p][0]] for i in ends[p]] for p in ends}
+    return ChainComplexData(Z0, top, basis, mats), pieces, gens
 
 
 def _over(cx, dom):
@@ -968,7 +978,7 @@ def test_homology_with_clearing_matches_known_groups(cx_pieces, data):
     complexes of known homology its groups over Z, Q, F2 and F3 must equal
     the known ones and a reduction of each boundary on its own, which
     clears nothing."""
-    cx, pieces = cx_pieces
+    cx, pieces, _ = cx_pieces
     # requested degrees with gaps, as [1, 4] and [0, 3], are still drawn:
     # the chain reduces the boundaries between them too
     degrees = data.draw(st.one_of(
@@ -997,6 +1007,123 @@ def test_homology_with_clearing_matches_known_groups(cx_pieces, data):
         got = [(h.free_rank, h.torsion) for h in groups]
         assert got == [known(p) for p in degrees], dom
         assert got == [unclear(p) for p in degrees], dom
+
+
+def _dense_is_boundary(cx, dom, vec, p) -> bool:
+    """Whether vec is d_{p+1} of a chain over dom, by the dense oracles on
+    the whole integer d_{p+1} of cx: an integral solve over Z, and over a
+    field the rank with vec appended as a column against the rank without."""
+    A = cx.boundary(p + 1)
+    b = [vec.get(r, 0) for r in range(A.rows)]
+    if dom is ZZ:
+        return oracle_solve(to_dense(A), A.cols, b) is not None
+    if dom is QQ:
+        rank = dense_rank_q
+    else:
+        def rank(rows, cols, entries):
+            return dense_rank_mod_p(rows, cols, entries, dom.p)
+    augmented = A.entries + tuple((r, A.cols, v) for r, v in enumerate(b) if v)
+    return rank(A.rows, A.cols + 1, augmented) == rank(A.rows, A.cols, A.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_with_known_homology(), st.data())
+def test_is_boundary_matches_dense_oracle(cx_pieces, data):
+    """is_boundary tests d_p vec = 0, then solves d_{p+1} x = vec on the
+    rows of d_{p+1} that the chain keeps.  Over Z, Q, F2 and F3 it must
+    agree with the dense oracles on the whole d_{p+1}: for a boundary
+    d_{p+1} y, which is one, with an x checked against all of d_{p+1}; for
+    such a boundary plus a generator of a free or torsion piece; and for
+    random vectors, mostly no cycles."""
+    cx, _, gens = cx_pieces
+    p = data.draw(st.integers(0, cx.max_degree - 1))
+    d = cx.boundary(p + 1)
+    y = {c: data.draw(st.integers(-3, 3)) for c in range(d.cols)}
+    bd = d.apply({c: v for c, v in y.items() if v})
+    vecs = [bd]
+    if gens[p]:
+        for g in data.draw(st.lists(st.sampled_from(gens[p]), min_size=1,
+                                    max_size=3)):
+            vecs.append({r: v for r in range(d.rows) if (v := bd.get(r, 0) + g[r])})
+    vecs.append({r: data.draw(st.integers(-2, 2)) for r in range(d.rows)})
+
+    solved = []
+    checked_solve = homology_module._checked_solve
+
+    def spy(A, b, work):
+        x = checked_solve(A, b, work)
+        solved.append(x)
+        return x
+
+    homology_module._checked_solve = spy
+    try:
+        for dom in (ZZ, QQ, prime_field(2), prime_field(3)):
+            fx = cx if dom is ZZ else _over(cx, dom)
+            for vec in vecs:
+                before = len(solved)
+                got = is_boundary(fx, vec, p)
+                assert got == _dense_is_boundary(cx, dom, vec, p), dom
+                in_dom = {r: dom.from_int(v) for r, v in vec.items() if dom.from_int(v)}
+                if got and in_dom:
+                    x = solved[before]
+                    assert fx.boundary(p + 1).apply(x) == in_dom
+            assert is_boundary(fx, bd, p)
+    finally:
+        homology_module._checked_solve = checked_solve
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes_with_known_homology())
+def test_representatives_with_a_residual_core(cx_pieces):
+    """Torsion pieces 2, 6 and 12 in d_p leave its sweep in the chain a
+    residual core over Z, so the representatives of H_p read kernel
+    vectors of the core.  There are as many as the free rank, each is a
+    cycle and no boundary, and with the boundaries they span ker d_p over
+    Q."""
+    cx, pieces, _ = cx_pieces
+    cores = [q for q, _, work in homology_module._chain(cx, cx.max_degree - 1)
+             if work.res_rows]
+    assume(cores)
+    for h in homology(cx, cores, representatives=True):
+        p, reps = h.degree, h.representatives
+        assert len(reps) == h.free_rank == sum(1 for q, k in pieces if q == p and not k)
+        for rep in reps:
+            assert is_cycle(cx, rep, p) and not is_boundary(cx, rep, p)
+        low, high = cx.boundary(p), cx.boundary(p + 1)
+        kernel = cx.dim(p) - dense_rank_q(low.rows, low.cols, low.entries)
+        spanned = high.entries + tuple((r, high.cols + t, v)
+                                       for t, rep in enumerate(reps)
+                                       for r, v in rep.items())
+        assert dense_rank_q(cx.dim(p), high.cols + len(reps), spanned) == kernel
+
+
+@pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
+def test_is_boundary_sweeps_only_the_rows_the_chain_keeps(dom, monkeypatch):
+    """On the closed two-loop subquotient row through degree 5, d_4 is
+    117 x 648 and d_3 has rank 16, all of it unit pivots: is_boundary in
+    degree 3 solves on the 101 rows of d_4 off d_3's pivot columns, not on
+    all 117, for the four-term cycle y (no boundary) and for a boundary."""
+    ring = PointedRing.make(dom, 0)
+    cx = build_complex(ComplexSpec(4, ring, CLOSED, max_degree=5, weight=2,
+                                   dividers=0, subquotient=True))
+    d3, d4 = cx.boundary(3), cx.boundary(4)
+    rank3 = (smith_normal_form(d3).rank if dom is ZZ
+             else rank_over_field(d3, dom))
+    assert (d4.rows, d4.cols, rank3) == (117, 648, 16)
+    seen = []
+
+    class Recorded(_SparseSNF):
+        def __init__(self, A, transforms=False, cleared=frozenset()):
+            super().__init__(A, transforms, cleared)
+            if transforms:
+                seen.append((A.rows, A.cols,
+                             sum(r not in cleared for r, _, _ in A.row_data)))
+
+    monkeypatch.setattr(homology_module, "_SparseSNF", Recorded)
+    y = chain_to_vector(phi(ring).images["y"], cx, 3)
+    assert not is_boundary(cx, y, 3)
+    assert is_boundary(cx, d4.apply({0: 1, 7: 1, 300: 1}), 3)
+    assert seen == [(117, 648, 117 - rank3)] * 2
 
 
 @pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
@@ -1054,6 +1181,11 @@ def test_cycle_and_boundary_refuse_values_outside_the_ring(dom):
     if dom is ZZ:  # a half-integral b has no certified integral solution
         with pytest.raises(DomainError):
             solve_integer(cx.boundary(3), {0: Fraction(1, 2)})
+    else:  # the sweep solves over a field, but these two stay integral
+        with pytest.raises(DomainError):
+            solve_integer(cx.boundary(3), {0: 1})
+        with pytest.raises(DomainError):
+            integer_kernel_basis(cx.boundary(3))
 
 
 def test_cycle_refuses_values_outside_za():

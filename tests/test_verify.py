@@ -40,3 +40,15 @@ def test_letters_counts_high_degrees_without_listing():
     report = run_suite("letters", max_degree=40)
     assert report.ok, report.render()
     assert time.perf_counter() - t0 < 10
+
+
+def test_main_technical_names_the_degrees_it_checked():
+    """The w = 3, 4 check reduces degrees 1 to max_degree - 1 and says so:
+    1..4 at the default max_degree 5, 1..5 at 6."""
+    for top in (5, 6):
+        report = run_suite("main-technical", max_degree=top)
+        assert report.ok, report.render()
+        details = {c.name: c.detail for c in report.checks}
+        for code in ("z", "f2"):
+            assert details[f"main-w34-{code}"] == (
+                f"rows with three and four loops are acyclic in degrees 1..{top - 1}")
