@@ -91,6 +91,10 @@ def _build_requested_complex(args, ring):
 
 
 def _cmd_homology(args) -> int:
+    if args.max_degree < 2:
+        raise ValueError(f"homology needs --max-degree at least 2, got "
+                         f"{args.max_degree}: H_p needs d_{{p+1}}, and the "
+                         f"table starts at H_1")
     ring = parse_ring(args.ring, args.a)
     if ring.domain.kind == INT_POLY_A:
         raise DomainError("homology is computed over Z or a field; "

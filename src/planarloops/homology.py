@@ -4,10 +4,10 @@ Boundary data is held as sparse matrices whose entries live in one of the
 coeff domains.  One sparse elimination with Markowitz pivoting serves every
 ring.  Over Z it pivots on units only (boundary matrices are overwhelmingly
 unimodular), so only a small residual core ever sees the gcd-based Smith
-reduction; integral solves, kernels and representatives replay the sweep's
-record.  Over a field it pivots on any nonzero, its pivot count is the
-rank, and boundary solves replay its record the same way.  Everything is
-exact.
+reduction.  Over a field it pivots on any nonzero and its pivot count is
+the rank.  Over Z and every field alike, solves, kernels and homology
+representatives replay the sweep's record, and each answer is checked
+against the matrix it solves.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -237,7 +237,9 @@ class ChainComplexData:
     max_degree (a sequence of strings given here is wrapped in one), and
     weights[p] (optional) one loop-count label per basis element.
     matrices[p] is the stored form of the boundary leaving degree p, a
-    SparseMatrix stored by rows.  Over Z[a] with weight labels (graded)
+    SparseMatrix stored by rows, dim(p - 1) x dim(p); a matrix of another
+    shape, or weights[p] of another length than basis[p], raises
+    LinearAlgebraError.  Over Z[a] with weight labels (graded)
     every entry of d_p is n * a^(w_col - w_row), so matrices[p] is the
     integer matrix of the n, with domain ZZ, and a matrix over any other
     domain raises LinearAlgebraError; boundary(p) renders the Z[a] matrix
@@ -257,6 +259,16 @@ class ChainComplexData:
             raise LinearAlgebraError("max_degree must not be negative")
         self.basis = {p: b if isinstance(b, Basis) else Basis(b)
                       for p, b in self.basis.items()}
+        for p, mat in self.matrices.items():
+            if (mat.rows, mat.cols) != (self.dim(p - 1), self.dim(p)):
+                raise LinearAlgebraError(
+                    f"d_{p} is {mat.rows} x {mat.cols}, but C_{p - 1} has "
+                    f"{self.dim(p - 1)} elements and C_{p} has {self.dim(p)}")
+        for p, labels in (self.weights or {}).items():
+            if len(labels) != self.dim(p):
+                raise LinearAlgebraError(
+                    f"degree {p} has {len(labels)} weight labels for "
+                    f"{self.dim(p)} basis elements")
         if self.graded:
             for p, mat in self.matrices.items():
                 if mat.domain != ZZ:
@@ -362,12 +374,8 @@ def validate_d_squared(c: ChainComplexData) -> DSquaredReport:
     mats = {p: c.stored(p) for p in range(1, c.max_degree + 1)}
     failures = []
     for p in range(2, c.max_degree + 1):
-        a, b = mats[p - 1], mats[p]
-        if a.cols != b.rows:
-            raise LinearAlgebraError(
-                f"boundary shapes disagree between degrees {p} and {p - 1}")
-        prod = a.mul(b)
-        for r, col, _ in prod.entries:
+        # the shapes fit: ChainComplexData checks them at construction
+        for r, col, _ in mats[p - 1].mul(mats[p]).entries:
             failures.append((p, r, col))
     return DSquaredReport(not failures, tuple(failures))
 
@@ -471,8 +479,8 @@ class _SparseSNF:
     rows, and the cleared rows.  Like a popped pivot row, a peeled one holds
     no earlier pivot column.  No operation reads a non-pivot row, so L and
     its inverse are the identity on vectors supported there.  The core is
-    reduced with transforms too, for the integral solves; over a field it
-    is 0 x 0.  Non-pivot columns outside the core are free.
+    reduced with transforms too; over a field it is 0 x 0.  Non-pivot
+    columns outside the core are free.
     """
 
     def __init__(self, A: SparseMatrix, transforms: bool = False,
@@ -969,10 +977,11 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
     adjacent boundaries are trusted; the truncation edge is never reported.
     d_1, d_2, ..., d_{max(degrees)+1} are reduced once each by _chain; each
     drops the rows at the previous one's sweep pivot columns, which leaves
-    its rank and invariants unchanged.  Over Z, representatives of each
-    requested degree p come from d_p's sweep in the chain, recorded with
-    its transforms, and from d_{p+1}: the cleared d_p has the whole kernel
-    lattice, so nothing is reduced twice.
+    its rank and invariants unchanged.  With representatives, those of
+    each requested degree p, over Z or the field of c, come from d_p's
+    sweep in the chain, recorded with its transforms, and from d_{p+1}:
+    the cleared d_p has the whole kernel, so nothing is reduced twice.
+    Without them no sweep records its transforms.
     """
     degrees = list(degrees)
     for p in degrees:
@@ -985,7 +994,7 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
     if dom.kind != INTEGERS and not dom.is_field():
         raise DomainError(
             "homology is computed over Z or a field; specialize first")
-    certify = set(degrees) if representatives and dom.kind == INTEGERS else set()
+    certify = set(degrees) if representatives else set()
     reduced = [(0, ())]  # q -> (rank, torsion invariants) of d_q; d_0 = 0
     low = {}  # p in certify -> (d_p, its transform sweep), until d_{p+1} comes
     if 0 in certify:
@@ -996,7 +1005,7 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
         reduced.append((work.npivots + work.core.rank,
                         tuple(d for d in work.core.invariants if d > 1)))
         if q - 1 in low:
-            reps[q - 1] = _integral_representatives(q - 1, *low.pop(q - 1), A)
+            reps[q - 1] = _representatives(q - 1, *low.pop(q - 1), A)
         if q in certify:
             low[q] = A, work
 
@@ -1010,19 +1019,19 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
 
 
 def integer_kernel_basis(A: SparseMatrix) -> list[dict[int, int]]:
-    """Basis of the integer kernel lattice, every vector checked against A.
+    """Basis of the kernel of A over Z or a field (over Z, of the kernel
+    lattice), every vector checked against A.
 
-    One back-substitution through the unit pivots per free column, and one
-    per kernel column of the residual core.
+    One back-substitution through the sweep's pivots per free column, and
+    one per kernel column of the residual core (over Z only).
     """
-    if A.domain.kind != INTEGERS:
-        raise DomainError("integer_kernel_basis needs integer entries")
     work = _SparseSNF(A, transforms=True)
     basis = [work.kernel_vector({t: 1}) for t in range(work.kernel_rank)]
     # one product A K checks every vector, a column of K, against one
     # column map of A
     K = SparseMatrix.from_dict(A.cols, len(basis), {
-        (i, t): v for t, vec in enumerate(basis) for i, v in vec.items()})
+        (i, t): v for t, vec in enumerate(basis) for i, v in vec.items()},
+        A.domain)
     if A.mul(K).row_data:
         raise LinearAlgebraError("kernel basis vector failed its check A k = 0")
     return basis
@@ -1038,16 +1047,14 @@ def _checked_solve(A: SparseMatrix, b: dict, work: _SparseSNF) -> dict | None:
 
 
 def solve_integer(A: SparseMatrix, b: dict[int, int]) -> dict[int, int] | None:
-    """One integral solution of A x = b, or None when none exists.
+    """One solution of A x = b over Z or a field, or None when none exists.
 
-    Replays the unit-pivot sweep on b, solves the residual core densely and
-    back-substitutes the unit pivots; a solution is checked against A.
+    Replays the sweep on b, solves the residual core densely (over Z only)
+    and back-substitutes the pivots; a solution is checked against A.
     """
-    if A.domain.kind != INTEGERS:
-        raise DomainError("solve_integer needs integer entries")
     if any(not 0 <= r < A.rows for r in b):
         raise LinearAlgebraError("vector index out of range")
-    b = _in_domain(ZZ, b)
+    b = _in_domain(A.domain, b)
     return _checked_solve(A, b, _SparseSNF(A, transforms=True))
 
 
@@ -1096,19 +1103,20 @@ def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     return _checked_solve(A, vec, work) is not None
 
 
-def _integral_representatives(p: int, low_A: SparseMatrix, low: _SparseSNF,
-                              high: SparseMatrix):
-    """Representative cycles for the free part of H_p, from d_p = low_A, its
-    sweep low with transforms, and d_{p+1} = high; torsion is reported by
-    the invariants alone.
+def _representatives(p: int, low_A: SparseMatrix, low: _SparseSNF,
+                     high: SparseMatrix):
+    """Representative cycles for the free part of H_p over Z or a field,
+    from d_p = low_A, its sweep low with transforms, and d_{p+1} = high;
+    torsion is reported by the invariants alone.
 
-    X is d_{p+1} in the kernel-lattice coordinates of d_p (integrally exact:
-    that basis spans the whole kernel lattice), made from the stored rows
+    X is d_{p+1} in the kernel coordinates of d_p (exact over Z too: that
+    basis spans the whole kernel lattice), made from the stored rows
     of d_{p+1}: its row t < len(free_cols) is the row of d_{p+1} at free
     column t, and each later row the combination of the rows at the
     residual columns that one kernel vector of the core takes, read off
-    its vinv.  The free cokernel generators of X, mapped back through the
-    kernel basis, are the representatives; each is checked to be a cycle.
+    its vinv (over a field the core is 0 x 0 and adds no row).  The free
+    cokernel generators of X, mapped back through the kernel basis, are the
+    representatives; each is checked to be a cycle.
     """
     free = {c: t for t, c in enumerate(low.free_cols)}
     res = {c: i for i, c in enumerate(low.res_cols)}
@@ -1129,7 +1137,7 @@ def _integral_representatives(p: int, low_A: SparseMatrix, low: _SparseSNF,
         cs, vs = nonzero_row(cols, map(acc.__getitem__, cols))
         if cs:
             rows.append((nf + j, cs, vs))
-    X = SparseMatrix.from_rows(low.kernel_rank, high.cols, rows, ZZ)
+    X = SparseMatrix.from_rows(low.kernel_rank, high.cols, rows, high.domain)
     reps = tuple(low.kernel_vector(g)
                  for g in _SparseSNF(X, transforms=True).cokernel_free_generators())
     for rep in reps:

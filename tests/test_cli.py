@@ -111,6 +111,28 @@ def test_verify_max_degree_below_a_suites_minimum_is_a_usage_error(capsys):
     assert code == 2 and not out and "takes no max_degree" in err
 
 
+def test_verify_rings_are_usage_errors_for_every_suite(capsys):
+    """An unknown ring, rings for a suite that takes none, and Z[a] for a
+    suite that computes homology all exit 2 before any check runs."""
+    for argv, message in (
+            (("psi-chain-map", "--rings", "bogus"), "unknown ring 'bogus'"),
+            (("main-technical", "--rings", "bogus"), "unknown ring 'bogus'"),
+            (("slicing", "--rings", "z"), "suite slicing takes no rings"),
+            (("main-technical", "--rings", "za"), "not over za"),
+            (("model-vs-complex", "--rings", "za"), "not over za")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and not out and message in err, argv
+
+
+def test_homology_below_degree_2_is_a_usage_error(capsys):
+    """H_p needs d_{p+1}, and the table starts at H_1, so --max-degree 0 or
+    1 would print the header alone."""
+    for top in ("0", "1"):
+        code, out, err = run(capsys, "homology", "--complex", "reduced-loops",
+                             "--max-degree", top)
+        assert code == 2 and not out and "H_p needs d_{p+1}" in err, top
+
+
 def test_zero_denominator_is_a_usage_error(capsys):
     code, out, err = run(capsys, "export", "--target", "chain", "--ring", "q",
                          "1/0*" + PHI_X_TEXT)

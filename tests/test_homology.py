@@ -625,7 +625,8 @@ def test_sweep_index_memory_per_stored_entry():
 def test_sweep_never_writes_to_its_input(A, dom, data):
     """Every reduction reads the stored rows of its matrices and writes to
     none: on 0 <- C_0 <-A- C_1 <-K- C_2, with K a kernel basis of A, over Z
-    and F_p, the rows of A and K are what they were before."""
+    and F_p, homology with and without representatives, boundary tests,
+    solves and kernel bases leave the rows of A and K as they were."""
     kernel = integer_kernel_basis(A)
     K = M(A.cols, len(kernel), {(i, t): v for t, vec in enumerate(kernel)
                                 for i, v in vec.items()})
@@ -640,16 +641,13 @@ def test_sweep_never_writes_to_its_input(A, dom, data):
         return [[(r, list(cs), list(vs)) for r, cs, vs in X.row_data] for X in mats]
 
     before = rows()
-    homology(cx, [0, 1, 2], representatives=dom is ZZ)
+    homology(cx, [0, 1, 2])
+    homology(cx, [0, 1, 2], representatives=True)
     for p, X in enumerate(mats):
         b = {r: data.draw(st.integers(-3, 3)) for r in range(X.rows)}
         is_boundary(cx, b, p)
-        if dom is ZZ:
-            smith_normal_form(X)
-            solve_integer(X, b)
-            integer_kernel_basis(X)
-        else:
-            rank_over_field(X, dom)
+        solve_integer(X, b)
+        integer_kernel_basis(X)
     assert rows() == before
 
 
@@ -1097,6 +1095,54 @@ def test_representatives_with_a_residual_core(cx_pieces):
         assert dense_rank_q(cx.dim(p), high.cols + len(reps), spanned) == kernel
 
 
+def _field_rank(dom, rows, cols, entries):
+    """The rank over Q or F_p, by the dense oracles."""
+    if dom is QQ:
+        return dense_rank_q(rows, cols, entries)
+    return dense_rank_mod_p(rows, cols, entries, dom.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_with_known_homology(),
+       st.sampled_from((QQ, prime_field(2), prime_field(3))))
+def test_field_kernels_and_representatives(cx_pieces, dom):
+    """Kernels and representatives over a field replay the sweep's record
+    as they do over Z.  Over Q, F2 and F3: the kernel basis of each d_p
+    has cols - rank vectors and A K = 0; homology(..., representatives=True)
+    gives dim H_p representatives in every degree, each a cycle and no
+    boundary, which with im d_{p+1} span ker d_p.  Every vector holds
+    nonzero values in their canonical form (over F_p reduced mod p).  Ranks
+    come from the dense oracles."""
+
+    def canonical(vec):
+        for v in vec.values():
+            dom.validate(v)
+        return all(vec.values())
+
+    cx = _over(cx_pieces[0], dom)
+    rank = {0: 0}  # d_0 = 0
+    for p in range(1, cx.max_degree + 1):
+        A = cx.boundary(p)
+        rank[p] = _field_rank(dom, A.rows, A.cols, A.entries)
+        kernel = integer_kernel_basis(A)
+        assert len(kernel) == A.cols - rank[p] and all(map(canonical, kernel))
+        K = SparseMatrix.from_dict(A.cols, len(kernel), {
+            (i, t): v for t, vec in enumerate(kernel) for i, v in vec.items()}, dom)
+        assert not A.mul(K).row_data
+    for h in homology(cx, range(cx.max_degree), representatives=True):
+        p, reps = h.degree, h.representatives
+        cycles = cx.dim(p) - rank[p]
+        assert len(reps) == h.free_rank == cycles - rank[p + 1]
+        for rep in reps:
+            assert canonical(rep)
+            assert is_cycle(cx, rep, p) and not is_boundary(cx, rep, p)
+        high = cx.boundary(p + 1)
+        spanned = high.entries + tuple((r, high.cols + t, v)
+                                       for t, rep in enumerate(reps)
+                                       for r, v in rep.items())
+        assert _field_rank(dom, cx.dim(p), high.cols + len(reps), spanned) == cycles
+
+
 @pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
 def test_is_boundary_sweeps_only_the_rows_the_chain_keeps(dom, monkeypatch):
     """On the closed two-loop subquotient row through degree 5, d_4 is
@@ -1178,14 +1224,19 @@ def test_cycle_and_boundary_refuse_values_outside_the_ring(dom):
                 check(cx, {0: bad}, 2)
     if dom is QQ:
         assert is_boundary(cx, {0: Fraction(1, 2)}, 2)
-    if dom is ZZ:  # a half-integral b has no certified integral solution
+    # solves and kernels run over every ring alike, checked against d_3 (9 x
+    # 36 of rank 8 over each of them), and refuse values outside the ring;
+    # over Z a half-integral b has no certified integral solution
+    d3 = cx.boundary(3)
+    for b in ({0: 1}, {0: 3}, *([{0: Fraction(1, 2)}] if dom is QQ else [])):
+        x = solve_integer(d3, b)
+        assert d3.apply(x) == {r: dom.from_int(v) if type(v) is int else v
+                               for r, v in b.items()}
+    kernel = integer_kernel_basis(d3)
+    assert len(kernel) == 36 - 8 and not any(map(d3.apply, kernel))
+    for bad in (0.5, "x", *([] if dom is QQ else [Fraction(1, 2)])):
         with pytest.raises(DomainError):
-            solve_integer(cx.boundary(3), {0: Fraction(1, 2)})
-    else:  # the sweep solves over a field, but these two stay integral
-        with pytest.raises(DomainError):
-            solve_integer(cx.boundary(3), {0: 1})
-        with pytest.raises(DomainError):
-            integer_kernel_basis(cx.boundary(3))
+            solve_integer(d3, {0: bad})
 
 
 def test_cycle_refuses_values_outside_za():
@@ -1263,6 +1314,27 @@ def test_weight_decompose_rejects_crossing_entries():
                            weights=weights)
     with pytest.raises(LinearAlgebraError, match="crosses weights"):
         weight_decompose(bad)
+
+
+def test_complex_refuses_boundaries_and_labels_that_disagree_with_its_bases():
+    """A 3 x 2 d_1 on bases of sizes 1, 3, 1 read H_0 = 0, H_1 = Z, H_2 = Z,
+    and on bases of sizes 1, 2, 1 passed d^2 = 0; two weight labels for
+    three elements made weight_decompose drop the third and read H_1 = Z^2,
+    not Z^3.  Each is refused at construction, naming the degree and both
+    sizes."""
+    basis = {0: ("a",), 1: ("b", "c", "d"), 2: ("e",), 3: ()}
+    d1 = SparseMatrix(3, 2, ((0, 0, 1), (1, 1, 1)))
+    for n in (3, 2):
+        with pytest.raises(LinearAlgebraError, match=(
+                f"d_1 is 3 x 2, but C_0 has 1 elements and C_1 has {n}")):
+            ChainComplexData(Z0, 3, {**basis, 1: basis[1][:n]}, {1: d1})
+    with pytest.raises(LinearAlgebraError,
+                       match="degree 1 has 2 weight labels for 3 basis elements"):
+        ChainComplexData(Z0, 3, basis, {}, weights={0: (1,), 1: (1, 2), 2: (1,)})
+    # the same bases with a d_1 and labels that fit
+    cx = ChainComplexData(Z0, 3, basis, {1: zero_matrix(1, 3)},
+                          weights={0: (1,), 1: (1, 2, 2), 2: (1,)})
+    assert [h.free_rank for h in homology_table(cx, [1], [ZZ])[ZZ]] == [3]
 
 
 def test_word_complex_structure():
