@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 import heapq
+from array import array
 from collections.abc import Sequence
 from dataclasses import KW_ONLY, dataclass
 from itertools import accumulate, chain, compress, groupby, starmap
-from operator import itemgetter, lt, mul
+from operator import eq, itemgetter, lt, mul
 
 from .coeff import (INT_POLY_A, INTEGERS, CoefficientDomain, DomainError,
                      PointedRing, ZZ)
@@ -185,18 +186,20 @@ def zero_matrix(rows: int, cols: int, domain=ZZ) -> SparseMatrix:
 class Basis(Sequence):
     """One degree's ordered basis, read as a sequence of strings.
 
-    keys holds the elements as they are stored; spell, when given, maps a
+    keys holds the elements as they are stored: an array is kept as it is
+    given, anything else becomes a tuple.  spell, when given, maps a
     sequence of keys to their strings, and without it the keys are the
-    strings.  A loop complex keeps its packed words with the spelling of
-    its machine, so a string is made only when the basis is read.  Length,
-    equality, iteration, indexing and slicing are those of the tuple of
-    strings.
+    strings.  A loop complex keeps its packed words in an array('Q') (8
+    bytes a word, no int object) with the spelling of its machine, so a
+    string is made only when the basis is read.  Length, equality,
+    iteration, indexing and slicing are those of the tuple of strings,
+    whichever storage holds the keys.
     """
 
     __slots__ = ("keys", "spell")
 
     def __init__(self, keys=(), spell=None):
-        self.keys = tuple(keys)
+        self.keys = keys if isinstance(keys, array) else tuple(keys)
         self.spell = spell
 
     def __len__(self):
@@ -213,12 +216,18 @@ class Basis(Sequence):
         return self.spell((self.keys[i],))[0]
 
     def pick(self, positions) -> "Basis":
-        """The elements at these positions, still unspelled."""
-        return Basis(map(self.keys.__getitem__, positions), self.spell)
+        """The elements at these positions, still unspelled, in the storage
+        of these keys."""
+        keys = map(self.keys.__getitem__, positions)
+        if isinstance(self.keys, array):
+            keys = array(self.keys.typecode, keys)
+        return Basis(keys, self.spell)
 
     def __eq__(self, other):
         if isinstance(other, Basis) and other.spell == self.spell:
-            return self.keys == other.keys
+            # an array never equals a tuple: compare the keys one by one
+            return (len(self.keys) == len(other.keys)
+                    and all(map(eq, self.keys, other.keys)))
         if isinstance(other, (Basis, tuple)):
             return tuple(self) == tuple(other)
         return NotImplemented
@@ -234,11 +243,13 @@ class ChainComplexData:
     """Per-degree ordered bases plus boundary matrices d_p : C_p -> C_{p-1}.
 
     Storage rule.  basis[p] is the Basis of degree p for 0 <= p <=
-    max_degree (a sequence of strings given here is wrapped in one), and
-    weights[p] (optional) one loop-count label per basis element.
-    matrices[p] is the stored form of the boundary leaving degree p, a
-    SparseMatrix stored by rows, dim(p - 1) x dim(p); a matrix of another
-    shape, or weights[p] of another length than basis[p], raises
+    max_degree (a sequence of strings given here is wrapped in one; a loop
+    complex's Basis keeps its packed words in one array('Q')), and weights[p]
+    (optional) one loop-count label per basis element.  matrices[p] is the
+    stored form of the boundary leaving degree p, a SparseMatrix stored by
+    rows, dim(p - 1) x dim(p); rows may share their tuples, as the rows of
+    one length share one value tuple in a loop complex over F2.  A matrix
+    of another shape, or weights[p] of another length than basis[p], raises
     LinearAlgebraError.  Over Z[a] with weight labels (graded)
     every entry of d_p is n * a^(w_col - w_row), so matrices[p] is the
     integer matrix of the n, with domain ZZ, and a matrix over any other

@@ -17,6 +17,7 @@ checks run once per template merge, not per entry (_Tails).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -746,7 +747,7 @@ class _Assembly(NamedTuple):
     entry a sum of sign * a^(loops closed).  Z[a] is assembled at (Z, 1),
     so its entries are the integers n of n * a^(w_col - w_row)."""
 
-    words: dict[int, tuple[int, ...]]
+    words: dict[int, array]
     weights: dict[int, tuple[int, ...]]
     matrices: dict[int, SparseMatrix]
 
@@ -758,6 +759,18 @@ class _Opposites(dict):
         return w
 
 
+class _Runs(dict):
+    """n -> (v,) * n, each made once: the values of every row of length n
+    when each stored entry is v."""
+    def __init__(self, v):
+        super().__init__()
+        self.v = v
+
+    def __missing__(self, n):
+        self[n] = vs = (self.v,) * n
+        return vs
+
+
 class _Tails:
     """Templates of the deletions inside word tails, one per class of
     prefix, and the boundaries written from them (see _assemble).
@@ -766,11 +779,15 @@ class _Tails:
     where no filter applies, state -1 once finished, None for the empty
     prefix.  The tails from c with r inner slots finish a prefix of class c
     with r inner slots and a last slot (from None: the degree-r words).
+    runs, unless None, holds the one value tuple per row length that every
+    stored row takes (see _assemble); with None the values are stored as
+    made.
     """
 
     def __init__(self, m, tables, values, completions, weight, dividers,
-                 subquotient, dom, ints, top_degree):
+                 subquotient, dom, ints, top_degree, runs):
         self.m, self.tables, self.completions, self.ints = m, tables, completions, ints
+        self.runs = runs
         self.signed = (values[-1], values[1])  # sign (-1)^(r-1), by r % 2
         self.root, self.subquotient = (weight, dividers), subquotient
         self.top_degree = top_degree
@@ -805,12 +822,19 @@ class _Tails:
             self.spans[c, r] = out, total
         return self.spans[c, r]
 
+    def stored(self, row) -> tuple[tuple, tuple]:
+        """The columns and the values of a row from rows() as tuples; with
+        runs the values are the shared tuple of the row's length and the
+        iterable of values is never read."""
+        # through lists: a tuple of known length reuses the tuples freed by
+        # earlier builds, which tuple(iterator) never does
+        cs, vs = row
+        cs = tuple([*cs])
+        return cs, tuple([*vs]) if self.runs is None else self.runs[len(cs)]
+
     def template(self, c, r) -> list:
-        # rows are made through lists: a tuple of known length reuses the
-        # tuples freed by earlier builds, which tuple(iterator) never does
         if (c, r) not in self.templates:
-            self.templates[c, r] = [(tuple([*cs]), tuple([*vs]))
-                                    for cs, vs in self.rows(c, r)]
+            self.templates[c, r] = list(map(self.stored, self.rows(c, r)))
         return self.templates[c, r]
 
     def rows(self, c, r, negate=False, extra=(), base=0):
@@ -923,8 +947,15 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     Each merge is checked once: the class after the merged pair must be
     the class after its target (else the deletion hits no basis word), and
     the loops it closes the machine's loop difference (else the weights
-    differ).  The template shapes must be the walk's in every degree.  Each
-    column is one int object.
+    differ).  The template shapes must be the walk's in every degree.
+
+    Storage: each degree's packed words go into one array('Q') as soon as
+    the walk returns them, and the walk's lists are dropped; a word of
+    max_degree + 1 slots wider than 64 bits is refused before any walk.
+    Each column and each row id is one of the build's shared ints.  When
+    the value table holds one nonzero v with v + v = 0 (F2, at any a),
+    every entry a sum of them leaves is v, so every row of length n stores
+    the one tuple (v,) * n made for this build, and no value is read.
 
     The machine, walks and merge tables are those of the ends without
     augmentation, which has the same slot pools, so an augmented build
@@ -933,14 +964,18 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     base = EndSpec(ends.left_open, ends.right_open)
     m = _machine(two_n, base)
     dom = ring.domain
+    if (width := m.bits * (max_degree + 1)) > 64:
+        raise GraffitoError(f"a degree-{max_degree} word at 2n = {two_n} packs "
+                            f"{max_degree + 1} slots of {m.bits} bits, {width} "
+                            f"bits in all: past the 64 of a stored word")
 
     # the empty system is word 0 of degree 0
-    words: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
-    weights: dict[int, tuple[int, ...]] = {0: (0,) if ends.augmented else ()}
+    words: dict[int, array] = {0: array("Q", [0] * ends.augmented)}
+    weights: dict[int, tuple[int, ...]] = {0: (0,) * ends.augmented}
     for p in range(1, max_degree + 1):
-        ws, counts = _raw_words(p, two_n, base, weight, dividers)
-        words[p] = tuple(ws)
-        weights[p] = tuple(counts)
+        walk = _raw_words(p, two_n, base, weight, dividers)
+        words[p], weights[p] = array("Q", walk[0]), tuple(walk[1])
+        del walk  # else the top degree's lists outlive the walk
 
     kinds = ["one"] * (ends.augmented and max_degree > 0)
     kinds += ["first", "last"] * (max_degree > 1) + ["inner"] * (max_degree > 2)
@@ -950,11 +985,19 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     values = {s: [None if dom.is_zero(v := dom.mul(dom.from_int(s), ring.a_power(k)))
                   else (v, dom.neg(v)) for k in range(top + 1)]
               for s in (1, -1)}
+    # one nonzero value v with v + v = 0 (F2, at any a): every sum of
+    # entries is v or cancels, so the rows store shared runs of v
+    nonzero = {v for table in values.values() for pair in table if pair for v in pair}
+    runs = None
+    if len(nonzero) == 1:
+        (v,) = nonzero
+        if dom.is_zero(dom.add(v, v)):
+            runs = _Runs(v)
 
     ints = list(range(max(map(len, words.values()))))
     tails = _Tails(m, tables, values,
                    [_completions(two_n, base, r) for r in range(max_degree)],
-                   weight, dividers, subquotient, dom, ints, max_degree)
+                   weight, dividers, subquotient, dom, ints, max_degree, runs)
     for p in range(1, max_degree + 1):
         firsts, total = tails.span(None, p)
         if total != len(words[p]) or any(o != bisect_left(words[p], f << p * m.bits)
@@ -969,13 +1012,13 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         if values[1][k]:
             one.append((col, values[1][k][0]))
     matrices = {1: SparseMatrix.from_rows(len(words[0]), len(words[1]),
-                                          [(0, *map(tuple, zip(*one)))] if one else (),
+                                          [(0, *tails.stored(zip(*one)))] if one else (),
                                           dom)} if max_degree else {}
     for p in range(2, max_degree + 1):
+        rows = map(tails.stored, tails.rows(None, p, negate=p % 2 == 0))
         matrices[p] = SparseMatrix.from_rows(
             len(words[p - 1]), len(words[p]),
-            ((i, c, tuple([*vs])) for i, (cs, vs) in  # lists: see _Tails.template
-             enumerate(tails.rows(None, p, negate=p % 2 == 0)) if (c := tuple([*cs]))), dom)
+            ((i, cs, vs) for i, (cs, vs) in zip(ints, rows) if cs), dom)
     return _Assembly(words, weights, matrices)
 
 
@@ -1018,19 +1061,22 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
 def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, object]:
     """Coordinates of a chain in the ordered basis of one degree.
 
-    Each system is looked up by its packed word among the basis keys; a
-    string is spelled only to name a system that is not there.
+    Each system's packed word is found by bisection among the basis keys,
+    which ascend in canonical order (see _raw_words); a string is spelled
+    only to name a system that is not there.
     """
     basis = data.basis.get(degree, Basis())
-    index = dict(zip(basis.keys, count()))
+    keys = basis.keys
     out = {}
     for g, v in c.terms.items():
         if g.degree != degree:
             raise GraffitoError("chain degree disagrees with requested degree")
-        i = None
-        if basis.spell == _Spelling(g.two_n, g.ends, degree):
-            i = index.get(_packed_word(g))
-        if i is None:
+        found = basis.spell == _Spelling(g.two_n, g.ends, degree)
+        if found:
+            word = _packed_word(g)
+            i = bisect_left(keys, word)
+            found = i < len(keys) and keys[i] == word
+        if not found:
             raise GraffitoError(f"{g.encode()} is not in the basis of degree {degree}")
         out[i] = v
     return out

@@ -1,8 +1,13 @@
+import array
 import functools
+import gc
 import hashlib
 import importlib
+import itertools
 import json
 import random
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +20,7 @@ from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
                          minimal_model, new_graffito, nondivider_count,
                          parse_chain, parse_diagram, parse_graffito, parse_ring,
                          pivot_sequence, prime_field, product, to_word,
-                         truncated_complex, weight_decompose)
+                         phi, truncated_complex, weight_decompose)
 from planarloops import loops as loops_module
 from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
                               count_graffiti)
@@ -672,6 +677,63 @@ def test_field_builds_at_a_zero_map_no_integer_matrix(monkeypatch):
                                       **{**spec, "max_degree": 3}))
 
 
+def test_basis_keeps_packed_words_in_an_array():
+    """A built basis stores its words in one array('Q'); equality, picks
+    and iteration read the same as with the words in a tuple (slices:
+    test_basis_slices_like_its_strings)."""
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3))
+    for p in range(4):
+        basis = cx.basis[p]
+        assert isinstance(basis.keys, array.array) and basis.keys.typecode == "Q"
+        as_tuple = Basis(tuple(basis.keys), basis.spell)
+        assert basis == as_tuple and as_tuple == basis
+        assert tuple(basis) == tuple(as_tuple)
+    basis = cx.basis[2]
+    positions = [0, 3, 7, len(basis) - 1]
+    picked = basis.pick(positions)
+    assert picked.keys.typecode == "Q"
+    assert picked == Basis(tuple(basis.keys[i] for i in positions), basis.spell)
+    assert tuple(picked) == tuple(basis[i] for i in positions)
+    # same spelling, other words: unequal in either storage
+    other = Basis(tuple(basis.keys[:-1]) + (basis.keys[0],), basis.spell)
+    assert basis != other and other != basis
+    assert basis != Basis(basis.keys[:-1], basis.spell)
+
+
+def test_words_wider_than_64_bits_are_refused_before_any_walk():
+    # 2n = 8 packs a slot in 11 bits, so six slots (degree 5) take 66; the
+    # refusal comes before the walk of 8.2e14 words
+    start = time.perf_counter()
+    with pytest.raises(GraffitoError, match="66 bits"):
+        build_complex(ComplexSpec(8, Z0, CLOSED, max_degree=5))
+    assert time.perf_counter() - start < 1.0
+    cx = build_complex(ComplexSpec(6, Z0, CLOSED, max_degree=3))
+    assert [cx.dim(p) for p in range(4)] == [count_graffiti(p, 6) for p in range(4)]
+
+
+def test_f2_rows_of_one_length_share_their_values():
+    """Over F2 every stored entry is 1, so the rows of one length, and the
+    templates, hold one value tuple; over Z each row keeps its own."""
+    def value_tuples(cx):
+        by_length = {}
+        for mat in cx.matrices.values():
+            for _, cs, vs in mat.row_data:
+                by_length.setdefault(len(cs), []).append(vs)
+        return by_length
+
+    for spec in (ComplexSpec(4, PointedRing.make(prime_field(2), 0), CLOSED,
+                             max_degree=5, weight=2),
+                 ComplexSpec(4, PointedRing.make(prime_field(2), 1),
+                             EndSpec(augmented=True), max_degree=3)):
+        for n, tuples in value_tuples(build_complex(spec)).items():
+            assert all(vs is tuples[0] for vs in tuples), (spec, n)
+            assert tuples[0] == (1,) * n
+    z = value_tuples(build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=5, weight=2)))
+    assert any(len(tuples) > 1 for tuples in z.values())
+    for tuples in z.values():
+        assert len({id(vs) for vs in tuples}) == len(tuples)
+
+
 def test_basis_slices_like_its_strings():
     cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=2))
     for basis in (cx.basis[1], cx.basis[2], Basis(("x", "y", "z"))):
@@ -755,6 +817,34 @@ def test_walk_memory_is_bounded():
         tracemalloc.stop()
     assert len(words) == 360_964
     assert peak <= 80 * len(words), peak / len(words)
+
+
+@pytest.mark.parametrize("ring, weight, held, peak", [
+    (PointedRing.make(prime_field(2), 0), 2, 36, 40),
+    (Z0, 3, 46, 50),
+], ids=["f2-w2", "z-w3"])
+def test_built_block_bytes_per_stored_entry(ring, weight, held, peak):
+    """Bytes a built block holds, and its build peaks at, per stored
+    boundary entry: words in array('Q'), columns and row ids from the
+    build's shared ints, and over F2 one value tuple per row length.  The
+    closed F2 w = 2 block through degree 6 (95,994 entries) holds about 30
+    and peaks at about 32; the Z w = 3 block (367,866) about 40 and 43.
+    Words as int tuples, a value tuple per row and fresh row ids read
+    53 / 59 and 51 / 59."""
+    spec = ComplexSpec(4, ring, CLOSED, max_degree=6, weight=weight)
+    build_complex(spec)  # a warm build: caches and merge tables filled
+    # a full collection empties the tuple free lists the warm build filled;
+    # tuples the traced build took from them would go uncounted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cx = build_complex(spec)
+        got_held, got_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nnz = sum(mat.nnz() for mat in cx.matrices.values())
+    assert got_held <= held * nnz, got_held / nnz
+    assert got_peak <= peak * nnz, got_peak / nnz
 
 
 @pytest.mark.parametrize("two_n, ends, top",
@@ -977,6 +1067,25 @@ def test_hot_path_spells_no_basis_string(monkeypatch):
             want = [g.encode() for g in enumerate_graffiti(p, weight=w)]
             assert cx.to_json()["basis"][str(p)] == want
             assert cx.index_map(p) == {enc: i for i, enc in enumerate(want)}
+
+
+def test_chain_to_vector_bisects_like_an_index():
+    """Bisection on the ascending packed words finds the coordinates that a
+    dict over the whole basis found, on the phi images and their products,
+    and names a system that is not in the basis."""
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=4))
+    images = phi(Z0).images
+    x, xh, r, y = (images[k] for k in ("x", "xh", "r", "y"))
+    for c in (x, xh, r, y, x * x, x * xh, x * y, xh * x * x):
+        p = c.degree
+        index = dict(zip(cx.basis[p], itertools.count()))
+        assert chain_to_vector(c, cx, p) == {index[g.encode()]: v
+                                             for g, v in c.terms.items()}
+    block = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3, weight=1))
+    missing = next(g for g in y.terms if loop_count(g) != 1)
+    with pytest.raises(GraffitoError, match=re.escape(
+            f"{missing.encode()} is not in the basis of degree 3")):
+        chain_to_vector(Chain.of(Z0, missing), block, 3)
 
 
 def test_chain_to_vector_reads_packed_words():
