@@ -13,13 +13,13 @@ from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
                     enumerate_graffiti, face, from_word, involution_lr,
                     involution_tb, loop_count, new_graffito, nondivider_count,
                     parse_chain, parse_graffito, pivot_sequence, product,
-                    to_word)
+                    to_word, weight_blocks)
 from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       LoopAlgebra, NCPoly, alpha_boundary_check,
                       build_word_complex, check_chain_map,
                       check_involution_relations, four_model,
                       minimal_model, model_involutions, parse_poly, phi,
-                      psi, specialize_complex, truncated_complex)
+                      psi, truncated_complex)
 from .homology import (Basis, ChainComplexData, HomologyGroup, SmithForm,
                        SparseMatrix, homology,
                        homology_table, integer_kernel_basis, is_boundary, is_cycle,

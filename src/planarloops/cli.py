@@ -22,7 +22,7 @@ from .freedga import build_word_complex, minimal_model, truncated_complex
 from .homology import homology, homology_table
 from .loops import (CLOSED, ComplexSpec, EndSpec, GraffitoError,
                     build_complex, count_graffiti, enumerate_graffiti,
-                    parse_chain, parse_graffito)
+                    parse_chain, parse_graffito, weight_blocks)
 from . import render
 from .verify import SUITES, run_suite
 
@@ -61,14 +61,14 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-def _build_requested_complex(args, ring):
+def _requested_complex(args, ring):
+    """A built model or word complex, or the ComplexSpec of a loop complex."""
     name = args.complex
     filtered = name == "subquotient" or name.startswith("open-")
     if not filtered and (args.w is not None or args.j is not None):
         raise GraffitoError(f"{name} takes no --w or --j")
     if name == "model":
-        return truncated_complex(minimal_model(args.two_n, ring),
-                                 args.max_degree)
+        return truncated_complex(minimal_model(args.two_n, ring), args.max_degree)
     if name == "word":
         return build_word_complex(args.alphabet, args.max_degree, ring)
     ends = {"reduced-loops": CLOSED,
@@ -76,18 +76,11 @@ def _build_requested_complex(args, ring):
             "subquotient": CLOSED,
             "open-lr": EndSpec.from_code("oo"),
             "open-l": EndSpec.from_code("oc"),
-            "open-r": EndSpec.from_code("co")}.get(name)
-    if ends is None:
-        raise GraffitoError(f"unknown complex selector {name!r}")
-    weight = dividers = None
-    subq = False
-    if filtered:
-        if args.w is None or args.j is None:
-            raise GraffitoError(f"{name} needs --w and --j")
-        weight, dividers, subq = args.w, args.j, True
-    spec = ComplexSpec(args.two_n, ring, ends, max_degree=args.max_degree,
-                       weight=weight, dividers=dividers, subquotient=subq)
-    return build_complex(spec)
+            "open-r": EndSpec.from_code("co")}[name]
+    if filtered and (args.w is None or args.j is None):
+        raise GraffitoError(f"{name} needs --w and --j")
+    return ComplexSpec(args.two_n, ring, ends, max_degree=args.max_degree,
+                       weight=args.w, dividers=args.j, subquotient=filtered)
 
 
 def _cmd_homology(args) -> int:
@@ -101,17 +94,19 @@ def _cmd_homology(args) -> int:
                           "pick a specialization (--ring z --a 0, ...)")
     degrees = range(1, args.max_degree)
     if args.complex == "reduced-loops" and ring.a_is_zero:
-        cx = _build_requested_complex(args, PointedRing.make(ZZ, 0))
-        groups = homology_table(cx, degrees, [ring.domain])[ring.domain]
+        spec = _requested_complex(args, PointedRing.make(ZZ, 0))
+        label, groups = spec.label, homology_table(
+            weight_blocks(spec), degrees, [ring.domain])[ring.domain]
     else:
-        cx = _build_requested_complex(args, ring)
-        groups = homology(cx, degrees)
+        cx = _requested_complex(args, ring)
+        cx = build_complex(cx) if isinstance(cx, ComplexSpec) else cx
+        label, groups = cx.description, homology(cx, degrees)
     table = [h.to_json() for h in groups]
     if args.json:
-        print(json.dumps({"complex": cx.description, "ring": repr(ring),
+        print(json.dumps({"complex": label, "ring": repr(ring),
                           "groups": table}))
     else:
-        print(f"homology of {cx.description} over {ring!r}")
+        print(f"homology of {label} over {ring!r}")
         for row in table:
             parts = ["R"] * row["rank"] + [f"Z/{t}" for t in row["torsion"]]
             body = " + ".join(parts) or "0"

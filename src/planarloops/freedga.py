@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from .coeff import INT_POLY_A, ZZ, DomainError, LinearCombination, PointedRing
 from .diagram import parse_diagram
-from .homology import ChainComplexData, SparseMatrix, graded_matrix
+from .homology import ChainComplexData, SparseMatrix
 from .loops import (Chain, differential as loops_differential, empty_system,
                     loop_count, new_graffito)
 
@@ -90,9 +90,6 @@ class NCPoly(LinearCombination):
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
-
-
-_TERM_SPLIT = re.compile(r"(?<![\^(])([+-])")
 
 
 def parse_poly(ring: PointedRing, text: str) -> NCPoly:
@@ -594,20 +591,3 @@ def build_word_complex(alphabet_size: int, max_degree: int,
     return replace(truncated_complex(algebra, max_degree),
                    description=f"words on {alphabet_size} letters")
 
-
-def specialize_complex(c: ChainComplexData, target: PointedRing) -> ChainComplexData:
-    """Substitute a -> a_value in a weight-labelled Z[a] complex.
-
-    Each stored integer n becomes n * a^(w_col - w_row) in (R, a), one
-    graded_matrix per degree; the entries were checked to have that form
-    when the complex was built.
-    """
-    if c.ring.domain.kind != INT_POLY_A:
-        raise AlgebraError("specialize_complex starts from a Z[a] complex")
-    if c.weights is None:
-        raise AlgebraError("specialize_complex needs weight labels")
-    mats = {p: graded_matrix(mat.rows, mat.cols, mat.row_data, c.weights[p - 1],
-                             c.weights[p], target)
-            for p, mat in c.matrices.items()}
-    return ChainComplexData(target, c.max_degree, dict(c.basis), mats,
-                            weights=c.weights, description=c.description)

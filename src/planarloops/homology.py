@@ -39,7 +39,7 @@ class SparseMatrix:
     constructor takes (r, c, v) triples in row-major order and groups them;
     from_rows takes rows as they are stored.  Both run the same check, once
     per row, and a row that fails it is scanned entry by entry to name the
-    fault.  over_field and weight_decompose derive rows from a checked matrix
+    fault.  over_field and the weight split derive rows from a checked matrix
     that stay in order and nonzero, and store them without a second check.
     entries spells the triples afresh on each read.
     """
@@ -1167,16 +1167,13 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
     Requires a = 0 (the differential preserves the number of loops there);
     raises if any boundary entry crosses two weight blocks.  One pass over
     each degree's basis keys and boundary rows sends each to its block; the
-    keys stay unspelled and the values of a row are kept as they are.  A
-    complex of one weight is its own block, returned without a copy.
+    keys stay unspelled and the values of a row are kept as they are.
     """
     if not c.ring.a_is_zero:
         raise LinearAlgebraError("weight decomposition needs a = 0")
     if c.weights is None:
         raise LinearAlgebraError("complex carries no loop-count labels")
     all_w = sorted({w for p in c.basis for w in c.weights.get(p, ())})
-    if len(all_w) == 1:
-        return [(all_w[0], c)]
     degrees = range(c.max_degree + 1)
     basis = {w: {} for w in all_w}
     # degree -> weight -> {index in the degree: index in the block}, so a
@@ -1216,32 +1213,35 @@ def weight_decompose(c: ChainComplexData) -> list[tuple[int, ChainComplexData]]:
         description=f"{c.description}[weight {w}]")) for w in all_w]
 
 
-def homology_table(c: ChainComplexData, degrees, domains
+def homology_table(blocks, degrees, domains
                    ) -> dict[CoefficientDomain, list[HomologyGroup]]:
-    """Homology over each of domains (Z or fields) of a loop-count-labelled
-    complex over (Z, 0), summed over its weight blocks, each reduced once
-    over Z.  A field F follows by universal coefficients: dim H_p(C; F) =
-    rank H_p + #{t in tors H_p and tors H_{p-1} : char F divides t}.
-    """
-    if c.ring.domain.kind != INTEGERS:
-        raise DomainError("homology_table reads every ring off a complex over Z")
+    """Homology over each of domains (Z or fields) of the direct sum of the
+    complexes over Z in blocks, each reduced once and let go before the next
+    is drawn: weight_blocks(spec) builds a loop complex's weight blocks one
+    at a time, [cx] is one complex.  A field F follows by universal
+    coefficients: dim H_p(C; F) = rank H_p + #{t in tors H_p and tors
+    H_{p-1} : char F divides t}."""
+    if bad := [dom for dom in domains if dom.kind != INTEGERS and not dom.is_field()]:
+        raise DomainError(f"homology is computed over Z or a field, not {bad[0]!r}")
     degrees = list(degrees)
     needed = sorted(set(degrees) | {p - 1 for p in degrees if p >= 1})
-    rank, torsion = dict.fromkeys(needed, 0), {p: [] for p in needed}
-    for _, sub in weight_decompose(c):
-        for h in homology(sub, needed):
+    rank, size = dict.fromkeys(needed, 0), dict.fromkeys(needed, 0)
+    torsion = {p: [] for p in needed}
+    for c in blocks:
+        if c.ring.domain.kind != INTEGERS:
+            raise DomainError("homology_table reads every ring off complexes over Z")
+        for h in homology(c, needed):
             rank[h.degree] += h.free_rank
+            size[h.degree] += h.basis_size
             torsion[h.degree].extend(h.torsion)
+        del c  # else the loop variable holds this block while the next is built
 
     def group(p, dom):
         if dom.kind == INTEGERS:
-            return HomologyGroup(p, rank[p], tuple(sorted(torsion[p])), c.dim(p))
-        if not dom.is_field():
-            raise DomainError(f"homology is computed over Z or a field, not {dom!r}")
+            return HomologyGroup(p, rank[p], tuple(sorted(torsion[p])), size[p])
         # Q has no characteristic: no torsion term survives there
         tors = torsion[p] + torsion.get(p - 1, [])
         extra = sum(1 for t in tors if dom.p and t % dom.p == 0)
-        return HomologyGroup(p, rank[p] + extra, (), c.dim(p))
+        return HomologyGroup(p, rank[p] + extra, (), size[p])
 
     return {dom: [group(p, dom) for p in degrees] for dom in domains}
-

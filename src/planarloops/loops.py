@@ -20,10 +20,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, count, repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
@@ -460,6 +460,13 @@ class ComplexSpec:
                 raise GraffitoError("weight and divider filters need a = 0")
             if self.ends.augmented:
                 raise GraffitoError("filtered complexes are not augmented")
+
+    @property
+    def label(self) -> str:
+        """The built complex's description, as loops(2n=4, ends=cc, w=2)."""
+        tags = [f"2n={self.two_n}", f"ends={self.ends.code}"] + ["augmented"] * self.ends.augmented
+        tags += [f"{k}={v}" for k, v in (("w", self.weight), ("j", self.dividers)) if v is not None]
+        return f"loops({', '.join(tags)})"
 
 
 def _check_shape(two_n: int, ends: EndSpec, degree: int = 0) -> None:
@@ -1043,20 +1050,40 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     asm = _assemble(spec.two_n, ends, spec.max_degree, spec.weight,
                     spec.dividers, spec.subquotient, at)
 
-    label = f"loops(2n={spec.two_n}, ends={ends.code}"
-    if ends.augmented:
-        label += ", augmented"
-    if spec.weight is not None:
-        label += f", w={spec.weight}"
-    if spec.dividers is not None:
-        label += f", j={spec.dividers}"
-    label += ")"
     unaugmented = EndSpec(ends.left_open, ends.right_open)
     basis = {p: Basis(ws, _Spelling(spec.two_n, unaugmented, p))
              for p, ws in asm.words.items()}
     return ChainComplexData(ring, spec.max_degree, basis, asm.matrices,
-                            weights=asm.weights, description=label)
+                            weights=asm.weights, description=spec.label)
 
+
+# Refuse a weight block estimated past this many bytes.  The estimates of the
+# 2n = 4 degree-7 blocks reach 1.6 GB (0.77 GB built), of the 2n = 6 degree-4
+# blocks 2.8 GB (1.74 GB built); 2n = 4 at degree 8 reaches 23 GB.
+MAX_BLOCK_BYTES = 4_000_000_000
+_ENTRY_BYTES = 50  # bound on a Z build's peak per stored entry, words included
+
+
+def weight_blocks(spec: ComplexSpec) -> Iterator[ChainComplexData]:
+    """The weight blocks of a loop complex at a = 0, each built when drawn:
+    one per weight count_graffiti finds words of (one, if spec fixes it).
+
+    A degree-p word has p bar deletions, so a block is estimated at p
+    entries of _ENTRY_BYTES per word; GraffitoError refuses the request
+    before any build if one block passes MAX_BLOCK_BYTES.  The generator
+    binds no block, so one its caller lets go is freed before the next.
+    """
+    top, specs = spec.max_degree, []
+    for w in range(spec.two_n // 2 * top + 1) if spec.weight is None else [spec.weight]:
+        size = _ENTRY_BYTES * sum(p * count_graffiti(p, spec.two_n, spec.ends, w, spec.dividers)
+                                  for p in range(1, top + 1))
+        if size > MAX_BLOCK_BYTES:
+            raise GraffitoError(f"the weight-{w} block of 2n = {spec.two_n} through degree "
+                                f"{top} needs about {size / 1e9:.1f} GB by estimate, past "
+                                f"the {MAX_BLOCK_BYTES / 1e9:.0f} GB one block may take")
+        if size:
+            specs.append(replace(spec, weight=w))
+    return (build_complex(s) for s in specs)
 
 def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, object]:
     """Coordinates of a chain in the ordered basis of one degree.

@@ -27,7 +27,7 @@ from .loops import (CLOSED, Chain, ComplexSpec, EndSpec, build_complex,
                     chain_involution_lr, chain_involution_tb, chain_to_vector,
                     count_graffiti, differential, divider_count,
                     enumerate_graffiti, face, loop_count, nondivider_count,
-                    pivot_letters, pivot_sequence, product, to_word)
+                    pivot_letters, pivot_sequence, product, to_word, weight_blocks)
 
 
 @dataclass
@@ -525,10 +525,8 @@ def suite_filtration_properties(samples=200, seed=0, max_degree=4, **_):
     col.run("filtration-weight-bookkeeping", weights)
 
     def dims():
-        def dims_of(w, j):
-            cx = build_complex(ComplexSpec(4, z0, CLOSED, max_degree=max_degree,
-                                           weight=w, dividers=j, subquotient=True))
-            return [cx.dim(p) for p in range(max_degree + 1)]
+        def dims_of(w, j):  # the subquotient row's basis sizes, counted unbuilt
+            return [count_graffiti(p, 4, CLOSED, w, j) for p in range(max_degree + 1)]
 
         def compositions(total, parts):
             if parts == 1:
@@ -560,9 +558,9 @@ def suite_model_vs_complex(rings=("z", "q", "f2", "f3"), max_degree=5, **_):
     col = _Collector()
     degrees = range(1, max_degree)
     rings = {code: parse_ring(code) for code in rings}
-    big = build_complex(ComplexSpec(4, PointedRing.make(ZZ, 0), CLOSED,
-                                    max_degree=max_degree))
-    table = homology_table(big, degrees, [r.domain for r in rings.values()])
+    blocks = weight_blocks(ComplexSpec(4, PointedRing.make(ZZ, 0), CLOSED,
+                                       max_degree=max_degree))
+    table = homology_table(blocks, degrees, [r.domain for r in rings.values()])
     for code, ring in rings.items():
         def chk(code=code, ring=ring):
             got = {h.degree: (h.free_rank, sorted(h.torsion))

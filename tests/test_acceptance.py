@@ -15,7 +15,8 @@ from planarloops import (Chain, ComplexSpec, EndSpec, PointedRing, QQ, ZA, ZZ,
                          check_chain_map, differential, enumerate_diagrams,
                          enumerate_graffiti, enumerate_letters, homology,
                          homology_table, minimal_model, phi, prime_field, psi,
-                         to_word, truncated_complex, validate_d_squared)
+                         to_word, truncated_complex, validate_d_squared,
+                         weight_blocks)
 from planarloops.diagram import RIGHT_CELL, cell_basis
 from planarloops.freedga import alpha_boundary_check
 from planarloops.loops import (CLOSED, chain_involution_lr,
@@ -189,13 +190,13 @@ EXPECTED_BIG = {
 
 
 def test_criterion_9_model_vs_complex():
-    # the loop complex is built and reduced once over Z and read over every
-    # ring; each model side is its own homology() call, so Q, F2 and F3 are
-    # still cross-checked by rank_over_field
+    # the loop complex is built and reduced once over Z, one weight block at
+    # a time, and read over every ring; each model side is its own homology()
+    # call, so Q, F2 and F3 are still cross-checked by rank_over_field
     t0 = time.time()
     rings = ((Q0, "Q"), (F2, "F2"), (F3, "F3"), (Z0, "Z"))
-    big = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=5))
-    table = homology_table(big, range(1, 5), [ring.domain for ring, _ in rings])
+    blocks = weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=5))
+    table = homology_table(blocks, range(1, 5), [ring.domain for ring, _ in rings])
     ok = True
     for ring, name in rings:
         got = {h.degree: (h.free_rank, sorted(h.torsion))
@@ -218,24 +219,50 @@ def test_criterion_10_filtration_suite():
            "dimension identity", time.time() - t0)
 
 
-@pytest.mark.skipif(not os.environ.get("PLANARLOOPS_STRETCH"),
-                    reason="degree-5 homology stretch goal; "
-                           "set PLANARLOOPS_STRETCH=1 to run")
+stretch = pytest.mark.skipif(not os.environ.get("PLANARLOOPS_STRETCH"),
+                             reason="homology stretch goal; "
+                                    "set PLANARLOOPS_STRETCH=1 to run")
+
+
+@stretch
 def test_stretch_degree_5():
     # one weight block at a time keeps the degree-6 layer (1.49M basis
-    # elements in total) from being materialized all at once; each block is
-    # built and reduced once over Z and read over F2 and Q
+    # elements in total) from being held all at once; each block is built
+    # and reduced once over Z and read over F2 and Q
     t0 = time.time()
-    ranks = {F2.domain: 0, QQ: 0}
-    for w in range(1, 13):
-        if count_graffiti(6, weight=w) == 0 and count_graffiti(5, weight=w) == 0:
-            continue
-        sub = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=6,
-                                        weight=w, dividers=None))
-        for dom, (h,) in homology_table(sub, [5], list(ranks)).items():
-            ranks[dom] += h.free_rank
-        del sub
-        print(f"# stretch weight {w} done [{time.time() - t0:.0f}s]")
+    table = homology_table(weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=6)),
+                           [5], [F2.domain, QQ])
+    ranks = {dom: h.free_rank for dom, (h,) in table.items()}
     assert ranks == {F2.domain: 4, QQ: 1}, ranks
     print(f"STRETCH: PASS - degree-5 ranks (Q: 1, F2: 4) "
+          f"[{time.time() - t0:.1f}s]")
+
+
+# H_5 and H_6 over Z of the closed 2n = 4 weight blocks through degree 7, as
+# (free rank, torsion); every other block is 0 in both degrees
+H56_BY_WEIGHT = {4: [(1, (2,)), (0, ())], 5: [(0, (2,)), (0, (2, 2, 2))],
+                 6: [(0, ()), (0, (2,))]}
+
+
+@stretch
+def test_stretch_degree_6():
+    # each block is one call over Z, F2 and Q; the degree-7 layer has 19.3M
+    # words, the largest block 4.4M
+    t0 = time.time()
+    doms = [ZZ, F2.domain, QQ]
+    per_weight = {}
+    for block in weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=7)):
+        (w,) = {label for labels in block.weights.values() for label in labels}
+        per_weight[w] = homology_table([block], [5, 6], doms)
+        del block  # the next block is built without this one
+        print(f"# stretch weight {w} done [{time.time() - t0:.0f}s]")
+    got = {w: [(h.free_rank, h.torsion) for h in t[ZZ]]
+           for w, t in per_weight.items() if any(h.free_rank or h.torsion for h in t[ZZ])}
+    assert got == H56_BY_WEIGHT, got
+    total = {dom: [sum(t[dom][i].free_rank for t in per_weight.values())
+                   for i in range(2)] for dom in doms}
+    torsion6 = sorted(x for t in per_weight.values() for x in t[ZZ][1].torsion)
+    assert torsion6 == [2, 2, 2, 2] and total[ZZ] == [1, 0]
+    assert total[F2.domain] == [4, 6] and total[QQ] == [1, 0], total
+    print(f"STRETCH: PASS - H_6 = (Z/2)^4, degree-5/6 ranks (Q: 1, 0; F2: 4, 6) "
           f"[{time.time() - t0:.1f}s]")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import planarloops.cli as cli_module
+import planarloops.loops as loops_module
 from planarloops.cli import main
 from planarloops import PointedRing, ZA
 from planarloops.diagram import catalan
@@ -93,6 +94,16 @@ def test_filters_on_an_unfiltered_complex_are_a_usage_error(capsys):
             code, out, err = run(capsys, "homology", "--complex", name, "--two-n", "6",
                                  flag, value, "--max-degree", "3")
             assert (code, out) == (2, "") and "takes no --w or --j" in err, (name, flag)
+
+
+
+def test_a_table_past_the_block_bound_is_refused_before_any_build(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a block was built")
+    monkeypatch.setattr(loops_module, "build_complex", refuse)
+    code, out, err = run(capsys, "homology", "--complex", "reduced-loops",
+                         "--two-n", "6", "--max-degree", "6")
+    assert (code, out) == (2, "") and "block of 2n = 6 through degree 6" in err, err
 
 
 def test_verify_refuses_fewer_than_one_sample(capsys):

@@ -7,9 +7,9 @@ from planarloops import (AlgebraError, Chain, NCPoly, PointedRing, QQ, ZA, ZZ,
                          check_involution_relations, differential,
                          four_model, loop_count, minimal_model,
                          model_involutions, parse_poly, phi, prime_field, psi,
-                         specialize_complex, truncated_complex)
+                         truncated_complex)
 from planarloops.freedga import DgaMorphism, sample_words
-from planarloops.homology import validate_d_squared
+from planarloops.homology import graded_matrix, validate_d_squared
 
 ZAU = PointedRing.make(ZA)
 Z0 = PointedRing.make(ZZ, 0)
@@ -225,37 +225,17 @@ def test_truncated_complex_bases():
 
 
 def test_specialize_commutes_with_truncation():
+    # graded_matrix renders the Z[a] truncation's integers n as n * a^(Δw)
+    # in each ring: the boundary of the truncation built over that ring
     src = truncated_complex(minimal_model(4, ZAU), 5)
     for ring in (Z0, PointedRing.make(ZZ, 2),
                  PointedRing.make(prime_field(5), 3), PointedRing.make(QQ, -2)):
         direct = truncated_complex(minimal_model(4, ring), 5)
-        mapped = specialize_complex(src, ring)
         for p in range(1, 6):
-            assert mapped.boundary(p).entries == direct.boundary(p).entries
-
-
-def test_specialize_commutes_for_loop_complexes():
-    from planarloops import ComplexSpec, build_complex
-    src = build_complex(ComplexSpec(4, ZAU, max_degree=3))
-    for ring in (Z0, PointedRing.make(ZZ, 2), PointedRing.make(prime_field(3), 1)):
-        direct = build_complex(ComplexSpec(4, ring, max_degree=3))
-        mapped = specialize_complex(src, ring)
-        for p in range(1, 4):
-            assert mapped.boundary(p).entries == direct.boundary(p).entries
-
-
-def test_specialize_needs_graded_entries():
-    from planarloops import ChainComplexData
-    from planarloops.homology import LinearAlgebraError
-    src = truncated_complex(minimal_model(4, ZAU), 3)
-    unlabelled = ChainComplexData(ZAU, 3, src.basis,
-                                  {p: src.boundary(p) for p in src.matrices})
-    with pytest.raises(AlgebraError, match="weight labels"):
-        specialize_complex(unlabelled, Z0)
-    # the target gets the rendered matrices: over (Z[a], a) itself they are
-    # Z[a] matrices, which a weight-labelled complex refuses
-    with pytest.raises(LinearAlgebraError, match="stores the integers n"):
-        specialize_complex(src, ZAU)
+            mat = src.matrices[p]
+            mapped = graded_matrix(mat.rows, mat.cols, mat.row_data,
+                                   src.weights[p - 1], src.weights[p], ring)
+            assert mapped.entries == direct.boundary(p).entries
 
 
 def test_weight_preserved_on_random_words():

@@ -19,7 +19,7 @@ from planarloops import (Chain, ChainComplexData, CoefficientDomain,
                          is_boundary, is_cycle, minimal_model, phi, prime_field,
                          rank_over_field, smith_normal_form, solve_integer,
                          truncated_complex, validate_d_squared,
-                         weight_decompose)
+                         weight_blocks, weight_decompose)
 from planarloops.homology import (_DENSE_CELLS, LinearAlgebraError, _dense_snf,
                                   _identity, _SparseSNF, graded_matrix,
                                   over_field, zero_matrix)
@@ -1292,10 +1292,10 @@ def test_weight_decompose():
                                   {1: SparseMatrix(1, 1, ((0, 0, 1),))})
     with pytest.raises(LinearAlgebraError, match="no loop-count labels"):
         weight_decompose(unlabelled)
-    # a complex of one weight is its own block, not a copy
+    # a complex of one weight is its one block
     one = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3, weight=2))
     ((w, block),) = weight_decompose(one)
-    assert w == 2 and block is one
+    assert w == 2 and block.basis == one.basis and block.matrices == one.matrices
 
 
 def test_weight_decompose_rejects_crossing_entries():
@@ -1334,7 +1334,7 @@ def test_complex_refuses_boundaries_and_labels_that_disagree_with_its_bases():
     # the same bases with a d_1 and labels that fit
     cx = ChainComplexData(Z0, 3, basis, {1: zero_matrix(1, 3)},
                           weights={0: (1,), 1: (1, 2, 2), 2: (1,)})
-    assert [h.free_rank for h in homology_table(cx, [1], [ZZ])[ZZ]] == [3]
+    assert [h.free_rank for h in homology_table([cx], [1], [ZZ])[ZZ]] == [3]
 
 
 def test_word_complex_structure():
@@ -1380,9 +1380,9 @@ TABLE_RINGS = (Z0, PointedRing.make(QQ, 0),
 
 
 def _table_against_per_ring_builds(spec_of, degrees):
-    """homology_table of one build over (Z, 0) against homology() of a build
-    over each ring, without any weight split."""
-    table = homology_table(build_complex(spec_of(Z0)), degrees,
+    """homology_table of the weight blocks over (Z, 0) against homology() of
+    a whole build over each ring."""
+    table = homology_table(weight_blocks(spec_of(Z0)), degrees,
                            [ring.domain for ring in TABLE_RINGS])
     for ring in TABLE_RINGS:
         direct = homology(build_complex(spec_of(ring)), degrees)
@@ -1410,7 +1410,7 @@ def test_homology_table_universal_coefficients():
                           {2: M(1, 1, {(0, 0): 6})},
                           weights={0: (), 1: (0,), 2: (0,), 3: ()})
     fields = {p: prime_field(p) for p in (2, 3, 5)}
-    table = homology_table(cx, [1, 2], [ZZ, QQ, *fields.values()])
+    table = homology_table([cx], [1, 2], [ZZ, QQ, *fields.values()])
     rows = {dom: [(h.free_rank, h.torsion) for h in groups]
             for dom, groups in table.items()}
     assert rows[ZZ] == [(0, (6,)), (0, ())]
@@ -1459,10 +1459,24 @@ def test_rational_builds_store_ints(name):
 def test_homology_table_needs_integer_complex():
     za = build_complex(ComplexSpec(4, PointedRing.make(ZA), CLOSED, max_degree=2))
     with pytest.raises(DomainError):
-        homology_table(za, [1], [ZZ])
+        homology_table([za], [1], [ZZ])
     z = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=2))
     with pytest.raises(DomainError):
-        homology_table(z, [1], [ZA])
+        homology_table([z], [1], [ZA])
+
+
+@pytest.mark.parametrize("two_n, top", [(2, 5), (4, 5), (6, 3)])
+def test_weight_blocks_table_matches_the_split_build(two_n, top):
+    """The table of the blocks built one at a time is the table of the
+    whole build split by weight, row for row, over Z, Q, F2 and F3."""
+    spec = ComplexSpec(two_n, Z0, CLOSED, max_degree=top)
+    doms = [ZZ, QQ, prime_field(2), prime_field(3)]
+    one_at_a_time = homology_table(weight_blocks(spec), range(1, top), doms)
+    split = homology_table((b for _, b in weight_decompose(build_complex(spec))),
+                           range(1, top), doms)
+    for dom in doms:
+        assert ([h.to_json() for h in one_at_a_time[dom]]
+                == [h.to_json() for h in split[dom]]), dom
 
 
 @pytest.mark.parametrize("entries, message", [

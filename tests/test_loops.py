@@ -9,6 +9,7 @@ import random
 import re
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -20,7 +21,8 @@ from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
                          minimal_model, new_graffito, nondivider_count,
                          parse_chain, parse_diagram, parse_graffito, parse_ring,
                          pivot_sequence, prime_field, product, to_word,
-                         phi, truncated_complex, weight_decompose)
+                         phi, truncated_complex, weight_blocks,
+                         weight_decompose)
 from planarloops import loops as loops_module
 from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
                               count_graffiti)
@@ -1037,6 +1039,53 @@ def test_weight_blocks_are_pinned():
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == BLOCK_DIGESTS
 
 
+
+def test_weight_blocks_draw_each_weight_with_words():
+    labels = [cx.description for cx in weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=4))]
+    assert labels == [f"loops(2n=4, ends=cc, w={w})" for w in range(1, 9)]
+    # a spec that fixes a weight is that one block
+    (one,) = weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=4, weight=3))
+    assert one.description == "loops(2n=4, ends=cc, w=3)"
+
+
+def test_each_block_is_freed_before_the_next_build(monkeypatch):
+    """A build raises while a block built before it is still alive."""
+    built, build = [], loops_module.build_complex
+
+    def watched(spec):
+        assert all(ref() is None for ref in built), "an earlier block is alive"
+        cx = build(spec)
+        built.append(weakref.ref(cx))
+        return cx
+    monkeypatch.setattr(loops_module, "build_complex", watched)
+    spec = ComplexSpec(4, Z0, CLOSED, max_degree=5)
+    table = homology_table(weight_blocks(spec), [1, 2, 3, 4], [ZZ])
+    assert [str(h) for h in table[ZZ]] == ["H_1 = Z", "H_2 = Z/2", "H_3 = Z/2",
+                                           "H_4 = Z + Z/2"]
+    assert len(built) == 10 and all(ref() is None for ref in built)
+    # the guard bites: a loop variable holds its block through the next build
+    with pytest.raises(AssertionError, match="earlier block is alive"):
+        for block in weight_blocks(spec):
+            pass
+
+
+def test_a_block_past_the_bound_is_refused_before_any_build(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a block was built")
+    monkeypatch.setattr(loops_module, "build_complex", refuse)
+    with pytest.raises(GraffitoError, match=(
+            r"the weight-\d+ block of 2n = 6 through degree 6 needs about "
+            r"[\d.]+ GB by estimate, past the 4 GB one block may take")):
+        weight_blocks(ComplexSpec(6, Z0, CLOSED, max_degree=6))
+    # the first block past the bound in weight order is named
+    with pytest.raises(GraffitoError, match=(
+            "the weight-4 block of 2n = 4 through degree 8 needs about 4.9 GB")):
+        weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=8))
+    # the largest requests the bound admits: nothing is built until drawn
+    for two_n, top in ((4, 7), (6, 4)):
+        weight_blocks(ComplexSpec(two_n, Z0, CLOSED, max_degree=top))
+
+
 def test_chain_codec():
     c = Chain.of(ZAU, PHI_XH) - Chain.of(ZAU, PHI_X).scale(ZAU.a_power(2))
     text = c.encode()
@@ -1045,8 +1094,9 @@ def test_chain_codec():
 
 
 def test_hot_path_spells_no_basis_string(monkeypatch):
-    """Builds, the Z[a] d^2 check, the weight split and the homology table
-    read the packed words only: spelling a word raises while they run."""
+    """Builds, the Z[a] d^2 check, the weight split and the table of the
+    weight blocks read the packed words only: spelling a word raises while
+    they run."""
     def refuse(*args):
         raise AssertionError("a basis word was spelled")
 
@@ -1055,7 +1105,8 @@ def test_hot_path_spells_no_basis_string(monkeypatch):
     assert validate_d_squared(za).ok
     z = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=4))
     blocks = weight_decompose(z)
-    table = homology_table(z, [1, 2, 3], [ZZ])
+    table = homology_table(weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=4)),
+                           [1, 2, 3], [ZZ])
     assert [str(h) for h in table[ZZ]] == ["H_1 = Z", "H_2 = Z/2", "H_3 = Z/2"]
     # the guard bites: reading a basis spells it
     with pytest.raises(AssertionError, match="spelled"):
