@@ -22,7 +22,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from typing import Iterator, NamedTuple
 
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
@@ -786,9 +786,10 @@ class _Tails:
     where no filter applies, state -1 once finished, None for the empty
     prefix.  The tails from c with r inner slots finish a prefix of class c
     with r inner slots and a last slot (from None: the degree-r words).
-    runs, unless None, holds the one value tuple per row length that every
-    stored row takes (see _assemble); with None the values are stored as
-    made.
+    A template is the list of rows that rows() yields, each a pair of
+    tuples as the matrices store them.  runs, unless None, holds the one
+    value tuple per row length that every row takes (see _assemble); with
+    None each row's values are its own.
     """
 
     def __init__(self, m, tables, values, completions, weight, dividers,
@@ -800,15 +801,16 @@ class _Tails:
         self.top_degree = top_degree
         self.add, self.opposite = dom.add, _Opposites()
         self.opposite.neg = dom.neg
-        self.spans, self.templates = {}, {}
+        self.sizes, self.spans, self.templates = {}, {}, {}
 
     def size(self, c, r) -> int:
         """How many tails from c with r inner slots (r = -1: c finished)."""
-        s, loops, divs = c
-        if r < 0:
-            return int(loops in (None, 0) and divs in (None, 0))
-        return sum(n for (k, j), n in self.completions[r][s].items()
-                   if loops in (None, k) and divs in (None, j))
+        if (c, r) not in self.sizes:
+            s, loops, divs = c
+            self.sizes[c, r] = (int(loops in (None, 0) and divs in (None, 0)) if r < 0
+                                else sum(n for (k, j), n in self.completions[r][s].items()
+                                         if loops in (None, k) and divs in (None, j)))
+        return self.sizes[c, r]
 
     def span(self, c, r):
         """{slot: (offset, class after, loops closed)} over the slots that
@@ -829,31 +831,30 @@ class _Tails:
             self.spans[c, r] = out, total
         return self.spans[c, r]
 
-    def stored(self, row) -> tuple[tuple, tuple]:
-        """The columns and the values of a row from rows() as tuples; with
-        runs the values are the shared tuple of the row's length and the
-        iterable of values is never read."""
-        # through lists: a tuple of known length reuses the tuples freed by
-        # earlier builds, which tuple(iterator) never does
-        cs, vs = row
-        cs = tuple([*cs])
-        return cs, tuple([*vs]) if self.runs is None else self.runs[len(cs)]
-
     def template(self, c, r) -> list:
         if (c, r) not in self.templates:
-            self.templates[c, r] = list(map(self.stored, self.rows(c, r)))
+            self.templates[c, r] = list(self.rows(c, r))
         return self.templates[c, r]
 
     def rows(self, c, r, negate=False, extra=(), base=0):
         """Yield the columns and the values of each row of E(c, r), the
         deletions inside the tails from c with r inner slots into those with
-        r - 1 (d_r at c = None), as iterables, the values negated if asked.
+        r - 1 (d_r at c = None), as the tuples a matrix stores, the values
+        negated if asked; with runs the values are the shared tuple of the
+        row's length.
 
         The head deletion merges slots t1, t2 into u with sign (-1)^(r-1):
         signs count from the tail's end.  Row k of the rows starting with u
         is row k of E(c.u, r - 1) shifted into the columns starting with u,
-        plus a diagonal run per head merge into u; a head entry with t1 = u
-        lands among the shifted ones and is merged in.
+        plus a diagonal run per head merge into u.  Each row is written
+        once, as one list: the heads' columns before u's block, the shifted
+        template row, the heads' columns after it.  A head with t1 = u lands
+        inside the block; it is bisected into the template row as stored,
+        last head first, so that every earlier output index stays valid,
+        and inserted, added to the entry it meets, or cancels that entry
+        (always, with runs, where v + v = 0).  Without runs the values list
+        takes the same edits; when negated, the heads are negated once per
+        block and the template values as they are copied.
 
         extra holds more diagonal runs (offset, values) over all the rows,
         and base is added to every column.  d_top keeps no template that
@@ -861,7 +862,7 @@ class _Tails:
         block's heads as extra and the block's first column as base, so
         each of those rows is built once.
         """
-        m, ints, add = self.m, self.ints, self.add
+        m, ints, add, runs = self.m, self.ints, self.add, self.runs
         cols_at, _ = self.span(c, r)
         rows_at, _ = self.span(c, r - 1)
         kind = "first" if c is None else "inner" if r > 1 else "last"
@@ -899,25 +900,39 @@ class _Tails:
                     continue
                 sub = self.template(cu, r - 1)
             parts = [h for h in hs if h[0] < lo], [h for h in hs if h[0] >= hi]
-            runs = [zip(*[ints[base + b:base + b + n] for b, _ in part]) if part
+            diag = [zip(*[ints[base + b:base + b + n] for b, _ in part]) if part
                     else repeat((), n) for part in parts]
             before, after = (tuple(v for _, (v, _) in part) for part in parts)
-            inside = [(b - lo, v) for b, v in hs if lo <= b < hi]
+            inside = [(b - lo, v) for b, v in reversed(hs) if lo <= b < hi]
+            at = len(before)  # output index of the template row's first entry
             shift, opposite = ints[base + lo:base + hi].__getitem__, self.opposite.__getitem__
-            for k, cb, (sc, sv), ca in zip(count(), runs[0], sub, runs[1]):
-                if inside:
-                    sc, sv = list(sc), list(sv)
+            if negate and runs is None:  # each value negated once, as it is copied
+                before, after = tuple(map(opposite, before)), tuple(map(opposite, after))
+                inside = [(b, (opp, v)) for b, (v, opp) in inside]
+            for k, cb, (sc, sv), ca in zip(count(), diag[0], sub, diag[1]):
+                # through lists: a tuple of known length reuses the tuples
+                # freed by earlier builds, which tuple(iterator) never does
+                cs = [*cb, *map(shift, sc), *ca]
+                if runs is None:
+                    vs = [*before, *(map(opposite, sv) if negate else sv), *after]
                     for b, (v, opp) in inside:
                         i = bisect_left(sc, b + k)
                         if i == len(sc) or sc[i] != b + k:
-                            sc.insert(i, b + k)
-                            sv.insert(i, v)
-                        elif sv[i] == opp:  # the entry cancels
-                            del sc[i], sv[i]
+                            cs.insert(at + i, shift(b + k))
+                            vs.insert(at + i, v)
+                        elif vs[at + i] == opp:  # the entry cancels
+                            del cs[at + i], vs[at + i]
                         else:
-                            sv[i] = add(sv[i], v)
-                vals = chain(before, sv, after)
-                yield chain(cb, map(shift, sc), ca), map(opposite, vals) if negate else vals
+                            vs[at + i] = add(vs[at + i], v)
+                    yield tuple(cs), tuple(vs)
+                else:
+                    for b, _ in inside:
+                        i = bisect_left(sc, b + k)
+                        if i == len(sc) or sc[i] != b + k:
+                            cs.insert(at + i, shift(b + k))
+                        else:  # v + v = 0
+                            del cs[at + i]
+                    yield tuple(cs), runs[len(cs)]
 
 
 def _merge_heads(hs, add, opposite) -> list:
@@ -951,14 +966,18 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     inner slots left) and sized from _completions (_Tails.rows), and an
     entry that cancels is removed; a top-degree block whose template no
     other block reads hands its heads to the level below and keeps none.
-    Each merge is checked once: the class after the merged pair must be
-    the class after its target (else the deletion hits no basis word), and
-    the loops it closes the machine's loop difference (else the weights
-    differ).  The template shapes must be the walk's in every degree.
+    _Tails.rows yields every row in its stored form, each row written once,
+    so the rows of d_p go from it straight into SparseMatrix.from_rows,
+    which checks each one.  Each merge is checked once: the class after
+    the merged pair must be the class after its target (else the deletion
+    hits no basis word), and the loops it closes the machine's loop
+    difference (else the weights differ).  The template shapes must be the
+    walk's in every degree.
 
     Storage: each degree's packed words go into one array('Q') as soon as
-    the walk returns them, and the walk's lists are dropped; a word of
-    max_degree + 1 slots wider than 64 bits is refused before any walk.
+    the walk returns them, and the walk's lists are dropped.  Refused
+    before any walk: a word of max_degree + 1 slots wider than 64 bits, and
+    a build estimated past MAX_BLOCK_BYTES (_estimated_bytes).
     Each column and each row id is one of the build's shared ints.  When
     the value table holds one nonzero v with v + v = 0 (F2, at any a),
     every entry a sum of them leaves is v, so every row of length n stores
@@ -975,6 +994,7 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         raise GraffitoError(f"a degree-{max_degree} word at 2n = {two_n} packs "
                             f"{max_degree + 1} slots of {m.bits} bits, {width} "
                             f"bits in all: past the 64 of a stored word")
+    _estimated_bytes(two_n, base, max_degree, weight, dividers)
 
     # the empty system is word 0 of degree 0
     words: dict[int, array] = {0: array("Q", [0] * ends.augmented)}
@@ -1018,11 +1038,13 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
                                 f"but the weights differ by {weights[1][col]}")
         if values[1][k]:
             one.append((col, values[1][k][0]))
-    matrices = {1: SparseMatrix.from_rows(len(words[0]), len(words[1]),
-                                          [(0, *tails.stored(zip(*one)))] if one else (),
-                                          dom)} if max_degree else {}
+    if one:
+        cs, vs = zip(*one)
+        one = [(0, cs, vs if runs is None else runs[len(cs)])]
+    matrices = ({1: SparseMatrix.from_rows(len(words[0]), len(words[1]), one, dom)}
+                if max_degree else {})
     for p in range(2, max_degree + 1):
-        rows = map(tails.stored, tails.rows(None, p, negate=p % 2 == 0))
+        rows = tails.rows(None, p, negate=p % 2 == 0)
         matrices[p] = SparseMatrix.from_rows(
             len(words[p - 1]), len(words[p]),
             ((i, cs, vs) for i, (cs, vs) in zip(ints, rows) if cs), dom)
@@ -1064,26 +1086,36 @@ MAX_BLOCK_BYTES = 4_000_000_000
 _ENTRY_BYTES = 50  # bound on a Z build's peak per stored entry, words included
 
 
+def _estimated_bytes(two_n: int, ends: EndSpec, top: int, weight: int | None,
+                     dividers: int | None) -> int:
+    """The bytes a build through degree top is estimated to peak at, from
+    count_graffiti: a degree-p word has p bar deletions, so p entries of
+    _ENTRY_BYTES per word.  GraffitoError refuses an estimate past
+    MAX_BLOCK_BYTES, naming the weight block, or the whole complex."""
+    size = _ENTRY_BYTES * sum(p * count_graffiti(p, two_n, ends, weight, dividers)
+                              for p in range(1, top + 1))
+    if size > MAX_BLOCK_BYTES:
+        name = "the whole complex" if weight is None else f"the weight-{weight} block"
+        raise GraffitoError(f"{name} of 2n = {two_n} through degree {top} needs about "
+                            f"{size / 1e9:.1f} GB by estimate, past the "
+                            f"{MAX_BLOCK_BYTES / 1e9:.0f} GB one block may take")
+    return size
+
+
 def weight_blocks(spec: ComplexSpec) -> Iterator[ChainComplexData]:
     """The weight blocks of a loop complex at a = 0, each built when drawn:
     one per weight count_graffiti finds words of (one, if spec fixes it).
 
-    A degree-p word has p bar deletions, so a block is estimated at p
-    entries of _ENTRY_BYTES per word; GraffitoError refuses the request
-    before any build if one block passes MAX_BLOCK_BYTES.  The generator
+    GraffitoError refuses the request before any build if one block's
+    estimate (_estimated_bytes) passes MAX_BLOCK_BYTES.  The generator
     binds no block, so one its caller lets go is freed before the next.
     """
     top, specs = spec.max_degree, []
     for w in range(spec.two_n // 2 * top + 1) if spec.weight is None else [spec.weight]:
-        size = _ENTRY_BYTES * sum(p * count_graffiti(p, spec.two_n, spec.ends, w, spec.dividers)
-                                  for p in range(1, top + 1))
-        if size > MAX_BLOCK_BYTES:
-            raise GraffitoError(f"the weight-{w} block of 2n = {spec.two_n} through degree "
-                                f"{top} needs about {size / 1e9:.1f} GB by estimate, past "
-                                f"the {MAX_BLOCK_BYTES / 1e9:.0f} GB one block may take")
-        if size:
+        if _estimated_bytes(spec.two_n, spec.ends, top, w, spec.dividers):
             specs.append(replace(spec, weight=w))
     return (build_complex(s) for s in specs)
+
 
 def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, object]:
     """Coordinates of a chain in the ordered basis of one degree.

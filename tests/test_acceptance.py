@@ -13,10 +13,10 @@ import pytest
 from planarloops import (Chain, ComplexSpec, EndSpec, PointedRing, QQ, ZA, ZZ,
                          build_complex, build_word_complex,
                          check_chain_map, differential, enumerate_diagrams,
-                         enumerate_graffiti, enumerate_letters, homology,
-                         homology_table, minimal_model, phi, prime_field, psi,
-                         to_word, truncated_complex, validate_d_squared,
-                         weight_blocks)
+                         enumerate_graffiti, enumerate_letters, four_model,
+                         homology, homology_table, minimal_model, phi,
+                         prime_field, psi, to_word, truncated_complex,
+                         validate_d_squared, weight_blocks, weight_decompose)
 from planarloops.diagram import RIGHT_CELL, cell_basis
 from planarloops.freedga import alpha_boundary_check
 from planarloops.loops import (CLOSED, chain_involution_lr,
@@ -247,14 +247,20 @@ H56_BY_WEIGHT = {4: [(1, (2,)), (0, ())], 5: [(0, (2,)), (0, (2, 2, 2))],
 @stretch
 def test_stretch_degree_6():
     # each block is one call over Z, F2 and Q; the degree-7 layer has 19.3M
-    # words, the largest block 4.4M
+    # words, the largest block 4.4M.  Over Z each block's H_5 and H_6 must
+    # be those of the same-weight summand of the four-generator model's
+    # truncation, and 0 at a weight the model has no words of
     t0 = time.time()
+    model = {w: [(h.free_rank, h.torsion) for h in homology(block, [5, 6])]
+             for w, block in weight_decompose(truncated_complex(four_model(Z0), 7))}
     doms = [ZZ, F2.domain, QQ]
     per_weight = {}
     for block in weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=7)):
         (w,) = {label for labels in block.weights.values() for label in labels}
         per_weight[w] = homology_table([block], [5, 6], doms)
         del block  # the next block is built without this one
+        got = [(h.free_rank, h.torsion) for h in per_weight[w][ZZ]]
+        assert got == model.get(w, [(0, ())] * 2), (w, got, model.get(w))
         print(f"# stretch weight {w} done [{time.time() - t0:.0f}s]")
     got = {w: [(h.free_rank, h.torsion) for h in t[ZZ]]
            for w, t in per_weight.items() if any(h.free_rank or h.torsion for h in t[ZZ])}

@@ -98,12 +98,17 @@ def test_filters_on_an_unfiltered_complex_are_a_usage_error(capsys):
 
 
 def test_a_table_past_the_block_bound_is_refused_before_any_build(capsys, monkeypatch):
-    def refuse(spec):
+    def refuse(*args):
         raise AssertionError("a block was built")
     monkeypatch.setattr(loops_module, "build_complex", refuse)
     code, out, err = run(capsys, "homology", "--complex", "reduced-loops",
                          "--two-n", "6", "--max-degree", "6")
     assert (code, out) == (2, "") and "block of 2n = 6 through degree 6" in err, err
+    # at a = 1 there are no weight blocks: the whole build is refused before any walk
+    monkeypatch.setattr(loops_module, "_raw_words", refuse)
+    code, out, err = run(capsys, "homology", "--complex", "reduced-loops",
+                         "--two-n", "6", "--a", "1", "--max-degree", "6")
+    assert (code, out) == (2, "") and "whole complex of 2n = 6 through degree 6" in err, err
 
 
 def test_verify_refuses_fewer_than_one_sample(capsys):

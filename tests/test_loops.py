@@ -1,12 +1,15 @@
 import array
+import collections
 import functools
 import gc
 import hashlib
 import importlib
+import inspect
 import itertools
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 import weakref
@@ -357,6 +360,15 @@ ORACLE_RINGS = (ZAU, Z0, PointedRing.make(ZZ, 2), PointedRing.make(QQ, 0),
                 PointedRing.make(prime_field(3), 1))
 
 
+def _columns(mat) -> dict:
+    """{column: {row: value}} of a matrix's stored entries."""
+    cols: dict = {}
+    for r, cs, vs in mat.row_data:
+        for j, v in zip(cs, vs):
+            cols.setdefault(j, {})[r] = v
+    return cols
+
+
 @pytest.mark.parametrize("ends", ORACLE_ENDS,
                          ids=lambda e: e.code + ("+aug" if e.augmented else ""))
 def test_build_complex_matches_chain_differential(ends):
@@ -366,10 +378,7 @@ def test_build_complex_matches_chain_differential(ends):
         cx = build_complex(ComplexSpec(4, ring, ends, max_degree=3))
         for p in range(1, 4):
             assert cx.basis[p] == tuple(g.encode() for g in systems[p])
-            cols: dict = {}
-            for r, cs, vs in cx.boundary(p).row_data:
-                for j, v in zip(cs, vs):
-                    cols.setdefault(j, {})[r] = v
+            cols = _columns(cx.boundary(p))
             for j, g in enumerate(systems[p]):
                 d = differential(Chain.of(ring, g))
                 if p == 1 and not ends.augmented:
@@ -377,6 +386,70 @@ def test_build_complex_matches_chain_differential(ends):
                     assert set(d.terms) <= {empty_system()} and j not in cols
                     continue
                 assert chain_to_vector(d, cx, p - 1) == cols.get(j, {}), (ring, g)
+
+
+def _merge_branches(build):
+    """Run build() under a line tracer on _Tails.rows and count the branches
+    of the inside-head merge taken: a head inserted, added to the entry it
+    meets, or cancelling it, and two heads inserted at one bisect point of
+    one row."""
+    rows = loops_module._Tails.rows
+    src, first = inspect.getsourcelines(rows)
+    at = {}
+    for text, names in (("cs.insert(at + i, shift(b + k))", ("insert", "runs insert")),
+                        ("= add(vs[at + i], v)", ("add",)),
+                        ("del cs[at + i]", ("cancel", "runs cancel"))):
+        lines = [first + j for j, code in enumerate(src) if text in code]
+        assert len(lines) == len(names), text
+        at.update(zip(lines, names))
+    taken, points, frames = collections.Counter(), collections.Counter(), []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in at:
+            name = at[frame.f_lineno]
+            taken[name] += 1
+            if name.endswith("insert"):
+                f = frame.f_locals
+                points[frames.index(frame), f["u"], f["k"], f["i"]] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is rows.__code__:
+            if frame not in frames:
+                frames.append(frame)
+            return local
+        return None
+
+    held = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        cx = build()
+    finally:
+        sys.settrace(held)
+    taken["two heads at one point"] = sum(n > 1 for n in points.values())
+    return cx, taken
+
+
+F3_AT_1 = PointedRing.make(prime_field(3), 1)
+
+
+# degree-4 builds that reach every branch of the inside-head merge: at a = 0
+# a head meets an entry only to cancel it (-1 + 1 over Z; over F2 always, in
+# shared runs), at a = 1 two heads also add up (to 2 over Z[a], whose
+# entries are assembled at (Z, 1), and 1 + 1 = 2 against 1 + 2 = 0 over F3)
+@pytest.mark.parametrize("ring, ends, weight, branches", [
+    (Z0, "oc", 4, {"insert", "cancel"}),
+    (PointedRing.make(prime_field(2), 0), "cc", 3, {"runs insert", "runs cancel"}),
+    (F3_AT_1, "cc", None, {"insert", "add", "cancel"}),
+    (ZAU, "cc", None, {"insert", "add", "cancel"}),
+], ids=["Z-oc-w4", "F2-cc-w3", "F3-at-1-cc", "Za-cc"])
+def test_degree_4_inside_head_merges_match_chain_differential(ring, ends, weight, branches):
+    spec = ComplexSpec(4, ring, EndSpec.from_code(ends), max_degree=4, weight=weight)
+    cx, taken = _merge_branches(lambda: build_complex(spec))
+    assert set(+taken) == branches | {"two heads at one point"}, taken
+    cols = _columns(cx.boundary(4))
+    for j, g in enumerate(enumerate_graffiti(4, ends=ends, weight=weight)):
+        assert chain_to_vector(differential(Chain.of(ring, g)), cx, 3) == cols.get(j, {}), g
 
 
 @pytest.mark.parametrize("field, pairs", [
@@ -411,10 +484,7 @@ def test_top_blocks_built_from_the_level_below_match_chain_differential(monkeypa
     f2 = PointedRing.make(prime_field(2), 0)
     cx = build_complex(ComplexSpec(4, f2, CLOSED, max_degree=5, weight=2))
     assert sum(met) == 2 * 20
-    cols: dict = {}
-    for r, cs, vs in cx.boundary(5).row_data:
-        for j, v in zip(cs, vs):
-            cols.setdefault(j, {})[r] = v
+    cols = _columns(cx.boundary(5))
     for j, g in enumerate(enumerate_graffiti(5, weight=2)):
         assert chain_to_vector(differential(Chain.of(f2, g)), cx, 4) == cols.get(j, {}), g
 
@@ -1084,6 +1154,21 @@ def test_a_block_past_the_bound_is_refused_before_any_build(monkeypatch):
     # the largest requests the bound admits: nothing is built until drawn
     for two_n, top in ((4, 7), (6, 4)):
         weight_blocks(ComplexSpec(two_n, Z0, CLOSED, max_degree=top))
+
+
+def test_a_whole_build_past_the_bound_is_refused_before_any_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a walk began")
+    monkeypatch.setattr(loops_module, "_raw_words", refuse)
+    # at a = 1 no weight filter applies, so only the whole build is estimated
+    with pytest.raises(GraffitoError, match=(
+            r"the whole complex of 2n = 6 through degree 6 needs about "
+            r"[\d.]+ GB by estimate, past the 4 GB one block may take")):
+        build_complex(ComplexSpec(6, PointedRing.make(ZZ, 1), max_degree=6))
+    # a spec that fixes a weight is its one block
+    with pytest.raises(GraffitoError, match=(
+            "the weight-4 block of 2n = 4 through degree 8 needs about 4.9 GB")):
+        build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=8, weight=4))
 
 
 def test_chain_codec():
