@@ -2,9 +2,9 @@
 suites, and diagram export.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or parse
-errors, and 141 (128 + SIGPIPE, what a shell shows for a program stopped
-by a closed pipe) when the reader closes standard output early, as `| head`
-does.
+errors (an output file that cannot be written among them), and 141 (128 +
+SIGPIPE, what a shell shows for a program stopped by a closed pipe) when the
+reader closes standard output early, as `| head` does.
 All output is deterministic given the arguments and seed.
 """
 
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
         # that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CLOSED_PIPE
-    except (DiagramError, GraffitoError, DomainError, ValueError) as e:
+    except (DiagramError, GraffitoError, DomainError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

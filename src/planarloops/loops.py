@@ -479,6 +479,14 @@ def _check_shape(two_n: int, ends: EndSpec, degree: int = 0) -> None:
         raise GraffitoError("open ends are only defined for 2n = 4")
 
 
+def _unaugmented(ends: EndSpec | str) -> EndSpec:
+    """The ends whose machine a listing or a build reads: augmentation keeps
+    the slot pools of the closed ends, so it is dropped, and a code is read."""
+    if isinstance(ends, str):
+        return EndSpec.from_code(ends)
+    return EndSpec(ends.left_open, ends.right_open)
+
+
 def _slot_pools(two_n: int, ends: EndSpec):
     kl = 2 if ends.left_open else 0
     kr = 2 if ends.right_open else 0
@@ -493,8 +501,7 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
                        weight: int | None = None, dividers: int | None = None
                        ) -> tuple[Graffito, ...]:
     """All degree-p basis systems passing the filters, canonical order."""
-    if isinstance(ends, str):
-        ends = EndSpec.from_code(ends)
+    ends = _unaugmented(ends)
     _check_shape(two_n, ends, degree)
     words, _ = _raw_words(degree, two_n, ends, weight, dividers)
     m = _machine(two_n, ends)
@@ -580,6 +587,13 @@ def _completions(two_n: int, ends: EndSpec, r: int) -> tuple[dict, ...]:
     return tuple(out)
 
 
+def _passing(tally: dict, loops: int | None, divs: int | None) -> int:
+    """How many ways a tally {(loops, dividers): count} of _completions
+    holds that meet the filters, None where no filter applies."""
+    return sum(n for (k, j), n in tally.items()
+               if loops in (None, k) and divs in (None, j))
+
+
 def _slot_ids(word: int, length: int, bits: int) -> tuple[int, ...]:
     """The slot ids of a packed word of `length` slots, first slot first."""
     mask = (1 << bits) - 1
@@ -637,66 +651,87 @@ def _raw_words(degree, two_n, ends, weight, dividers):
     every diagram encoding ends in its only '}', so no encoding is a proper
     prefix of another.  String order of 'G(..)[a | b | ...]' is therefore
     the lexicographic order of the slot ids, and the numeric order of the
-    packed words.
-
-    A word is a first slot and a tail, whose class tabulates it once per
-    call (_TailTables).  The blocks under each first slot go straight into
-    the output, not into a table, so the largest table kept has degree - 2
-    inner slots.  Under a weight filter every word closes `weight` loops
-    and no counts are carried.
+    packed words.  The words are walked over the class tree of the filters
+    (_ClassTree.words), as a build walks its own tree.
     """
     if degree < 1:
         return [], []
-    m = _machine(two_n, ends)
-    tables = _TailTables(m, carry=weight is None)
-    out: list[int] = []
-    counts: list[int] = []
-    for f, s in enumerate(m.start):
-        tables.grow(out, counts, f, s, weight, dividers, degree - 1)
-    return out, counts if tables.carry else [weight] * len(out)
+    return _ClassTree(two_n, ends, degree, weight, dividers).words(degree)
 
 
-class _TailTables(dict):
-    """Class -> (tails, loops each closes) for one walk, filled on demand.
+class _ClassTree:
+    """Which tails may follow each class of word prefix, under the filters.
 
-    A tail is r inner slots and a last slot, packed in r + 1 slots.  The
-    tails that may follow a prefix depend only on its class (state, loops
-    still needed, dividers still needed, r), None where no filter applies.
-    A class's tails ascend: for each next slot in ascending id, the table
-    of the class after it shifted under that slot, one block made at C
-    speed by map; a slot whose table is empty adds nothing.  The loops are
-    kept only if carried, else the lists stay empty.  The tables live in
-    the instance, so they go as soon as the walk drops it.
+    The complex is a normalized bar construction, so this depends only on
+    the prefix's class: (state, loops still needed, dividers still needed),
+    None where no filter applies, state -1 once finished, None for the
+    empty prefix.  The tails from c with r inner slots finish a prefix of
+    class c with r inner slots and a last slot (from None: the degree-r
+    words).  size counts them from _completions, span lays them out by
+    their first slot; the walk (words) and the templates (_Tails) read both.
     """
 
-    def __init__(self, m: _Machine, carry: bool):
-        super().__init__()
-        self.m, self.carry = m, carry
+    def __init__(self, two_n, ends, top_degree, weight, dividers):
+        self.m = _machine(two_n, ends)
+        self.completions = [_completions(two_n, ends, r) for r in range(top_degree)]
+        self.root, self.top_degree = (weight, dividers), top_degree
+        self.sizes, self.spans = {}, {}
 
-    def __missing__(self, c):
-        self[c] = table = [], []
-        self.grow(*table, 0, *c)
-        return table
+    def size(self, c, r) -> int:
+        """How many tails from c with r inner slots (r = -1: c finished)."""
+        if (c, r) not in self.sizes:
+            s, loops, divs = c
+            self.sizes[c, r] = _passing({(0, 0): 1} if r < 0 else self.completions[r][s],
+                                        loops, divs)
+        return self.sizes[c, r]
 
-    def grow(self, ws, ls, head, s, loops, divs, r) -> None:
-        """Append head.t to ws for each tail t of class (s, loops, divs, r),
-        and if carried the loops t closes to ls."""
-        bits, carry = self.m.bits, self.carry
-        if r == 0:
-            if divs in (None, 0):
-                row = self.m.finish[s]
-                js = [j for j, k in enumerate(row) if loops in (None, k)]
-                ws.extend(map((head << bits).__or__, js))
-                if carry:
-                    ls.extend(map(row.__getitem__, js))
+    def span(self, c, r):
+        """{slot: (offset, class after, loops closed)} over the slots that
+        start a tail from c with r inner slots, and the number of tails."""
+        if (c, r) not in self.spans:
+            m, out, total = self.m, {}, 0
+            for t in range(len(m.first if c is None else m.inner if r else m.last)):
+                if c is None:
+                    after, k = (m.start[t], *self.root), 0
+                else:
+                    s, loops, divs = c
+                    s, k = m.step[s][t] if r else (-1, m.finish[s][t])
+                    after = (s, None if loops is None else loops - k,
+                             divs - m.is_div[t] if r and divs is not None else divs)
+                if n := self.size(after, r - 1):
+                    out[t] = total, after, k
+                    total += n
+            self.spans[c, r] = out, total
+        return self.spans[c, r]
+
+    def words(self, p):
+        """The degree-p words, packed and ascending, and the loops each
+        closes (see _raw_words).  A class's tails are tabulated once per
+        call; the blocks under each first slot go straight into the output,
+        so the largest table kept has p - 2 inner slots."""
+        words, loops, tables = [], [], {}
+        for t, (_, c, _) in self.span(None, p)[0].items():
+            self._extend(words, loops, t, c, p - 1, tables)
+        return words, loops if self.root[0] is None else [self.root[0]] * len(words)
+
+    def _extend(self, ws, ls, head, c, r, tables) -> None:
+        """Append head.t to ws for each tail t from c with r inner slots,
+        ascending, and the loops t closes to ls unless a weight filter
+        fixes them: for each slot of the span, the table of the class after
+        it (tables, per class and r), shifted under the slot by one map."""
+        carry, bits = self.root[0] is None, self.m.bits
+        if r < 0:  # the empty tail of a finished class
+            ws.append(head)
+            if carry:
+                ls.append(0)
             return
-        shift, is_div = r * bits, self.m.is_div
-        for j, (ns, k) in enumerate(self.m.step[s]):
-            if (loops is not None and loops < k) or (divs is not None and divs < is_div[j]):
-                continue
-            tw, tl = self[ns, None if loops is None else loops - k,
-                          None if divs is None else divs - is_div[j], r - 1]
-            ws.extend(map(((head << bits | j) << shift).__or__, tw))
+        shift = r * bits
+        for t, (_, after, k) in self.span(c, r)[0].items():
+            if (key := (after, r - 1)) not in tables:
+                tables[key] = [], []
+                self._extend(*tables[key], 0, after, r - 1, tables)
+            tw, tl = tables[key]
+            ws.extend(map(((head << bits | t) << shift).__or__, tw))
             if carry:
                 ls.extend(map(k.__add__, tl) if k else tl)
 
@@ -705,16 +740,13 @@ def count_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
                    weight: int | None = None, dividers: int | None = None) -> int:
     """Number of degree-p basis systems passing the filters, counted over
     (state, loops, dividers) without listing any."""
-    if isinstance(ends, str):
-        ends = EndSpec.from_code(ends)
+    ends = _unaugmented(ends)
     _check_shape(two_n, ends, degree)
     if degree < 1:
         return 0
     tails = _completions(two_n, ends, degree - 1)
-    return sum(n for s in _machine(two_n, ends).start
-               for (loops, divs), n in tails[s].items()
-               if (weight is None or loops == weight)
-               and (dividers is None or divs == dividers))
+    return sum(_passing(tails[s], weight, dividers)
+               for s in _machine(two_n, ends).start)
 
 
 @lru_cache(maxsize=None)
@@ -778,58 +810,26 @@ class _Runs(dict):
         return vs
 
 
-class _Tails:
-    """Templates of the deletions inside word tails, one per class of
-    prefix, and the boundaries written from them (see _assemble).
-
-    A class is (state, loops still needed, dividers still needed), None
-    where no filter applies, state -1 once finished, None for the empty
-    prefix.  The tails from c with r inner slots finish a prefix of class c
-    with r inner slots and a last slot (from None: the degree-r words).
-    A template is the list of rows that rows() yields, each a pair of
-    tuples as the matrices store them.  runs, unless None, holds the one
-    value tuple per row length that every row takes (see _assemble); with
-    None each row's values are its own.
+class _Tails(_ClassTree):
+    """A build's class tree, with templates of the deletions inside word
+    tails, one per class of prefix, and the boundaries written from them
+    (see _assemble).  A template is the list of rows that rows() yields,
+    each a pair of tuples as the matrices store them.  runs, unless None,
+    holds the one value tuple per row length that every row takes; ints
+    are the build's shared ints, as many as the largest degree has words.
+    A divider filter is subquotient mode (see ComplexSpec).
     """
 
-    def __init__(self, m, tables, values, completions, weight, dividers,
-                 subquotient, dom, ints, top_degree, runs):
-        self.m, self.tables, self.completions, self.ints = m, tables, completions, ints
-        self.runs = runs
+    def __init__(self, two_n, ends, top_degree, weight, dividers, tables,
+                 values, dom, runs):
+        super().__init__(two_n, ends, top_degree, weight, dividers)
+        self.tables, self.runs = tables, runs
         self.signed = (values[-1], values[1])  # sign (-1)^(r-1), by r % 2
-        self.root, self.subquotient = (weight, dividers), subquotient
-        self.top_degree = top_degree
         self.add, self.opposite = dom.add, _Opposites()
         self.opposite.neg = dom.neg
-        self.sizes, self.spans, self.templates = {}, {}, {}
-
-    def size(self, c, r) -> int:
-        """How many tails from c with r inner slots (r = -1: c finished)."""
-        if (c, r) not in self.sizes:
-            s, loops, divs = c
-            self.sizes[c, r] = (int(loops in (None, 0) and divs in (None, 0)) if r < 0
-                                else sum(n for (k, j), n in self.completions[r][s].items()
-                                         if loops in (None, k) and divs in (None, j)))
-        return self.sizes[c, r]
-
-    def span(self, c, r):
-        """{slot: (offset, class after, loops closed)} over the slots that
-        start a tail from c with r inner slots, and the number of tails."""
-        if (c, r) not in self.spans:
-            m, out, total = self.m, {}, 0
-            for t in range(len(m.first if c is None else m.inner if r else m.last)):
-                if c is None:
-                    after, k = (m.start[t], *self.root), 0
-                else:
-                    s, loops, divs = c
-                    s, k = m.step[s][t] if r else (-1, m.finish[s][t])
-                    after = (s, None if loops is None else loops - k,
-                             divs - m.is_div[t] if r and divs is not None else divs)
-                if n := self.size(after, r - 1):
-                    out[t] = total, after, k
-                    total += n
-            self.spans[c, r] = out, total
-        return self.spans[c, r]
+        self.templates = {}
+        self.ints = list(range(max((self.span(None, p)[1]
+                                    for p in range(1, top_degree + 1)), default=0)))
 
     def template(self, c, r) -> list:
         if (c, r) not in self.templates:
@@ -867,7 +867,7 @@ class _Tails:
         rows_at, _ = self.span(c, r - 1)
         kind = "first" if c is None else "inner" if r > 1 else "last"
         table, signed = self.tables[kind], self.signed[r % 2]
-        sq = self.subquotient and kind == "inner"
+        sq = self.root[1] is not None and kind == "inner"
         heads = {u: [(d + o, v) for d, v in extra] for u, (o, _, _) in rows_at.items()}
         for t1, (o1, c1, k1) in cols_at.items():
             for t2, (o2, c2, k2) in self.span(c1, r - 1)[0].items():
@@ -951,43 +951,43 @@ def _merge_heads(hs, add, opposite) -> list:
 
 
 def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
-              dividers: int | None, subquotient: bool,
-              ring: PointedRing) -> _Assembly:
+              dividers: int | None, ring: PointedRing) -> _Assembly:
     """The words, weight labels and boundary matrices of a loop complex,
     with every entry written in the domain of ring.
 
     A deletion with sign s that closes k loops writes s * a^k, read with
     its opposite from values[s][k], made once per build for every k a
     merge closes; a deletion whose value vanishes (None there: k > 0 at
-    a = 0) is skipped, as in subquotient mode is every inner merge that
-    changes the divider count.
+    a = 0) is skipped, as under a divider filter (subquotient mode) is
+    every inner merge that changes the divider count.
 
-    Each boundary is written from tail templates memoised per (class,
-    inner slots left) and sized from _completions (_Tails.rows), and an
-    entry that cancels is removed; a top-degree block whose template no
-    other block reads hands its heads to the level below and keeps none.
-    _Tails.rows yields every row in its stored form, each row written once,
-    so the rows of d_p go from it straight into SparseMatrix.from_rows,
-    which checks each one.  Each merge is checked once: the class after
-    the merged pair must be the class after its target (else the deletion
-    hits no basis word), and the loops it closes the machine's loop
-    difference (else the weights differ).  The template shapes must be the
-    walk's in every degree.
+    One class tree per build (_Tails) lays out the classes' sizes and
+    spans once; every degree's words are walked over it, and each boundary
+    is written from its tail templates, memoised per (class, inner slots
+    left).  An entry that cancels is removed; a top-degree block whose
+    template no other block reads hands its heads to the level below and
+    keeps none.  _Tails.rows yields every row in its stored form, each
+    written once, straight into SparseMatrix.from_rows, which checks each
+    one.  Each merge is checked once: the class after the merged pair must
+    be the class after its target (else the deletion hits no basis word),
+    and the loops it closes the machine's loop difference (else the
+    weights differ).  Each degree's walk must be packed and ordered as the
+    spans it read: as many words, each first slot's block where it starts.
 
     Storage: each degree's packed words go into one array('Q') as soon as
     the walk returns them, and the walk's lists are dropped.  Refused
     before any walk: a word of max_degree + 1 slots wider than 64 bits, and
-    a build estimated past MAX_BLOCK_BYTES (_estimated_bytes).
-    Each column and each row id is one of the build's shared ints.  When
-    the value table holds one nonzero v with v + v = 0 (F2, at any a),
-    every entry a sum of them leaves is v, so every row of length n stores
-    the one tuple (v,) * n made for this build, and no value is read.
+    a build estimated past MAX_BLOCK_BYTES (_estimated_bytes).  Each
+    column and each row id is one of the build's shared ints.  When the
+    value table holds one nonzero v with v + v = 0 (F2, at any a), every
+    entry a sum of them leaves is v, so every row of length n stores the
+    one tuple (v,) * n made for this build, and no value is read.
 
     The machine, walks and merge tables are those of the ends without
     augmentation, which has the same slot pools, so an augmented build
     reuses the closed tables and adds only word 0 and the "one" deletion.
     """
-    base = EndSpec(ends.left_open, ends.right_open)
+    base = _unaugmented(ends)
     m = _machine(two_n, base)
     dom = ring.domain
     if (width := m.bits * (max_degree + 1)) > 64:
@@ -995,14 +995,6 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
                             f"{max_degree + 1} slots of {m.bits} bits, {width} "
                             f"bits in all: past the 64 of a stored word")
     _estimated_bytes(two_n, base, max_degree, weight, dividers)
-
-    # the empty system is word 0 of degree 0
-    words: dict[int, array] = {0: array("Q", [0] * ends.augmented)}
-    weights: dict[int, tuple[int, ...]] = {0: (0,) * ends.augmented}
-    for p in range(1, max_degree + 1):
-        walk = _raw_words(p, two_n, base, weight, dividers)
-        words[p], weights[p] = array("Q", walk[0]), tuple(walk[1])
-        del walk  # else the top degree's lists outlive the walk
 
     kinds = ["one"] * (ends.augmented and max_degree > 0)
     kinds += ["first", "last"] * (max_degree > 1) + ["inner"] * (max_degree > 2)
@@ -1020,17 +1012,22 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         (v,) = nonzero
         if dom.is_zero(dom.add(v, v)):
             runs = _Runs(v)
+    tails = _Tails(two_n, base, max_degree, weight, dividers, tables, values,
+                   dom, runs)
 
-    ints = list(range(max(map(len, words.values()))))
-    tails = _Tails(m, tables, values,
-                   [_completions(two_n, base, r) for r in range(max_degree)],
-                   weight, dividers, subquotient, dom, ints, max_degree, runs)
+    # the empty system is word 0 of degree 0
+    words: dict[int, array] = {0: array("Q", [0] * ends.augmented)}
+    weights: dict[int, tuple[int, ...]] = {0: (0,) * ends.augmented}
     for p in range(1, max_degree + 1):
+        walk = tails.words(p)
+        words[p], weights[p] = array("Q", walk[0]), tuple(walk[1])
+        del walk  # else the top degree's lists outlive the walk
         firsts, total = tails.span(None, p)
         if total != len(words[p]) or any(o != bisect_left(words[p], f << p * m.bits)
                                          for f, (o, _, _) in firsts.items()):
             raise GraffitoError(f"the degree-{p} basis is not the tails counted, "
                                 f"so a deletion hits no basis word")
+    ints = tails.ints
     one = []  # d_1: the augmentation, if any
     for col, w in zip(ints, words[1] if ends.augmented and max_degree else ()):
         if (k := tables["one"][w][1]) != weights[1][col]:
@@ -1070,10 +1067,9 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     ends, ring = spec.ends, spec.ring
     at = PointedRing.make(ZZ, 1) if ring.domain.kind == INT_POLY_A else ring
     asm = _assemble(spec.two_n, ends, spec.max_degree, spec.weight,
-                    spec.dividers, spec.subquotient, at)
+                    spec.dividers, at)
 
-    unaugmented = EndSpec(ends.left_open, ends.right_open)
-    basis = {p: Basis(ws, _Spelling(spec.two_n, unaugmented, p))
+    basis = {p: Basis(ws, _Spelling(spec.two_n, _unaugmented(ends), p))
              for p, ws in asm.words.items()}
     return ChainComplexData(ring, spec.max_degree, basis, asm.matrices,
                             weights=asm.weights, description=spec.label)

@@ -105,7 +105,7 @@ def test_a_table_past_the_block_bound_is_refused_before_any_build(capsys, monkey
                          "--two-n", "6", "--max-degree", "6")
     assert (code, out) == (2, "") and "block of 2n = 6 through degree 6" in err, err
     # at a = 1 there are no weight blocks: the whole build is refused before any walk
-    monkeypatch.setattr(loops_module, "_raw_words", refuse)
+    monkeypatch.setattr(loops_module._ClassTree, "words", refuse)
     code, out, err = run(capsys, "homology", "--complex", "reduced-loops",
                          "--two-n", "6", "--a", "1", "--max-degree", "6")
     assert (code, out) == (2, "") and "whole complex of 2n = 6 through degree 6" in err, err
@@ -277,6 +277,16 @@ def test_export_parse_error(capsys):
     code, _, err = run(capsys, "export", "--target", "diagram",
                        "--format", "ascii", "TL(2,2){L1-R1}")
     assert code == 2 and "error" in err
+
+
+def test_export_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    # exit 1 is a failed verification; a file that cannot be opened is exit 2
+    for path in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, "export", "--target", "diagram",
+                             "--out", str(path), "TL(2,2){L1-R1,L2-R2}")
+        assert (code, out) == (2, "") and err.startswith("error: "), err
+        assert str(path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_of_an_open_empty_system_is_a_usage_error(capsys):

@@ -352,6 +352,18 @@ def test_augmented_build_reuses_the_closed_tables():
         assert augmented.matrices[p].row_data == closed.matrices[p].row_data
 
 
+def test_augmented_listings_read_the_closed_machine():
+    # counting, listing and building with augmented ends all read the one
+    # machine of the closed ends, and list what the closed ends list
+    loops_module._machine.cache_clear()
+    augmented = EndSpec(augmented=True)
+    for p in range(4):
+        assert count_graffiti(p, ends=augmented) == count_graffiti(p)
+        assert enumerate_graffiti(p, ends=augmented) == enumerate_graffiti(p)
+    build_complex(ComplexSpec(4, ZAU, augmented, max_degree=3))
+    assert loops_module._machine.cache_info().currsize == 1
+
+
 # every end behaviour, and rings where a is 0, a unit, 2, or the generator
 ORACLE_ENDS = (CLOSED, EndSpec(augmented=True),
                *(EndSpec.from_code(code) for code in ("oo", "oc", "co")))
@@ -508,16 +520,17 @@ def test_weight_labels_match_loop_counts():
 
 def test_assembly_raises_on_a_deletion_outside_the_basis(monkeypatch):
     # every kept deletion lands in the basis; a walk that loses one degree-1
-    # word leaves some degree-2 deletion nowhere to go
-    real = loops_module._raw_words
+    # word leaves some degree-2 deletion nowhere to go.  The build walks
+    # its own class tree, so the walk is patched there
+    real = loops_module._ClassTree.words
 
-    def one_word_short(degree, *args):
-        words, counts = real(degree, *args)
-        if degree == 1:
+    def one_word_short(tree, p):
+        words, counts = real(tree, p)
+        if p == 1:
             return words[1:], counts[1:]
         return words, counts
 
-    monkeypatch.setattr(loops_module, "_raw_words", one_word_short)
+    monkeypatch.setattr(loops_module._ClassTree, "words", one_word_short)
     with pytest.raises(GraffitoError, match="hits no basis word"):
         build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=2))
 
@@ -923,9 +936,10 @@ def test_built_block_bytes_per_stored_entry(ring, weight, held, peak):
                          [*((4, ends, 5) for ends in ORACLE_ENDS), (6, CLOSED, 3)],
                          ids=["4-cc", "4-cc+aug", "4-oo", "4-oc", "4-co", "6-cc"])
 def test_walk_equals_the_level_walk(two_n, ends, top):
-    # the tail tables prune by empty sub-tails, the level walk by the
-    # transfer tables; a degree-p word closes at most n * p loops and has
-    # at most p - 1 dividers, and the filters run one past each
+    # the class tree walks the slots its spans count tails under, the level
+    # walk the slots the transfer tables can still finish; a degree-p word
+    # closes at most n * p loops and has at most p - 1 dividers, and the
+    # filters run one past each
     for p in range(1, top + 1):
         for w in (None, *range(two_n // 2 * p + 2)):
             for j in (None, *range(p + 1)):
@@ -1159,7 +1173,8 @@ def test_a_block_past_the_bound_is_refused_before_any_build(monkeypatch):
 def test_a_whole_build_past_the_bound_is_refused_before_any_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a walk began")
-    monkeypatch.setattr(loops_module, "_raw_words", refuse)
+    # the walk every build and listing runs
+    monkeypatch.setattr(loops_module._ClassTree, "words", refuse)
     # at a = 1 no weight filter applies, so only the whole build is estimated
     with pytest.raises(GraffitoError, match=(
             r"the whole complex of 2n = 6 through degree 6 needs about "

@@ -1,7 +1,8 @@
 """The level walk that listed the basis words before the per-class tail
 tables, kept as an oracle for `loops._raw_words`: it grows all prefixes of
-one length at a time and prunes by the transfer tables (`_completions`),
-where the tail tables prune by empty sub-tails, so the two reach the same
+one length at a time and prunes by the (loops, dividers) the transfer
+tables (`_completions`) can still reach, where the class tree tabulates
+each class's tails from the counts in its spans, so the two reach the same
 words by different routes."""
 
 from itertools import chain
