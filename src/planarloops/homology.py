@@ -248,14 +248,15 @@ class ChainComplexData:
     (optional) one loop-count label per basis element.  matrices[p] is the
     stored form of the boundary leaving degree p, a SparseMatrix stored by
     rows, dim(p - 1) x dim(p); rows may share their tuples, as the rows of
-    one length share one value tuple in a loop complex over F2.  A matrix
-    of another shape, or weights[p] of another length than basis[p], raises
-    LinearAlgebraError.  Over Z[a] with weight labels (graded)
-    every entry of d_p is n * a^(w_col - w_row), so matrices[p] is the
-    integer matrix of the n, with domain ZZ, and a matrix over any other
-    domain raises LinearAlgebraError; boundary(p) renders the Z[a] matrix
-    through graded_matrix on each call and keeps no copy.  Every other
-    complex stores its boundaries as they are, in the ring's domain.
+    one length share one value tuple in a loop complex over F2.  Every
+    complex stores its boundaries in the ring's domain, except that over
+    Z[a] with weight labels (graded) every entry of d_p is
+    n * a^(w_col - w_row), so matrices[p] is the integer matrix of the n,
+    with domain ZZ; boundary(p) renders the Z[a] matrix through
+    graded_matrix on each call and keeps no copy.  A matrix of another
+    shape or over another domain, or weights[p] of another length than
+    basis[p], raises LinearAlgebraError, so every reader (homology,
+    is_cycle, validate_d_squared) takes boundary(p) as it is.
     """
 
     ring: PointedRing
@@ -270,23 +271,24 @@ class ChainComplexData:
             raise LinearAlgebraError("max_degree must not be negative")
         self.basis = {p: b if isinstance(b, Basis) else Basis(b)
                       for p, b in self.basis.items()}
+        domain = ZZ if self.graded else self.ring.domain
         for p, mat in self.matrices.items():
             if (mat.rows, mat.cols) != (self.dim(p - 1), self.dim(p)):
                 raise LinearAlgebraError(
                     f"d_{p} is {mat.rows} x {mat.cols}, but C_{p - 1} has "
                     f"{self.dim(p - 1)} elements and C_{p} has {self.dim(p)}")
+            if mat.domain != domain:
+                raise LinearAlgebraError(
+                    f"a weight-labelled Z[a] complex stores the integers n "
+                    f"of its entries n*a^(w_col - w_row); d_{p} is over "
+                    f"{mat.domain!r}, not Z" if self.graded else
+                    f"d_{p} is over {mat.domain!r}, not over {domain!r}, "
+                    f"the domain of the complex's ring")
         for p, labels in (self.weights or {}).items():
             if len(labels) != self.dim(p):
                 raise LinearAlgebraError(
                     f"degree {p} has {len(labels)} weight labels for "
                     f"{self.dim(p)} basis elements")
-        if self.graded:
-            for p, mat in self.matrices.items():
-                if mat.domain != ZZ:
-                    raise LinearAlgebraError(
-                        f"a weight-labelled Z[a] complex stores the integers n "
-                        f"of its entries n*a^(w_col - w_row); d_{p} is over "
-                        f"{mat.domain!r}, not Z")
 
     @property
     def graded(self) -> bool:
@@ -465,8 +467,8 @@ class _SparseSNF:
     index covers only the rows the peel left, and a sweep that needs no row
     operation makes none.
 
-    Rows in cleared are dropped before the sweep.  _chain reduces d_1,
-    d_2, ... in one ascending chain and clears the rows of d_{p+1} at the
+    Rows in cleared are dropped before the sweep.  _chain reduces d_0 = 0,
+    d_1, ... in one ascending chain and clears the rows of d_{p+1} at the
     pivot columns of d_p, itself reduced with its own rows cleared.  Those
     pivots are units and L d_p is unit-triangular on the pivot rows and
     columns, so its pivot rows span a direct summand of the chains,
@@ -963,18 +965,15 @@ class HomologyGroup:
 
 
 def _chain(c: ChainComplexData, top: int, transforms=()):
-    """Reduce d_1, d_2, ..., d_top of c in one ascending chain over Z or the
-    field of c, each without the rows at the sweep pivot columns of the one
-    below (clearing; see _SparseSNF), and yield (q, d_q, its sweep) in
-    turn, the sweep of each degree in transforms with its record.  The
-    low boundaries are small, and their pivots remove the rows that would
-    fill in above."""
-    dom = c.ring.domain
+    """Reduce d_0 = 0, d_1, ..., d_top of c, as stored over Z or the field
+    of c, in one ascending chain, each without the rows at the sweep pivot
+    columns of the one below (clearing; see _SparseSNF), and yield (q, d_q,
+    its sweep) in turn, the sweep of each degree in transforms with its
+    record.  The low boundaries are small, and their pivots remove the rows
+    that would fill in above."""
     cleared: frozenset[int] | set[int] = frozenset()
-    for q in range(1, top + 1):
+    for q in range(top + 1):
         A = c.boundary(q)
-        if dom.kind != INTEGERS:
-            A = over_field(A, dom)
         work = _SparseSNF(A, transforms=q in transforms, cleared=cleared)
         yield q, A, work
         cleared = work.pivot_cols
@@ -986,10 +985,10 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
 
     Every requested degree p must satisfy p < max_degree so that both
     adjacent boundaries are trusted; the truncation edge is never reported.
-    d_1, d_2, ..., d_{max(degrees)+1} are reduced once each by _chain; each
-    drops the rows at the previous one's sweep pivot columns, which leaves
-    its rank and invariants unchanged.  With representatives, those of
-    each requested degree p, over Z or the field of c, come from d_p's
+    d_0 = 0, d_1, ..., d_{max(degrees)+1} are reduced once each by _chain;
+    each drops the rows at the previous one's sweep pivot columns, which
+    leaves its rank and invariants unchanged.  With representatives, those
+    of each requested degree p, over Z or the field of c, come from d_p's
     sweep in the chain, recorded with its transforms, and from d_{p+1}:
     the cleared d_p has the whole kernel, so nothing is reduced twice.
     Without them no sweep records its transforms.
@@ -1006,11 +1005,8 @@ def homology(c: ChainComplexData, degrees, representatives: bool = False
         raise DomainError(
             "homology is computed over Z or a field; specialize first")
     certify = set(degrees) if representatives else set()
-    reduced = [(0, ())]  # q -> (rank, torsion invariants) of d_q; d_0 = 0
+    reduced = []  # q -> (rank, torsion invariants) of d_q
     low = {}  # p in certify -> (d_p, its transform sweep), until d_{p+1} comes
-    if 0 in certify:
-        d0 = c.boundary(0)
-        low[0] = d0, _SparseSNF(d0, transforms=True)
     reps = {}
     for q, A, work in _chain(c, max(degrees, default=-1) + 1, certify):
         reduced.append((work.npivots + work.core.rank,
@@ -1092,7 +1088,7 @@ def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
 def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     """Exact solvability of d_{p+1} w = vec over Z or the field of c.
 
-    A non-cycle is no boundary.  For a cycle, _chain reduces d_1, ...,
+    A non-cycle is no boundary.  For a cycle, _chain reduces d_0, ...,
     d_{p+1}, and d_{p+1} x = vec is solved on the rows of d_{p+1} that the
     chain keeps: a cycle is fixed by its entries off d_p's pivot columns,
     the cleared rows (see _SparseSNF), so vec is a boundary exactly when

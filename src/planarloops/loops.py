@@ -503,7 +503,9 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
     """All degree-p basis systems passing the filters, canonical order."""
     ends = _unaugmented(ends)
     _check_shape(two_n, ends, degree)
-    words, _ = _raw_words(degree, two_n, ends, weight, dividers)
+    if degree < 1:
+        return ()
+    words, _ = _ClassTree(two_n, ends, degree, weight, dividers).words(degree)
     m = _machine(two_n, ends)
     out = []
     for w in words:
@@ -642,23 +644,6 @@ def _packed_word(x: Graffito) -> int:
     return word << m.bits | m.last_index[x.factors[-1]]
 
 
-def _raw_words(degree, two_n, ends, weight, dividers):
-    """Basis words passing the filters, packed, in canonical order, and their
-    loop counts.
-
-    Returns two parallel lists: the packed words, and the loop count of
-    each.  Each slot pool (first, inner, last) is in encoding order, and
-    every diagram encoding ends in its only '}', so no encoding is a proper
-    prefix of another.  String order of 'G(..)[a | b | ...]' is therefore
-    the lexicographic order of the slot ids, and the numeric order of the
-    packed words.  The words are walked over the class tree of the filters
-    (_ClassTree.words), as a build walks its own tree.
-    """
-    if degree < 1:
-        return [], []
-    return _ClassTree(two_n, ends, degree, weight, dividers).words(degree)
-
-
 class _ClassTree:
     """Which tails may follow each class of word prefix, under the filters.
 
@@ -705,10 +690,17 @@ class _ClassTree:
         return self.spans[c, r]
 
     def words(self, p):
-        """The degree-p words, packed and ascending, and the loops each
-        closes (see _raw_words).  A class's tails are tabulated once per
-        call; the blocks under each first slot go straight into the output,
-        so the largest table kept has p - 2 inner slots."""
+        """The degree-p words (p >= 1) passing the filters, packed, in
+        canonical order, and the loop count of each: two parallel lists.
+
+        Each slot pool (first, inner, last) is in encoding order, and every
+        diagram encoding ends in its only '}', so no encoding is a proper
+        prefix of another.  String order of 'G(..)[a | b | ...]' is
+        therefore the lexicographic order of the slot ids, which is the
+        depth-first order of this walk and the numeric order of the packed
+        words.  A class's tails are tabulated once per call; the blocks
+        under each first slot go straight into the output, so the largest
+        table kept has p - 2 inner slots."""
         words, loops, tables = [], [], {}
         for t, (_, c, _) in self.span(None, p)[0].items():
             self._extend(words, loops, t, c, p - 1, tables)
@@ -778,17 +770,6 @@ def _merge_table(two_n: int, ends: EndSpec, kind: str) -> tuple:
                 raise GraffitoError(f"the {kind} merge of {x} and {y} leaves the "
                                     f"slot pool and is no cell-quotient kill")
     return tuple(table)
-
-
-class _Assembly(NamedTuple):
-    """A loop complex as assembled at a pointed ring (R, a): per degree its
-    packed words, their loop counts, and its boundary matrix over R, each
-    entry a sum of sign * a^(loops closed).  Z[a] is assembled at (Z, 1),
-    so its entries are the integers n of n * a^(w_col - w_row)."""
-
-    words: dict[int, array]
-    weights: dict[int, tuple[int, ...]]
-    matrices: dict[int, SparseMatrix]
 
 
 class _Opposites(dict):
@@ -950,16 +931,18 @@ def _merge_heads(hs, add, opposite) -> list:
     return out
 
 
-def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
-              dividers: int | None, ring: PointedRing) -> _Assembly:
-    """The words, weight labels and boundary matrices of a loop complex,
-    with every entry written in the domain of ring.
+def _assemble(spec: ComplexSpec) -> ChainComplexData:
+    """The loop complex of an admitted spec (build_complex without its
+    admission; weight_blocks admits every block before the first build).
 
-    A deletion with sign s that closes k loops writes s * a^k, read with
-    its opposite from values[s][k], made once per build for every k a
-    merge closes; a deletion whose value vanishes (None there: k > 0 at
-    a = 0) is skipped, as under a divider filter (subquotient mode) is
-    every inner merge that changes the divider count.
+    Every entry is written in the domain of the spec's ring, except that
+    Z[a] is assembled at (Z, 1): its entries are the integers n of
+    n * a^(w_col - w_row) that ChainComplexData keeps.  A deletion with
+    sign s that closes k loops writes s * a^k, read with its opposite from
+    values[s][k], made once per build for every k a merge closes; a
+    deletion whose value vanishes (None there: k > 0 at a = 0) is skipped,
+    as under a divider filter (subquotient mode) is every inner merge that
+    changes the divider count.
 
     One class tree per build (_Tails) lays out the classes' sizes and
     spans once; every degree's words are walked over it, and each boundary
@@ -974,27 +957,24 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
     weights differ).  Each degree's walk must be packed and ordered as the
     spans it read: as many words, each first slot's block where it starts.
 
-    Storage: each degree's packed words go into one array('Q') as soon as
-    the walk returns them, and the walk's lists are dropped.  Refused
-    before any walk: a word of max_degree + 1 slots wider than 64 bits, and
-    a build estimated past MAX_BLOCK_BYTES (_estimated_bytes).  Each
-    column and each row id is one of the build's shared ints.  When the
-    value table holds one nonzero v with v + v = 0 (F2, at any a), every
-    entry a sum of them leaves is v, so every row of length n stores the
-    one tuple (v,) * n made for this build, and no value is read.
+    Storage: each degree's packed words go into one array('Q'), whose 64
+    bits the admission checked, as soon as the walk returns them, and the
+    walk's lists are dropped.  Each column and each row id is one of the
+    build's shared ints.  When the value table holds one nonzero v with
+    v + v = 0 (F2, at any a), every entry a sum of them leaves is v, so
+    every row of length n stores the one tuple (v,) * n made for this
+    build, and no value is read.
 
     The machine, walks and merge tables are those of the ends without
     augmentation, which has the same slot pools, so an augmented build
     reuses the closed tables and adds only word 0 and the "one" deletion.
     """
+    two_n, ends, max_degree = spec.two_n, spec.ends, spec.max_degree
+    ring = (PointedRing.make(ZZ, 1) if spec.ring.domain.kind == INT_POLY_A
+            else spec.ring)
     base = _unaugmented(ends)
     m = _machine(two_n, base)
     dom = ring.domain
-    if (width := m.bits * (max_degree + 1)) > 64:
-        raise GraffitoError(f"a degree-{max_degree} word at 2n = {two_n} packs "
-                            f"{max_degree + 1} slots of {m.bits} bits, {width} "
-                            f"bits in all: past the 64 of a stored word")
-    _estimated_bytes(two_n, base, max_degree, weight, dividers)
 
     kinds = ["one"] * (ends.augmented and max_degree > 0)
     kinds += ["first", "last"] * (max_degree > 1) + ["inner"] * (max_degree > 2)
@@ -1012,8 +992,8 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         (v,) = nonzero
         if dom.is_zero(dom.add(v, v)):
             runs = _Runs(v)
-    tails = _Tails(two_n, base, max_degree, weight, dividers, tables, values,
-                   dom, runs)
+    tails = _Tails(two_n, base, max_degree, spec.weight, spec.dividers, tables,
+                   values, dom, runs)
 
     # the empty system is word 0 of degree 0
     words: dict[int, array] = {0: array("Q", [0] * ends.augmented)}
@@ -1045,7 +1025,10 @@ def _assemble(two_n: int, ends: EndSpec, max_degree: int, weight: int | None,
         matrices[p] = SparseMatrix.from_rows(
             len(words[p - 1]), len(words[p]),
             ((i, cs, vs) for i, (cs, vs) in zip(ints, rows) if cs), dom)
-    return _Assembly(words, weights, matrices)
+    basis = {p: Basis(ws, _Spelling(two_n, base, p))
+             for p, ws in words.items()}
+    return ChainComplexData(spec.ring, max_degree, basis, matrices,
+                            weights=weights, description=spec.label)
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplexData:
@@ -1059,20 +1042,11 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
     divider contribute nothing; every other deletion's target is in the
     basis, and GraffitoError names one that is not.
 
-    The words, labels and matrices come from _assemble and are stored as
-    they are, over every ring: each entry is a sum of sign * a^(loops
-    closed) in the ring, and Z[a] is assembled at (Z, 1), whose entries are
-    the integers n of n * a^(w_col - w_row) that ChainComplexData keeps.
+    The build is admitted first (_estimated_bytes), then assembled
+    (_assemble): each entry is a sum of sign * a^(loops closed) in the ring.
     """
-    ends, ring = spec.ends, spec.ring
-    at = PointedRing.make(ZZ, 1) if ring.domain.kind == INT_POLY_A else ring
-    asm = _assemble(spec.two_n, ends, spec.max_degree, spec.weight,
-                    spec.dividers, at)
-
-    basis = {p: Basis(ws, _Spelling(spec.two_n, _unaugmented(ends), p))
-             for p, ws in asm.words.items()}
-    return ChainComplexData(ring, spec.max_degree, basis, asm.matrices,
-                            weights=asm.weights, description=spec.label)
+    _estimated_bytes(spec)
+    return _assemble(spec)
 
 
 # Refuse a weight block estimated past this many bytes.  The estimates of the
@@ -1082,14 +1056,22 @@ MAX_BLOCK_BYTES = 4_000_000_000
 _ENTRY_BYTES = 50  # bound on a Z build's peak per stored entry, words included
 
 
-def _estimated_bytes(two_n: int, ends: EndSpec, top: int, weight: int | None,
-                     dividers: int | None) -> int:
-    """The bytes a build through degree top is estimated to peak at, from
-    count_graffiti: a degree-p word has p bar deletions, so p entries of
-    _ENTRY_BYTES per word.  GraffitoError refuses an estimate past
-    MAX_BLOCK_BYTES, naming the weight block, or the whole complex."""
-    size = _ENTRY_BYTES * sum(p * count_graffiti(p, two_n, ends, weight, dividers)
-                              for p in range(1, top + 1))
+def _estimated_bytes(spec: ComplexSpec) -> int:
+    """The admission of one build, run once before its walk: GraffitoError
+    refuses a word of max_degree + 1 slots wider than the 64 bits of a
+    stored word, then a build estimated past MAX_BLOCK_BYTES, naming the
+    weight block or the whole complex.  The estimate, returned, is the
+    bytes the build is expected to peak at, from count_graffiti: a degree-p
+    word has p bar deletions, so p entries of _ENTRY_BYTES per word."""
+    two_n, top, weight = spec.two_n, spec.max_degree, spec.weight
+    bits = _machine(two_n, _unaugmented(spec.ends)).bits
+    if (width := bits * (top + 1)) > 64:
+        raise GraffitoError(f"a degree-{top} word at 2n = {two_n} packs "
+                            f"{top + 1} slots of {bits} bits, {width} "
+                            f"bits in all: past the 64 of a stored word")
+    size = _ENTRY_BYTES * sum(
+        p * count_graffiti(p, two_n, spec.ends, weight, spec.dividers)
+        for p in range(1, top + 1))
     if size > MAX_BLOCK_BYTES:
         name = "the whole complex" if weight is None else f"the weight-{weight} block"
         raise GraffitoError(f"{name} of 2n = {two_n} through degree {top} needs about "
@@ -1102,23 +1084,25 @@ def weight_blocks(spec: ComplexSpec) -> Iterator[ChainComplexData]:
     """The weight blocks of a loop complex at a = 0, each built when drawn:
     one per weight count_graffiti finds words of (one, if spec fixes it).
 
-    GraffitoError refuses the request before any build if one block's
-    estimate (_estimated_bytes) passes MAX_BLOCK_BYTES.  The generator
-    binds no block, so one its caller lets go is freed before the next.
+    Every block is admitted (_estimated_bytes) before the first build, so
+    GraffitoError refuses the request before any build if one block's word
+    width or estimate is past its bound; each block is then assembled
+    without a second admission.  The generator binds no block, so one its
+    caller lets go is freed before the next.
     """
-    top, specs = spec.max_degree, []
-    for w in range(spec.two_n // 2 * top + 1) if spec.weight is None else [spec.weight]:
-        if _estimated_bytes(spec.two_n, spec.ends, top, w, spec.dividers):
-            specs.append(replace(spec, weight=w))
-    return (build_complex(s) for s in specs)
+    weights = ([spec.weight] if spec.weight is not None
+               else range(spec.two_n // 2 * spec.max_degree + 1))
+    specs = [s for s in (replace(spec, weight=w) for w in weights)
+             if _estimated_bytes(s)]
+    return (_assemble(s) for s in specs)
 
 
 def chain_to_vector(c: Chain, data: ChainComplexData, degree: int) -> dict[int, object]:
     """Coordinates of a chain in the ordered basis of one degree.
 
     Each system's packed word is found by bisection among the basis keys,
-    which ascend in canonical order (see _raw_words); a string is spelled
-    only to name a system that is not there.
+    which ascend in canonical order (see _ClassTree.words); a string is
+    spelled only to name a system that is not there.
     """
     basis = data.basis.get(degree, Basis())
     keys = basis.keys

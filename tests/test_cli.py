@@ -100,7 +100,8 @@ def test_filters_on_an_unfiltered_complex_are_a_usage_error(capsys):
 def test_a_table_past_the_block_bound_is_refused_before_any_build(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a block was built")
-    monkeypatch.setattr(loops_module, "build_complex", refuse)
+    # the builder behind build_complex and weight_blocks
+    monkeypatch.setattr(loops_module, "_assemble", refuse)
     code, out, err = run(capsys, "homology", "--complex", "reduced-loops",
                          "--two-n", "6", "--max-degree", "6")
     assert (code, out) == (2, "") and "block of 2n = 6 through degree 6" in err, err

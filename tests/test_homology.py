@@ -1175,10 +1175,10 @@ def test_is_boundary_sweeps_only_the_rows_the_chain_keeps(dom, monkeypatch):
 @pytest.mark.parametrize("dom", [ZZ, prime_field(2)], ids=["z", "f2"])
 def test_homology_clears_rows_pivoted_one_degree_down(dom, monkeypatch):
     """On the closed two-loop block through degree 6, homology() reduces
-    d_1 up to d_6 in one chain, each without the rows at the sweep pivot
-    columns of the one below: d_5 drops d_4's 133 rows, d_6 drops d_5's 740.
-    Over Z only d_3 leaves a residual core; over F2 every row left
-    pivots."""
+    d_0 = 0 up to d_6 in one chain, each without the rows at the sweep
+    pivot columns of the one below: d_5 drops d_4's 133 rows, d_6 drops
+    d_5's 740.  Over Z only d_3 leaves a residual core; over F2 every row
+    left pivots."""
     cx = build_complex(ComplexSpec(4, PointedRing.make(dom, 0), CLOSED,
                                    max_degree=6, weight=2))
     seen = []
@@ -1193,7 +1193,8 @@ def test_homology_clears_rows_pivoted_one_degree_down(dom, monkeypatch):
     (h,) = homology(cx, [5])
     assert (h.free_rank, h.torsion) == (0, ())
     core3 = (1, 9) if dom is ZZ else (0, 0)
-    assert seen == [((0, 2), 0, 0, (0, 0)),
+    assert seen == [((0, 0), 0, 0, (0, 0)),
+                    ((0, 2), 0, 0, (0, 0)),
                     ((2, 22), 0, 2, (0, 0)),
                     ((22, 153), 2, 19, core3),
                     ((153, 873), 19, 133, (0, 0)),
@@ -1335,6 +1336,28 @@ def test_complex_refuses_boundaries_and_labels_that_disagree_with_its_bases():
     cx = ChainComplexData(Z0, 3, basis, {1: zero_matrix(1, 3)},
                           weights={0: (1,), 1: (1, 2, 2), 2: (1,)})
     assert [h.free_rank for h in homology_table([cx], [1], [ZZ])[ZZ]] == [3]
+
+
+def test_complex_refuses_boundaries_outside_its_ring():
+    """d_2 = [2] stored over Z in a complex over F2 read H_2 = F2 in
+    homology, which mapped the 2 to 0, but not a cycle in is_cycle, and
+    d^2 was checked over Z.  It is refused at construction, naming the
+    degree and both domains; stored over F2, as 0, it reads H_2 = F2
+    everywhere."""
+    f2 = PointedRing.make(prime_field(2), 0)
+    basis = {0: (), 1: ("e",), 2: ("f",), 3: ()}
+    with pytest.raises(LinearAlgebraError, match="d_2 is over Z, not over F2"):
+        ChainComplexData(f2, 3, basis, {2: M(1, 1, {(0, 0): 2})})
+    cx = ChainComplexData(f2, 3, basis, {2: zero_matrix(1, 1, prime_field(2))})
+    assert [h.free_rank for h in homology(cx, [2])] == [1]
+    assert is_cycle(cx, {0: 1}, 2) and validate_d_squared(cx).ok
+    # a graded Z[a] complex still stores the integers of its entries
+    za = PointedRing.make(ZA)
+    weights = {p: (0,) * len(b) for p, b in basis.items()}
+    graded = ChainComplexData(za, 3, basis, {2: M(1, 1, {(0, 0): 2})},
+                              weights=weights)
+    assert graded.boundary(2) == SparseMatrix.from_dict(
+        1, 1, {(0, 0): ZA.from_int(2)}, ZA)
 
 
 def test_word_complex_structure():

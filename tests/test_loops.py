@@ -832,7 +832,7 @@ def _filtered_afterwards(p, ends):
     """The unfiltered walk in degree p, split afterwards by every (weight,
     dividers) filter, None meaning unfiltered; walk order is kept."""
     m = loops_module._machine(4, ends)
-    words, counts = loops_module._raw_words(p, 4, ends, None, None)
+    words, counts = loops_module._ClassTree(4, ends, p, None, None).words(p)
     picked = {}
     for word, loops in zip(words, counts):
         ids = loops_module._slot_ids(word, p + 1, m.bits)
@@ -857,11 +857,12 @@ def test_pruned_walk_equals_filtered_walk(ends):
         for w, j in filters:
             words, counts = picked.get((w, j), ([], []))
             if (w, j) != (None, None):
-                assert loops_module._raw_words(p, 4, ends, w, j) == (words, counts)
+                tree = loops_module._ClassTree(4, ends, p, w, j)
+                assert tree.words(p) == (words, counts)
             assert count_graffiti(p, 4, ends, w, j) == len(words), (p, w, j)
 
 
-# sha256 of json.dumps of _raw_words in each degree 1..top, in turn, per
+# sha256 of json.dumps of _ClassTree.words in each degree 1..top, in turn, per
 # (two_n, ends, weight, dividers, top): the stretch's two-loop block, the
 # divider-free rows, and the 2n = 6 weight rows; recorded with the
 # depth-first walk that preceded the level walk
@@ -883,7 +884,8 @@ WALK_DIGESTS = {
 def test_walks_are_pinned(two_n, code, w, j, top):
     digest = hashlib.sha256()
     for p in range(1, top + 1):
-        walk = loops_module._raw_words(p, two_n, EndSpec.from_code(code), w, j)
+        tree = loops_module._ClassTree(two_n, EndSpec.from_code(code), p, w, j)
+        walk = tree.words(p)
         digest.update(json.dumps(walk).encode())
     assert digest.hexdigest() == WALK_DIGESTS[two_n, code, w, j, top]
 
@@ -896,7 +898,7 @@ def test_walk_memory_is_bounded():
     count_graffiti(6)  # fill the machine first
     tracemalloc.start()
     try:
-        words, _ = loops_module._raw_words(6, 4, CLOSED, 6, None)
+        words, _ = loops_module._ClassTree(4, CLOSED, 6, 6, None).words(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -943,7 +945,7 @@ def test_walk_equals_the_level_walk(two_n, ends, top):
     for p in range(1, top + 1):
         for w in (None, *range(two_n // 2 * p + 2)):
             for j in (None, *range(p + 1)):
-                assert (loops_module._raw_words(p, two_n, ends, w, j)
+                assert (loops_module._ClassTree(two_n, ends, p, w, j).words(p)
                         == level_walk(p, two_n, ends, w, j)), (p, w, j)
 
 
@@ -1134,14 +1136,15 @@ def test_weight_blocks_draw_each_weight_with_words():
 
 def test_each_block_is_freed_before_the_next_build(monkeypatch):
     """A build raises while a block built before it is still alive."""
-    built, build = [], loops_module.build_complex
+    built, build = [], loops_module._assemble
 
     def watched(spec):
         assert all(ref() is None for ref in built), "an earlier block is alive"
         cx = build(spec)
         built.append(weakref.ref(cx))
         return cx
-    monkeypatch.setattr(loops_module, "build_complex", watched)
+    # weight_blocks assembles each admitted block, as build_complex does
+    monkeypatch.setattr(loops_module, "_assemble", watched)
     spec = ComplexSpec(4, Z0, CLOSED, max_degree=5)
     table = homology_table(weight_blocks(spec), [1, 2, 3, 4], [ZZ])
     assert [str(h) for h in table[ZZ]] == ["H_1 = Z", "H_2 = Z/2", "H_3 = Z/2",
@@ -1153,10 +1156,31 @@ def test_each_block_is_freed_before_the_next_build(monkeypatch):
             pass
 
 
+def test_each_build_is_admitted_once(monkeypatch):
+    """weight_blocks admits every weight before the first build and builds
+    each block without a second admission; a direct build admits itself."""
+    calls, admit = [], loops_module._estimated_bytes
+
+    def counted(spec):
+        calls.append(spec.weight)
+        return admit(spec)
+    monkeypatch.setattr(loops_module, "_estimated_bytes", counted)
+    spec = ComplexSpec(4, Z0, CLOSED, max_degree=5)
+    table = homology_table(weight_blocks(spec), [1, 2, 3, 4], [ZZ])
+    assert [str(h) for h in table[ZZ]] == ["H_1 = Z", "H_2 = Z/2", "H_3 = Z/2",
+                                           "H_4 = Z + Z/2"]
+    # weights 0 to 10, weight 0 without words: ten blocks built
+    assert calls == list(range(11))
+    calls.clear()
+    build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3, weight=2))
+    assert calls == [2]
+
+
 def test_a_block_past_the_bound_is_refused_before_any_build(monkeypatch):
     def refuse(spec):
         raise AssertionError("a block was built")
-    monkeypatch.setattr(loops_module, "build_complex", refuse)
+    # the builder behind build_complex and weight_blocks
+    monkeypatch.setattr(loops_module, "_assemble", refuse)
     with pytest.raises(GraffitoError, match=(
             r"the weight-\d+ block of 2n = 6 through degree 6 needs about "
             r"[\d.]+ GB by estimate, past the 4 GB one block may take")):

@@ -1,9 +1,9 @@
 """The level walk that listed the basis words before the per-class tail
-tables, kept as an oracle for `loops._raw_words`: it grows all prefixes of
-one length at a time and prunes by the (loops, dividers) the transfer
-tables (`_completions`) can still reach, where the class tree tabulates
-each class's tails from the counts in its spans, so the two reach the same
-words by different routes."""
+tables, kept as an oracle for `loops._ClassTree.words`: it grows all
+prefixes of one length at a time and prunes by the (loops, dividers) the
+transfer tables (`_completions`) can still reach, where the class tree
+tabulates each class's tails from the counts in its spans, so the two
+reach the same words by different routes."""
 
 from itertools import chain
 
