@@ -3,8 +3,8 @@ free dga models, and integral homology."""
 
 from .coeff import (CoefficientDomain, DomainError, PointedRing, QQ, ZA, ZZ,
                     parse_ring, prime_field)
-from .diagram import (DiagramError, Letter, LinkState, TLDiagram, cell_basis,
-                      close_up, compose, enumerate_diagrams, enumerate_letters,
+from .diagram import (DiagramError, Letter, TLDiagram, cell_basis, close_up,
+                      compose, enumerate_diagrams, enumerate_letters,
                       identity_diagram, new_diagram, parse_diagram,
                       parse_letter, slice_diagram, unslice)
 from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,

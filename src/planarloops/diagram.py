@@ -2,9 +2,10 @@
 
 A diagram is a noncrossing perfect matching of n left and m right boundary
 points.  Composition glues matched boundaries and counts the closed loops
-that fall out; cell bases, link-state slicing, reflections and the one-bar
-letter decomposition all live here.  Everything is immutable and hashable,
-and the small diagram sets that drive the loop complexes are memoized.
+that fall out; cell bases, slicing into cell states, reflections and the
+one-bar letter decomposition all live here.  Everything is immutable and
+hashable, and the small diagram sets that drive the loop complexes are
+memoized.
 """
 
 from __future__ import annotations
@@ -222,63 +223,53 @@ def catalan(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cell modules and link states
+# Cell states: the halves of a sliced diagram
 # ---------------------------------------------------------------------------
 
 LEFT_CELL = "left-cell"
 RIGHT_CELL = "right-cell"
 
+# the (2,0) cap and the (0,2) cup that join two hanging strands into one arc
+_CAP = TLDiagram(2, 0, (1, 0))
+_CUP = TLDiagram(0, 2, (1, 0))
 
-@dataclass(frozen=True)
-class LinkState:
-    """A cell-module basis element: one half of a sliced diagram.
+
+def _cell_defects(d: TLDiagram, side: str) -> int:
+    """The defects of d as a cell state of the given side, which it must be.
 
     left-cell states are (n,k) diagrams with no right-to-right pair (a basis
     of the cell module with k defects); right-cell states are (k,n) diagrams
     with no left-to-left pair (the opposite module).
     """
-
-    diagram: TLDiagram
-    side: str
-
-    def __post_init__(self):
-        if self.side == LEFT_CELL:
-            if self.diagram.has_rr_pair():
-                raise DiagramError("left-cell state has a right-to-right pair")
-        elif self.side == RIGHT_CELL:
-            if self.diagram.has_ll_pair():
-                raise DiagramError("right-cell state has a left-to-left pair")
-        else:
-            raise DiagramError(f"bad side tag {self.side!r}")
-
-    @property
-    def defects(self) -> int:
-        return self.diagram.m if self.side == LEFT_CELL else self.diagram.n
-
-    def encode(self) -> str:
-        return self.diagram.encode()
+    if side == LEFT_CELL:
+        if d.has_rr_pair():
+            raise DiagramError(f"left-cell state {d} has a right-to-right pair")
+        return d.m
+    if side == RIGHT_CELL:
+        if d.has_ll_pair():
+            raise DiagramError(f"right-cell state {d} has a left-to-left pair")
+        return d.n
+    raise DiagramError(f"bad side tag {side!r}")
 
 
 @lru_cache(maxsize=None)
-def cell_basis(n: int, k: int, side: str = LEFT_CELL) -> tuple[LinkState, ...]:
+def cell_basis(n: int, k: int, side: str = LEFT_CELL) -> tuple[TLDiagram, ...]:
     """Basis of the cell module with k defects on n points, canonical order."""
     if k > n or (n - k) % 2 != 0 or k < 0:
         raise DiagramError(f"no cell module for n={n}, k={k}")
     if side == LEFT_CELL:
-        pool = enumerate_diagrams(n, k)
-        keep = [d for d in pool if not d.has_rr_pair()]
-    else:
-        pool = enumerate_diagrams(k, n)
-        keep = [d for d in pool if not d.has_ll_pair()]
-    return tuple(LinkState(d, side) for d in keep)
+        return tuple(d for d in enumerate_diagrams(n, k) if not d.has_rr_pair())
+    if side == RIGHT_CELL:
+        return tuple(d for d in enumerate_diagrams(k, n) if not d.has_ll_pair())
+    raise DiagramError(f"bad side tag {side!r}")
 
 
-def slice_diagram(d: TLDiagram) -> tuple[LinkState, LinkState]:
+def slice_diagram(d: TLDiagram) -> tuple[TLDiagram, TLDiagram]:
     """Cut each through-strand of a square diagram into two numbered stubs.
 
     Through-strands are numbered top to bottom; strand s becomes right point
     s of the left half and left point s of the right half.  The two halves
-    are the left and right link states, and unslice inverts the operation.
+    are the left- and right-cell states, and unslice inverts the operation.
     """
     if d.n != d.m:
         raise DiagramError("slice is defined for square diagrams")
@@ -290,41 +281,26 @@ def slice_diagram(d: TLDiagram) -> tuple[LinkState, LinkState]:
     for s, (li, rj) in enumerate(through, 1):
         lp.append((("L", li), ("R", s)))
         rp.append((("L", s), ("R", rj)))
-    return (LinkState(new_diagram(d.n, k, lp), LEFT_CELL),
-            LinkState(new_diagram(k, d.m, rp), RIGHT_CELL))
+    return new_diagram(d.n, k, lp), new_diagram(k, d.m, rp)
 
 
-def unslice(left: LinkState, right: LinkState) -> TLDiagram:
-    """Rejoin matching stubs (stub i to stub i); inverse of slice_diagram."""
-    if left.side != LEFT_CELL or right.side != RIGHT_CELL:
-        raise DiagramError("unslice takes a left-cell and a right-cell state")
-    if left.defects != right.defects:
-        raise DiagramError(
-            f"stub count mismatch: {left.defects} vs {right.defects}")
-    d, loops = compose(left.diagram, right.diagram)
-    if loops:
-        raise DiagramError("stub joining closed a loop; halves are not cell states")
-    return d
+def unslice(left: TLDiagram, right: TLDiagram) -> TLDiagram:
+    """Rejoin matching stubs (stub i to stub i) of a left-cell and a
+    right-cell state; inverse of slice_diagram.  Neither state pairs two
+    stubs, so no loop closes."""
+    kl, kr = _cell_defects(left, LEFT_CELL), _cell_defects(right, RIGHT_CELL)
+    if kl != kr:
+        raise DiagramError(f"stub count mismatch: {kl} vs {kr}")
+    return compose(left, right)[0]
 
 
-def close_up(s: LinkState) -> LinkState:
-    """Join the two hanging strands of a 2-defect link state into one arc."""
-    if s.defects != 2:
-        raise DiagramError(f"close_up needs exactly 2 defects, got {s.defects}")
-    stub_side = "R" if s.side == LEFT_CELL else "L"
-    ends = []
-    keep = []
-    for a, b in s.diagram.pairs:
-        if a[0] == stub_side:
-            ends.append(b)
-        elif b[0] == stub_side:
-            ends.append(a)
-        else:
-            keep.append((a, b))
-    keep.append(tuple(ends))
-    if s.side == LEFT_CELL:
-        return LinkState(new_diagram(s.diagram.n, 0, keep), LEFT_CELL)
-    return LinkState(new_diagram(0, s.diagram.m, keep), RIGHT_CELL)
+def close_up(d: TLDiagram, side: str) -> TLDiagram:
+    """Join the two hanging strands of a 2-defect cell state into one arc:
+    the product with the cap on the right of a left-cell state, or with the
+    cup on the left of a right-cell state."""
+    if (k := _cell_defects(d, side)) != 2:
+        raise DiagramError(f"close_up needs exactly 2 defects, got {k}")
+    return (compose(d, _CAP) if side == LEFT_CELL else compose(_CUP, d))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +324,8 @@ class Letter:
     def __post_init__(self):
         if self.left.m != 4 or self.right.n != 4:
             raise DiagramError("letters are defined on 4 bar nodes")
-        if self.left.has_ll_pair():
-            raise DiagramError("left half has a stub-to-stub pair")
-        if self.right.has_rr_pair():
-            raise DiagramError("right half has a stub-to-stub pair")
-        if self.left.n not in (0, 2) or self.right.m not in (0, 2):
+        if (_cell_defects(self.left, RIGHT_CELL) not in (0, 2)
+                or _cell_defects(self.right, LEFT_CELL) not in (0, 2)):
             raise DiagramError("letter halves carry 0 or 2 stubs")
 
     @property
@@ -418,5 +391,5 @@ def enumerate_letters(kl: int, kr: int) -> tuple[Letter, ...]:
         raise DiagramError("letters carry 0 or 2 stubs per side")
     lefts = cell_basis(4, kl, RIGHT_CELL)
     rights = cell_basis(4, kr, LEFT_CELL)
-    out = [Letter(ls.diagram, rs.diagram) for ls in lefts for rs in rights]
+    out = [Letter(left, right) for left in lefts for right in rights]
     return tuple(sorted(out, key=Letter.encode))

@@ -26,9 +26,9 @@ from itertools import count, repeat
 from typing import Iterator, NamedTuple
 
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
-from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter,
-                      LinkState, TLDiagram, cell_basis, close_up, compose,
-                      enumerate_diagrams, glue, slice_diagram, unslice)
+from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter, TLDiagram,
+                      cell_basis, close_up, compose, enumerate_diagrams, glue,
+                      slice_diagram, unslice)
 from .homology import Basis, ChainComplexData, SparseMatrix
 
 
@@ -53,10 +53,10 @@ class EndSpec:
         return ("o" if self.left_open else "c") + ("o" if self.right_open else "c")
 
     @classmethod
-    def from_code(cls, code: str, augmented: bool = False) -> "EndSpec":
+    def from_code(cls, code: str) -> "EndSpec":
         if len(code) != 2 or set(code) - set("oc"):
             raise GraffitoError(f"bad end code {code!r}")
-        return cls(code[0] == "o", code[1] == "o", augmented)
+        return cls(code[0] == "o", code[1] == "o")
 
 
 CLOSED = EndSpec()
@@ -71,8 +71,9 @@ class Graffito:
     (2n, k_r) state with no stub-to-stub pair; k is 0 at a closed end and 2
     at an open one.  The degree is the number of bars.  The single factor
     TL(0,0){} stands for the empty system, the degree-0 generator of an
-    augmented complex.  Construction only validates; loop_count and
-    divider_count compute the statistics when they are called.
+    augmented complex: it meets no bar, so its height is 0 (empty_system).
+    Construction only validates; loop_count and divider_count compute the
+    statistics when they are called.
     """
 
     two_n: int
@@ -82,12 +83,14 @@ class Graffito:
 
     def __post_init__(self):
         n = self.two_n
-        if n <= 0 or n % 2:
-            raise GraffitoError("two_n must be a positive even integer")
         if self.is_empty_system:
             if self.left_open or self.right_open:
                 raise GraffitoError("the empty system has closed ends")
+            if n:
+                raise GraffitoError("the empty system has height 0")
             return
+        if n <= 0 or n % 2:
+            raise GraffitoError("two_n must be a positive even integer")
         if len(self.factors) < 2:
             raise GraffitoError("a pinned system has at least one bar")
         kl = 2 if self.left_open else 0
@@ -131,8 +134,9 @@ def new_graffito(two_n: int, ends: EndSpec | str, factors) -> Graffito:
     return Graffito(two_n, ends.left_open, ends.right_open, tuple(factors))
 
 
-def empty_system(two_n: int = 4) -> Graffito:
-    return Graffito(two_n, False, False, (EMPTY_DIAGRAM,))
+def empty_system() -> Graffito:
+    """The empty system, one for every height: its text names none."""
+    return Graffito(0, False, False, (EMPTY_DIAGRAM,))
 
 
 def parse_graffito(text: str) -> Graffito:
@@ -143,8 +147,7 @@ def parse_graffito(text: str) -> Graffito:
     if not m:
         raise GraffitoError(f"cannot parse loop system {text!r}")
     factors = tuple(parse_diagram(part) for part in m.group(2).split("|"))
-    two_n = 4 if factors == (EMPTY_DIAGRAM,) else factors[0].m
-    return new_graffito(two_n, m.group(1), factors)
+    return new_graffito(factors[0].m, m.group(1), factors)
 
 
 def parse_chain(text: str, ring: PointedRing) -> "Chain":
@@ -193,9 +196,9 @@ def close_ends(x: Graffito) -> Graffito:
         return x
     factors = list(x.factors)
     if x.left_open:
-        factors[0] = close_up(LinkState(factors[0], RIGHT_CELL)).diagram
+        factors[0] = close_up(factors[0], RIGHT_CELL)
     if x.right_open:
-        factors[-1] = close_up(LinkState(factors[-1], LEFT_CELL)).diagram
+        factors[-1] = close_up(factors[-1], LEFT_CELL)
     return Graffito(x.two_n, False, False, tuple(factors))
 
 
@@ -259,7 +262,7 @@ def face(x: Graffito, i: int, ring: PointedRing) -> Chain:
             raise IndexError("one-bar open systems have no face")
         _, loops = compose(x.factors[0], x.factors[1])
         coeff = ring.a_power(loops)
-        return Chain(ring, {empty_system(x.two_n): coeff})
+        return Chain(ring, {empty_system(): coeff})
     merged, loops = compose(x.factors[i], x.factors[i + 1])
     if x.left_open and i == 0 and merged.has_ll_pair():
         return Chain(ring)
@@ -341,22 +344,22 @@ def chain_involution_lr(c: Chain) -> Chain:
 
 def to_word(x: Graffito) -> tuple[Letter, ...]:
     """The letter on each bar: arcs arriving from the left, leaving right."""
-    if x.two_n != 4:
-        raise GraffitoError("letters are defined for 2n = 4")
     if x.is_empty_system:
         return ()
+    if x.two_n != 4:
+        raise GraffitoError("letters are defined for 2n = 4")
     p = x.degree
     letters = []
     for j in range(1, p + 1):
         prev = x.factors[j - 1]
-        left = prev if j == 1 else slice_diagram(prev)[1].diagram
+        left = prev if j == 1 else slice_diagram(prev)[1]
         nxt = x.factors[j]
-        right = nxt if j == p else slice_diagram(nxt)[0].diagram
+        right = nxt if j == p else slice_diagram(nxt)[0]
         letters.append(Letter(left, right))
     return tuple(letters)
 
 
-def from_word(letters, two_n: int = 4) -> Graffito:
+def from_word(letters) -> Graffito:
     """Rebuild the system whose bars carry the given letters."""
     letters = tuple(letters)
     if not letters:
@@ -368,11 +371,9 @@ def from_word(letters, two_n: int = 4) -> Graffito:
                 f"stub counts disagree between consecutive letters ({a.kr} vs {b.kl})")
     factors = [letters[0].left]
     for j in range(p - 1):
-        factors.append(unslice(LinkState(letters[j].right, LEFT_CELL),
-                               LinkState(letters[j + 1].left, RIGHT_CELL)))
+        factors.append(unslice(letters[j].right, letters[j + 1].left))
     factors.append(letters[-1].right)
-    return Graffito(two_n, letters[0].kl == 2, letters[-1].kr == 2,
-                    tuple(factors))
+    return Graffito(4, letters[0].kl == 2, letters[-1].kr == 2, tuple(factors))
 
 
 def _loop_ids(x: Graffito) -> list[dict[int, int]]:
@@ -490,11 +491,9 @@ def _unaugmented(ends: EndSpec | str) -> EndSpec:
 def _slot_pools(two_n: int, ends: EndSpec):
     kl = 2 if ends.left_open else 0
     kr = 2 if ends.right_open else 0
-    first = tuple(s.diagram for s in cell_basis(two_n, kl, RIGHT_CELL))
     inner = tuple(d for d in enumerate_diagrams(two_n, two_n)
                   if not d.is_identity())
-    last = tuple(s.diagram for s in cell_basis(two_n, kr, LEFT_CELL))
-    return first, inner, last
+    return cell_basis(two_n, kl, RIGHT_CELL), inner, cell_basis(two_n, kr, LEFT_CELL)
 
 
 def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED,
@@ -548,10 +547,10 @@ def _machine(two_n: int, ends: EndSpec) -> _Machine:
     first, inner, last = _slot_pools(two_n, ends)
     states = [d.partners for d in enumerate_diagrams(0, two_n)]
     sid = {a: k for k, a in enumerate(states)}
-    start = [sid[(close_up(LinkState(f, RIGHT_CELL)).diagram if ends.left_open
-                  else f).partners] for f in first]
-    closed_last = [(close_up(LinkState(f, LEFT_CELL)).diagram if ends.right_open
-                    else f).partners for f in last]
+    start = [sid[(close_up(f, RIGHT_CELL) if ends.left_open else f).partners]
+             for f in first]
+    closed_last = [(close_up(f, LEFT_CELL) if ends.right_open else f).partners
+                   for f in last]
     step = [[(sid[res], loops) for res, loops in
              (glue(s, d.partners, two_n) for d in inner)] for s in states]
     finish = [[glue(s, d, two_n)[1] for d in closed_last] for s in states]
@@ -619,7 +618,7 @@ def _encodings(words, degree: int, m: _Machine, ends_code: str) -> tuple[str, ..
 class _Spelling(NamedTuple):
     """Spells the packed words of one degree of a loop complex, given its
     height and its (unaugmented) ends; word 0 of degree 0 is the empty
-    system."""
+    system, whose height is 0 (see _assemble)."""
 
     two_n: int
     ends: EndSpec
@@ -627,7 +626,7 @@ class _Spelling(NamedTuple):
 
     def __call__(self, words) -> tuple[str, ...]:
         if self.degree == 0:
-            return (empty_system(self.two_n).encode(),) * len(words)
+            return (empty_system().encode(),) * len(words)
         return _encodings(words, self.degree, _machine(self.two_n, self.ends),
                           self.ends.code)
 
@@ -796,9 +795,10 @@ class _Tails(_ClassTree):
     tails, one per class of prefix, and the boundaries written from them
     (see _assemble).  A template is the list of rows that rows() yields,
     each a pair of tuples as the matrices store them.  runs, unless None,
-    holds the one value tuple per row length that every row takes; ints
-    are the build's shared ints, as many as the largest degree has words.
-    A divider filter is subquotient mode (see ComplexSpec).
+    holds the one value tuple per row length that every row takes; ints,
+    which _assemble sets once every degree is walked, are the build's
+    shared ints, as many as the largest degree has words.  A divider filter
+    is subquotient mode (see ComplexSpec).
     """
 
     def __init__(self, two_n, ends, top_degree, weight, dividers, tables,
@@ -809,8 +809,6 @@ class _Tails(_ClassTree):
         self.add, self.opposite = dom.add, _Opposites()
         self.opposite.neg = dom.neg
         self.templates = {}
-        self.ints = list(range(max((self.span(None, p)[1]
-                                    for p in range(1, top_degree + 1)), default=0)))
 
     def template(self, c, r) -> list:
         if (c, r) not in self.templates:
@@ -1007,7 +1005,8 @@ def _assemble(spec: ComplexSpec) -> ChainComplexData:
                                          for f, (o, _, _) in firsts.items()):
             raise GraffitoError(f"the degree-{p} basis is not the tails counted, "
                                 f"so a deletion hits no basis word")
-    ints = tails.ints
+    # made after the walks, so that they never sit beside a walk's lists
+    tails.ints = ints = list(range(max(map(len, words.values()))))
     one = []  # d_1: the augmentation, if any
     for col, w in zip(ints, words[1] if ends.augmented and max_degree else ()):
         if (k := tables["one"][w][1]) != weights[1][col]:
@@ -1025,7 +1024,8 @@ def _assemble(spec: ComplexSpec) -> ChainComplexData:
         matrices[p] = SparseMatrix.from_rows(
             len(words[p - 1]), len(words[p]),
             ((i, cs, vs) for i, (cs, vs) in zip(ints, rows) if cs), dom)
-    basis = {p: Basis(ws, _Spelling(two_n, base, p))
+    # degree 0 holds the empty system only, of height 0 at every height
+    basis = {p: Basis(ws, _Spelling(two_n if p else 0, base, p))
              for p, ws in words.items()}
     return ChainComplexData(spec.ring, max_degree, basis, matrices,
                             weights=weights, description=spec.label)
@@ -1053,7 +1053,11 @@ def build_complex(spec: ComplexSpec) -> ChainComplexData:
 # 2n = 4 degree-7 blocks reach 1.6 GB (0.77 GB built), of the 2n = 6 degree-4
 # blocks 2.8 GB (1.74 GB built); 2n = 4 at degree 8 reaches 23 GB.
 MAX_BLOCK_BYTES = 4_000_000_000
-_ENTRY_BYTES = 50  # bound on a Z build's peak per stored entry, words included
+# Bytes charged per stored entry, words included; no bound.  Against the peak
+# tracemalloc reads for a Z block's first build in a process, the estimate is
+# 1.9x (w = 2) and 2.3x (w = 4) at 2n = 4 through degree 6, but at 2n = 6
+# through degree 3, w = 2, it is 7.9 MB against 8.8 MB.
+_ENTRY_BYTES = 50
 
 
 def _estimated_bytes(spec: ComplexSpec) -> int:

@@ -192,7 +192,7 @@ EXPECTED_BIG = {
 def test_criterion_9_model_vs_complex():
     # the loop complex is built and reduced once over Z, one weight block at
     # a time, and read over every ring; each model side is its own homology()
-    # call, so Q, F2 and F3 are still cross-checked by rank_over_field
+    # call over that ring, so Q, F2 and F3 are checked by their own reductions
     t0 = time.time()
     rings = ((Q0, "Q"), (F2, "F2"), (F3, "F3"), (Z0, "Z"))
     blocks = weight_blocks(ComplexSpec(4, Z0, CLOSED, max_degree=5))

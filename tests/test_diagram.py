@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from planarloops import (DiagramError, Letter, LinkState, cell_basis,
+from planarloops import (DiagramError, Letter, cell_basis,
                          close_up, compose, enumerate_diagrams,
                          enumerate_letters, identity_diagram, new_diagram,
                          parse_diagram, parse_letter, slice_diagram, unslice)
@@ -11,8 +11,8 @@ from planarloops.diagram import (LEFT_CELL, RIGHT_CELL, TLDiagram, catalan,
                                  glue)
 
 from conftest import P, Q, W, Pc, Qc
-from tl_oracle import (reference_compose, reference_reflect_lr,
-                       reference_reflect_tb)
+from tl_oracle import (reference_close_up, reference_compose,
+                       reference_reflect_lr, reference_reflect_tb)
 
 
 # -- independent oracle: enumerate all perfect matchings, filter noncrossing --
@@ -231,7 +231,7 @@ def test_slice_roundtrip_and_bijection():
     for d in enumerate_diagrams(4, 4):
         left, right = slice_diagram(d)
         assert unslice(left, right) == d
-        assert left.defects == right.defects == d.through_count()
+        assert left.m == right.n == d.through_count()
     for k in (0, 2, 4):
         stratum = [d for d in enumerate_diagrams(4, 4) if d.through_count() == k]
         assert len(stratum) == (len(cell_basis(4, k, LEFT_CELL))
@@ -241,16 +241,15 @@ def test_slice_roundtrip_and_bijection():
 def test_slice_worked_example():
     d = parse_diagram("TL(4,4){L1-R3,L2-L3,L4-R4,R1-R2}")
     left, right = slice_diagram(d)
-    assert left.diagram == parse_diagram("TL(4,2){L1-R1,L2-L3,L4-R2}")
-    assert right.diagram == parse_diagram("TL(2,4){L1-R3,L2-R4,R1-R2}")
+    assert left == parse_diagram("TL(4,2){L1-R1,L2-L3,L4-R2}")
+    assert right == parse_diagram("TL(2,4){L1-R3,L2-R4,R1-R2}")
 
 
 def test_slice_of_through_free_diagram():
     d = parse_diagram("TL(4,4){L1-L4,L2-L3,R1-R2,R3-R4}")
     left, right = slice_diagram(d)
-    assert left.defects == right.defects == 0
-    assert left.diagram == parse_diagram("TL(4,0){L1-L4,L2-L3}")
-    assert right.diagram == parse_diagram("TL(0,4){R1-R2,R3-R4}")
+    assert left == parse_diagram("TL(4,0){L1-L4,L2-L3}")
+    assert right == parse_diagram("TL(0,4){R1-R2,R3-R4}")
 
 
 def test_compose_associative_mixed_shapes():
@@ -277,19 +276,33 @@ def test_cell_basis_counts():
     assert len(cell_basis(4, 2, RIGHT_CELL)) == 3
     assert len(cell_basis(4, 0, LEFT_CELL)) == 2
     assert len(cell_basis(4, 4, LEFT_CELL)) == 1
-    assert cell_basis(4, 4, LEFT_CELL)[0].diagram == identity_diagram(4)
+    assert cell_basis(4, 4, LEFT_CELL)[0] == identity_diagram(4)
     with pytest.raises(DiagramError):
         cell_basis(4, 3, LEFT_CELL)
+    with pytest.raises(DiagramError, match="bad side tag"):
+        cell_basis(4, 2, "top-cell")
 
 
 def test_close_up_examples():
-    assert close_up(LinkState(P, RIGHT_CELL)).diagram == Pc
-    assert close_up(LinkState(Q, RIGHT_CELL)).diagram == Pc
-    assert close_up(LinkState(W, RIGHT_CELL)).diagram == Qc
-    images = {close_up(s).diagram for s in cell_basis(4, 2, RIGHT_CELL)}
-    assert images == {s.diagram for s in cell_basis(4, 0, RIGHT_CELL)}
-    with pytest.raises(DiagramError):
-        close_up(LinkState(Pc, RIGHT_CELL))
+    assert close_up(P, RIGHT_CELL) == Pc
+    assert close_up(Q, RIGHT_CELL) == Pc
+    assert close_up(W, RIGHT_CELL) == Qc
+    images = {close_up(s, RIGHT_CELL) for s in cell_basis(4, 2, RIGHT_CELL)}
+    assert images == set(cell_basis(4, 0, RIGHT_CELL))
+    with pytest.raises(DiagramError, match="exactly 2 defects"):
+        close_up(Pc, RIGHT_CELL)
+
+
+def test_close_up_is_the_cap_product():
+    # the product with the cap or the cup joins the same two strands as
+    # the walk over pairs, on all 82 two-defect states of 2n = 2 to 8
+    states = 0
+    for n in (2, 4, 6, 8):
+        for side, stub_side in ((LEFT_CELL, "R"), (RIGHT_CELL, "L")):
+            for s in cell_basis(n, 2, side):
+                assert close_up(s, side) == reference_close_up(s, stub_side)
+                states += 1
+    assert states == 82
 
 
 def test_letter_counts_and_codec():
@@ -307,10 +320,22 @@ def test_letter_counts_and_codec():
 
 
 def test_cell_side_validation():
-    with pytest.raises(DiagramError):
-        LinkState(parse_diagram("TL(2,4){L1-L2,R1-R2,R3-R4}"), RIGHT_CELL)
-    with pytest.raises(DiagramError):
-        Letter(P, parse_diagram("TL(4,2){L1-L2,L3-L4,R1-R2}"))
+    # a right half pairing its two stubs, a left half pairing its two stubs
+    bad_right = parse_diagram("TL(2,4){L1-L2,R1-R2,R3-R4}")
+    bad_left = parse_diagram("TL(4,2){L1-L2,L3-L4,R1-R2}")
+    good_left = cell_basis(4, 2, LEFT_CELL)[0]
+    for refused in (lambda: unslice(good_left, bad_right),
+                    lambda: close_up(bad_right, RIGHT_CELL),
+                    lambda: Letter(bad_right, good_left)):
+        with pytest.raises(DiagramError, match="right-cell state .* left-to-left"):
+            refused()
+    for refused in (lambda: unslice(bad_left, P),
+                    lambda: close_up(bad_left, LEFT_CELL),
+                    lambda: Letter(P, bad_left)):
+        with pytest.raises(DiagramError, match="left-cell state .* right-to-right"):
+            refused()
+    with pytest.raises(DiagramError, match="bad side tag"):
+        close_up(P, "top-cell")
 
 
 def test_diagram_text_roundtrip():

@@ -1,7 +1,7 @@
 """Reference Temperley-Lieb operations on endpoint labels, kept as oracles
 for the partner-array forms the library uses: the path-following product
-behind `diagram.glue` and the merge tables filled through it, and the two
-reflections."""
+behind `diagram.glue` and the merge tables filled through it, the two
+reflections, and the closing of a cell state's two hanging strands."""
 
 from planarloops.diagram import DiagramError, TLDiagram, new_diagram
 
@@ -99,3 +99,20 @@ def reference_reflect_tb(d: TLDiagram) -> TLDiagram:
         side, i = ep
         return (side, (d.n if side == "L" else d.m) + 1 - i)
     return new_diagram(d.n, d.m, [(flip(a), flip(b)) for a, b in d.pairs])
+
+
+def reference_close_up(d: TLDiagram, stub_side: str) -> TLDiagram:
+    """Join the two strands that hang off the stub side ('R' for an (n,2)
+    left-cell state, 'L' for a (2,n) right-cell one) into one arc."""
+    ends, keep = [], []
+    for a, b in d.pairs:
+        if a[0] == stub_side:
+            ends.append(b)
+        elif b[0] == stub_side:
+            ends.append(a)
+        else:
+            keep.append((a, b))
+    keep.append(tuple(ends))
+    if stub_side == "R":
+        return new_diagram(d.n, 0, keep)
+    return new_diagram(0, d.m, keep)
