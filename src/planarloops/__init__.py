@@ -11,9 +11,9 @@ from .loops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
                     build_complex, chain_to_vector, close_ends, count_graffiti,
                     differential, divider_count, empty_system,
                     enumerate_graffiti, face, from_word, involution_lr,
-                    involution_tb, loop_count, new_graffito, nondivider_count,
-                    parse_chain, parse_graffito, pivot_sequence, product,
-                    to_word, weight_blocks)
+                    involution_tb, loop_count, nondivider_count, parse_chain,
+                    parse_graffito, pivot_sequence, product, to_word,
+                    weight_blocks)
 from .freedga import (AlgebraError, DgaMorphism, FreeDGA, GradedGenerator,
                       LoopAlgebra, NCPoly, alpha_boundary_check,
                       build_word_complex, check_chain_map,

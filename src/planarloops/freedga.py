@@ -21,8 +21,8 @@ from operator import attrgetter
 from .coeff import INT_POLY_A, ZZ, DomainError, LinearCombination, PointedRing
 from .diagram import parse_diagram
 from .homology import ChainComplexData, SparseMatrix
-from .loops import (Chain, differential as loops_differential, empty_system,
-                    loop_count, new_graffito)
+from .loops import (Chain, Graffito, differential as loops_differential,
+                    empty_system, loop_count)
 
 
 class AlgebraError(ValueError):
@@ -369,7 +369,7 @@ def psi(ring: PointedRing) -> DgaMorphism:
 
 
 def _loop_generator_images(ring: PointedRing) -> dict[str, Chain]:
-    g = lambda text: new_graffito(4, "cc", [parse_diagram(t) for t in text])
+    g = lambda text: Graffito(tuple(map(parse_diagram, text)))
     img_x = g(["TL(0,4){R1-R2,R3-R4}", "TL(4,0){L1-L4,L2-L3}"])
     img_xh = g(["TL(0,4){R1-R4,R2-R3}", "TL(4,0){L1-L2,L3-L4}"])
     img_r = g(["TL(0,4){R1-R2,R3-R4}",

@@ -39,8 +39,8 @@ class SparseMatrix:
     constructor takes (r, c, v) triples in row-major order and groups them;
     from_rows takes rows as they are stored.  Both run the same check, once
     per row, and a row that fails it is scanned entry by entry to name the
-    fault.  over_field and the weight split derive rows from a checked matrix
-    that stay in order and nonzero, and store them without a second check.
+    fault.  The weight split derives rows from a checked matrix that stay
+    in order and nonzero, and stores them without a second check.
     entries spells the triples afresh on each read.
     """
 
@@ -909,36 +909,16 @@ def smith_normal_form(A: SparseMatrix) -> SmithForm:
 
 
 def rank_over_field(A: SparseMatrix, fld: CoefficientDomain) -> int:
-    """Exact rank: the number of pivots of the sparse Markowitz sweep."""
+    """Exact rank: the number of pivots of the sparse Markowitz sweep.  An
+    integer matrix is read in fld by graded_matrix, at weight 0 throughout."""
     if not fld.is_field():
         raise DomainError(f"{fld!r} is not a field")
-    return _SparseSNF(over_field(A, fld)).npivots
-
-
-def over_field(A: SparseMatrix, fld: CoefficientDomain) -> SparseMatrix:
-    """A with its entries in the field fld; an integer matrix is mapped,
-    each distinct value once, and its entries that vanish there (the
-    multiples of p) are dropped.  A row keeps its tuple of columns unless
-    one of its entries vanishes."""
     if A.domain.kind == INTEGERS:
-        image = {n: fld.from_int(n) for n in
-                 set(chain.from_iterable(vs for _, _, vs in A.row_data))}
-        vanish = {n for n, v in image.items() if not v}
-        out = []
-        for r, cs, vs in A.row_data:
-            if vanish.isdisjoint(vs):
-                out.append((r, cs, tuple(map(image.__getitem__, vs))))
-                continue
-            cs, vs = nonzero_row(cs, map(image.__getitem__, vs))
-            if cs:
-                out.append((r, cs, vs))
-        # what is left of A's checked rows is still in order and nonzero
-        mapped = SparseMatrix.__new__(SparseMatrix)
-        mapped._assign(A.rows, A.cols, tuple(out), fld)
-        return mapped
-    if A.domain != fld:
+        A = graded_matrix(A.rows, A.cols, A.row_data, (0,) * A.rows,
+                          (0,) * A.cols, PointedRing.make(fld))
+    elif A.domain != fld:
         raise DomainError("matrix domain disagrees with requested field")
-    return A
+    return _SparseSNF(A).npivots
 
 
 # ---------------------------------------------------------------------------
@@ -1079,9 +1059,19 @@ def _in_domain(dom: CoefficientDomain, vec: dict[int, object]) -> dict[int, obje
     return out
 
 
+def _check_degree(c: ChainComplexData, p: int, top: int) -> None:
+    """Refuse a degree p below 0, or one whose boundaries reach past d_top."""
+    if p < 0:
+        raise LinearAlgebraError("negative degree")
+    if top > c.max_degree:
+        raise LinearAlgebraError(f"degree {p} needs d_{top}, past the max_degree "
+                                 f"{c.max_degree} of the complex")
+
+
 def is_cycle(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     """d_p vec = 0; d_0 is the zero map with no rows, which still checks the
     indices of vec."""
+    _check_degree(c, p, p)
     return not c.boundary(p).apply(_in_domain(c.ring.domain, vec))
 
 
@@ -1095,8 +1085,7 @@ def is_boundary(c: ChainComplexData, vec: dict[int, object], p: int) -> bool:
     that projected system has a solution.  A True is backed by an x with
     d_{p+1} x = vec, checked against the whole of d_{p+1}.
     """
-    if p + 1 > c.max_degree:
-        raise LinearAlgebraError("degree out of trusted range for is_boundary")
+    _check_degree(c, p, p + 1)
     dom = c.ring.domain
     vec = _in_domain(dom, vec)
     if dom.kind != INTEGERS and not dom.is_field():

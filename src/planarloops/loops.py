@@ -17,6 +17,7 @@ checks run once per template merge, not per entry (_Tails).
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -28,7 +29,7 @@ from typing import Iterator, NamedTuple
 from .coeff import INT_POLY_A, ZZ, LinearCombination, PointedRing
 from .diagram import (EMPTY_DIAGRAM, LEFT_CELL, RIGHT_CELL, Letter, TLDiagram,
                       cell_basis, close_up, compose, enumerate_diagrams, glue,
-                      slice_diagram, unslice)
+                      parse_diagram, slice_diagram, unslice)
 from .homology import Basis, ChainComplexData, SparseMatrix
 
 
@@ -69,44 +70,48 @@ class Graffito:
     factors[0] is a (k_l, 2n) state with no stub-to-stub pair, the inner
     factors are nonidentity (2n, 2n) diagrams, and factors[-1] is a
     (2n, k_r) state with no stub-to-stub pair; k is 0 at a closed end and 2
-    at an open one.  The degree is the number of bars.  The single factor
+    at an open one.  The system is its factors: the height 2n and the ends
+    are read off them.  The degree is the number of bars.  The single factor
     TL(0,0){} stands for the empty system, the degree-0 generator of an
-    augmented complex: it meets no bar, so its height is 0 (empty_system).
-    Construction only validates; loop_count and divider_count compute the
-    statistics when they are called.
+    augmented complex: it meets no bar, so it reads as height 0 with closed
+    ends (empty_system).  Construction only validates; loop_count and
+    divider_count compute the statistics when they are called.
     """
 
-    two_n: int
-    left_open: bool
-    right_open: bool
     factors: tuple[TLDiagram, ...]
 
     def __post_init__(self):
-        n = self.two_n
         if self.is_empty_system:
-            if self.left_open or self.right_open:
-                raise GraffitoError("the empty system has closed ends")
-            if n:
-                raise GraffitoError("the empty system has height 0")
             return
-        if n <= 0 or n % 2:
-            raise GraffitoError("two_n must be a positive even integer")
         if len(self.factors) < 2:
             raise GraffitoError("a pinned system has at least one bar")
-        kl = 2 if self.left_open else 0
-        kr = 2 if self.right_open else 0
-        if (kl or kr) and n != 4:
-            raise GraffitoError("open ends are only defined for 2n = 4")
+        n = self.two_n
+        if n <= 0 or n % 2:
+            raise GraffitoError("two_n must be a positive even integer")
         first, last = self.factors[0], self.factors[-1]
-        if (first.n, first.m) != (kl, n) or first.has_ll_pair():
+        if first.n not in (0, 2) or first.has_ll_pair():
             raise GraffitoError(f"bad entering state {first}")
-        if (last.n, last.m) != (n, kr) or last.has_rr_pair():
+        if last.n != n or last.m not in (0, 2) or last.has_rr_pair():
             raise GraffitoError(f"bad leaving state {last}")
+        if (first.n or last.m) and n != 4:
+            raise GraffitoError("open ends are only defined for 2n = 4")
         for f in self.factors[1:-1]:
             if (f.n, f.m) != (n, n):
                 raise GraffitoError(f"inner factor {f} has wrong shape")
             if f.is_identity():
                 raise GraffitoError("inner factors must not be the identity")
+
+    @property
+    def two_n(self) -> int:
+        return self.factors[0].m
+
+    @property
+    def left_open(self) -> bool:
+        return self.factors[0].n > 0
+
+    @property
+    def right_open(self) -> bool:
+        return self.factors[-1].m > 0
 
     @property
     def is_empty_system(self) -> bool:
@@ -128,26 +133,23 @@ class Graffito:
         return self.encode()
 
 
-def new_graffito(two_n: int, ends: EndSpec | str, factors) -> Graffito:
-    if isinstance(ends, str):
-        ends = EndSpec.from_code(ends)
-    return Graffito(two_n, ends.left_open, ends.right_open, tuple(factors))
-
-
 def empty_system() -> Graffito:
     """The empty system, one for every height: its text names none."""
-    return Graffito(0, False, False, (EMPTY_DIAGRAM,))
+    return Graffito((EMPTY_DIAGRAM,))
 
 
 def parse_graffito(text: str) -> Graffito:
-    from .diagram import parse_diagram
-    import re
+    """The system whose factors the text lists; its G(..) end code must be
+    the one those factors have."""
     text = text.strip()
     m = re.fullmatch(r"G\((oo|oc|co|cc)\)\[(.*)\]", text, re.S)
     if not m:
         raise GraffitoError(f"cannot parse loop system {text!r}")
-    factors = tuple(parse_diagram(part) for part in m.group(2).split("|"))
-    return new_graffito(factors[0].m, m.group(1), factors)
+    g = Graffito(tuple(parse_diagram(part) for part in m.group(2).split("|")))
+    if g.ends.code != m.group(1):
+        raise GraffitoError(f"the end code {m.group(1)} disagrees with the "
+                            f"factors, whose ends are {g.ends.code}")
+    return g
 
 
 def parse_chain(text: str, ring: PointedRing) -> "Chain":
@@ -192,14 +194,14 @@ def nondivider_count(x: Graffito) -> int:
 
 def close_ends(x: Graffito) -> Graffito:
     """Join the hanging strand pair at each open end."""
-    if x.is_empty_system or not (x.left_open or x.right_open):
+    if not (x.left_open or x.right_open):
         return x
     factors = list(x.factors)
     if x.left_open:
         factors[0] = close_up(factors[0], RIGHT_CELL)
     if x.right_open:
         factors[-1] = close_up(factors[-1], LEFT_CELL)
-    return Graffito(x.two_n, False, False, tuple(factors))
+    return Graffito(tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ class Chain(LinearCombination):
 
     def __init__(self, ring: PointedRing, terms: dict[Graffito, object] | None = None):
         super().__init__(ring, terms)
-        shapes = {(g.degree, g.left_open, g.right_open, g.two_n) for g in self.terms}
+        shapes = {(g.degree, g.ends, g.two_n) for g in self.terms}
         if len(shapes) > 1:
             raise GraffitoError("chain mixes degrees or end shapes")
 
@@ -269,8 +271,7 @@ def face(x: Graffito, i: int, ring: PointedRing) -> Chain:
     if x.right_open and i == p - 1 and merged.has_rr_pair():
         return Chain(ring)
     factors = x.factors[:i] + (merged,) + x.factors[i + 2:]
-    out = Graffito(x.two_n, x.left_open, x.right_open, factors)
-    return Chain(ring, {out: ring.a_power(loops)})
+    return Chain(ring, {Graffito(factors): ring.a_power(loops)})
 
 
 def differential(c: Chain) -> Chain:
@@ -311,23 +312,17 @@ def product(x: Graffito, y: Graffito) -> Graffito:
     if loops:
         raise GraffitoError("juxtaposition cannot close loops")
     factors = x.factors[:-1] + (joint,) + y.factors[1:]
-    return Graffito(x.two_n, x.left_open, y.right_open, factors)
+    return Graffito(factors)
 
 
 def involution_tb(x: Graffito) -> Graffito:
     """Top-to-bottom reflection of every factor in place."""
-    if x.is_empty_system:
-        return x
-    return Graffito(x.two_n, x.left_open, x.right_open,
-                    tuple(f.reflect_tb() for f in x.factors))
+    return Graffito(tuple(f.reflect_tb() for f in x.factors))
 
 
 def involution_lr(x: Graffito) -> Graffito:
     """Left-to-right reflection: reverse the factors and reflect each."""
-    if x.is_empty_system:
-        return x
-    return Graffito(x.two_n, x.right_open, x.left_open,
-                    tuple(f.reflect_lr() for f in reversed(x.factors)))
+    return Graffito(tuple(f.reflect_lr() for f in reversed(x.factors)))
 
 
 def chain_involution_tb(c: Chain) -> Chain:
@@ -373,7 +368,7 @@ def from_word(letters) -> Graffito:
     for j in range(p - 1):
         factors.append(unslice(letters[j].right, letters[j + 1].left))
     factors.append(letters[-1].right)
-    return Graffito(4, letters[0].kl == 2, letters[-1].kr == 2, tuple(factors))
+    return Graffito(tuple(factors))
 
 
 def _loop_ids(x: Graffito) -> list[dict[int, int]]:
@@ -512,7 +507,7 @@ def enumerate_graffiti(degree: int, two_n: int = 4, ends: EndSpec | str = CLOSED
         factors = ((m.first[ids[0]],)
                    + tuple(m.inner[i] for i in ids[1:-1])
                    + (m.last[ids[-1]],))
-        out.append(Graffito(two_n, ends.left_open, ends.right_open, factors))
+        out.append(Graffito(factors))
     return tuple(out)
 
 

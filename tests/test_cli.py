@@ -294,7 +294,8 @@ def test_export_of_an_open_empty_system_is_a_usage_error(capsys):
     for code in ("oo", "oc", "co"):
         out_code, out, err = run(capsys, "export", "--target", "graffito",
                                  f"G({code})[TL(0,0){{}}]")
-        assert out_code == 2 and not out and "the empty system has closed ends" in err
+        assert out_code == 2 and not out
+        assert f"end code {code} disagrees with the factors, whose ends are cc" in err
     out_code, out, _ = run(capsys, "export", "--target", "graffito", "G(cc)[TL(0,0){}]")
     assert out_code == 0 and out.strip() == "(empty)"
 

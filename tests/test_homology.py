@@ -22,7 +22,7 @@ from planarloops import (Chain, ChainComplexData, CoefficientDomain,
                          weight_blocks, weight_decompose)
 from planarloops.homology import (_DENSE_CELLS, LinearAlgebraError, _dense_snf,
                                   _identity, _SparseSNF, graded_matrix,
-                                  over_field, zero_matrix)
+                                  zero_matrix)
 from planarloops.loops import CLOSED
 from planarloops.verify import _generated_by
 
@@ -293,17 +293,23 @@ def test_rank_over_field_examples():
         rank_over_field(eye, ZZ)
 
 
-def test_over_field_drops_the_multiples_of_p():
+def test_graded_matrix_over_a_field_drops_the_multiples_of_p():
+    # at weight 0 throughout, graded_matrix reads stored integers in a field
+    def over(A, fld):
+        return graded_matrix(A.rows, A.cols, A.row_data, (0,) * A.rows,
+                             (0,) * A.cols, PointedRing.make(fld))
+
     A = M(2, 3, {(0, 0): 2, (0, 2): -1, (1, 1): 3})
     f2, f3 = prime_field(2), prime_field(3)
-    assert over_field(A, f2) == SparseMatrix(2, 3, [(0, 2, 1), (1, 1, 1)], f2)
-    assert over_field(A, f3) == SparseMatrix(2, 3, [(0, 0, 2), (0, 2, 2)], f3)
-    # no entry of A vanishes over Q, so every row keeps its columns
-    over_q = over_field(A, QQ)
-    assert over_q == SparseMatrix.from_dict(
+    assert over(A, f2) == SparseMatrix(2, 3, [(0, 2, 1), (1, 1, 1)], f2)
+    assert over(A, f3) == SparseMatrix(2, 3, [(0, 0, 2), (0, 2, 2)], f3)
+    assert over(A, QQ) == SparseMatrix.from_dict(
         2, 3, {(r, c): Fraction(v) for r, c, v in A.entries}, QQ)
-    assert all(a[1] is b[1] for a, b in zip(A.row_data, over_q.row_data))
-    assert over_field(M(1, 1, {(0, 0): 4}), f2).row_data == ()
+    assert over(M(1, 1, {(0, 0): 4}), f2).row_data == ()
+    # the rank reads the same image, and refuses a matrix over another field
+    assert rank_over_field(A, f2) == 2 and rank_over_field(A, f3) == 1
+    with pytest.raises(DomainError, match="disagrees with requested field"):
+        rank_over_field(over(A, f3), f2)
 
 
 def test_rank_matches_snf_mod_p():
@@ -1261,6 +1267,20 @@ def test_vectors_with_indices_out_of_range_are_refused():
             with pytest.raises(LinearAlgebraError, match="vector index out of range"):
                 check(cx, {j: 1}, 0)
     assert is_cycle(aug, {0: 1}, 0)
+
+
+def test_cycle_and_boundary_refuse_degrees_outside_the_complex():
+    # a degree below 0, or one whose boundary is past max_degree, is
+    # refused before any vector is read, as homology refuses it
+    cx = build_complex(ComplexSpec(4, Z0, CLOSED, max_degree=3))
+    for check, p in ((is_cycle, -3), (is_boundary, -1)):
+        with pytest.raises(LinearAlgebraError, match="negative degree"):
+            check(cx, {}, p)
+    for check, p in ((is_cycle, 4), (is_cycle, 7), (is_boundary, 3)):
+        for vec in ({}, {0: 1}):
+            with pytest.raises(LinearAlgebraError, match="past the max_degree 3"):
+                check(cx, vec, p)
+    assert is_cycle(cx, {}, 3) and is_boundary(cx, {}, 2)
 
 
 def test_representatives_are_nonbounding_cycles():

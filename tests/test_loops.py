@@ -1,5 +1,6 @@
 import array
 import collections
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -16,12 +17,12 @@ import weakref
 
 import pytest
 
-from planarloops import (Chain, ComplexSpec, EndSpec, GraffitoError,
+from planarloops import (Chain, ComplexSpec, EndSpec, Graffito, GraffitoError,
                          PointedRing, QQ, ZA, ZZ, build_complex,
                          chain_to_vector, close_ends, compose, differential,
                          divider_count, enumerate_diagrams, homology, empty_system, enumerate_graffiti, face, from_word, identity_diagram,
                          four_model, involution_lr, involution_tb, loop_count,
-                         minimal_model, new_graffito, nondivider_count,
+                         minimal_model, nondivider_count,
                          parse_chain, parse_diagram, parse_graffito, parse_ring,
                          pivot_sequence, prime_field, product, to_word,
                          phi, truncated_complex, weight_blocks,
@@ -30,7 +31,7 @@ from planarloops import loops as loops_module
 from planarloops.loops import (CLOSED, chain_involution_lr, chain_involution_tb,
                               count_graffiti)
 from planarloops.homology import (Basis, graded_matrix, homology_table,
-                                 over_field, validate_d_squared)
+                                 validate_d_squared)
 
 from tl_oracle import reference_compose, reference_merge_table
 from walk_oracle import level_walk
@@ -55,14 +56,15 @@ def rand_graffito(pmax=3, pmin=1):
     return rng.choice(graffiti_pool(p))
 
 
-def test_new_graffito_examples():
+def test_graffito_examples():
+    # a system stores its factors only; height and ends are read off them
+    assert [f.name for f in dataclasses.fields(Graffito)] == ["factors"]
     assert PHI_X.degree == 1 and PHI_XH.degree == 1
     with pytest.raises(GraffitoError):
-        new_graffito(4, "cc", [parse_diagram("TL(0,4){R1-R2,R3-R4}"),
-                               identity_diagram(4),
-                               parse_diagram("TL(4,0){L1-L2,L3-L4}")])
+        Graffito((parse_diagram("TL(0,4){R1-R2,R3-R4}"), identity_diagram(4),
+                  parse_diagram("TL(4,0){L1-L2,L3-L4}")))
     with pytest.raises(GraffitoError):
-        new_graffito(4, "cc", [parse_diagram("TL(0,4){R1-R2,R3-R4}")])
+        Graffito((parse_diagram("TL(0,4){R1-R2,R3-R4}"),))
 
 
 def test_graffito_codec():
@@ -74,7 +76,8 @@ def test_graffito_codec():
             assert parse_graffito(g.encode()) == g
     assert parse_graffito(empty_system().encode()) == empty_system()
     for code in ("oo", "oc", "co"):
-        with pytest.raises(GraffitoError, match="the empty system has closed ends"):
+        with pytest.raises(GraffitoError,
+                           match=f"end code {code} disagrees .* ends are cc"):
             parse_graffito(f"G({code})[TL(0,0){{}}]")
 
 
@@ -91,8 +94,6 @@ def test_the_empty_system_round_trips_at_every_height():
             assert parse_chain(c.encode(), z1) == c
             assert chain_to_vector(parse_chain(c.encode(), z1), aug, 0) == {0: 1}
             assert c == Chain.of(z1, empty_system())
-    with pytest.raises(GraffitoError, match="the empty system has height 0"):
-        new_graffito(6, "cc", [parse_diagram("TL(0,0){}")])
 
 
 def test_face_examples():
@@ -219,6 +220,32 @@ def test_involutions():
         x, y = rand_graffito(), rand_graffito()
         assert involution_lr(product(x, y)) == product(involution_lr(y),
                                                        involution_lr(x))
+
+
+
+def test_height_and_ends_are_read_off_the_factors():
+    # a system is its factors: rebuilding it from them, or parsing its text,
+    # gives it back; the reflections, closing up and juxtaposing move the
+    # ends as they move the end factors; every other G(..) code is refused
+    systems = [(4, code, g) for code in ("cc", "oo", "oc", "co")
+               for p in (1, 2, 3) for g in enumerate_graffiti(p, ends=code)]
+    systems += [(6, "cc", g) for p in (1, 2) for g in enumerate_graffiti(p, two_n=6)]
+    x_oc, y_co = (enumerate_graffiti(1, ends=code)[0] for code in ("oc", "co"))
+    for two_n, code, g in systems:
+        assert (g.two_n, g.ends.code) == (two_n, code)
+        assert Graffito(g.factors) == g and parse_graffito(g.encode()) == g
+        assert involution_lr(g).ends.code == code[::-1]
+        assert involution_tb(g).ends.code == code
+        assert close_ends(g).ends.code == "cc"
+        if two_n == 4 and code[1] == "c":
+            assert product(g, y_co).ends.code == code[0] + "o"
+        if two_n == 4 and code[0] == "c":
+            assert product(x_oc, g).ends.code == "o" + code[1]
+        body = g.encode()[len("G(..)"):]
+        for wrong in {"cc", "oo", "oc", "co"} - {code}:
+            with pytest.raises(GraffitoError,
+                               match=f"end code {wrong} disagrees .* ends are {code}$"):
+                parse_graffito(f"G({wrong}){body}")
 
 
 def test_involution_differential_relations():
@@ -643,9 +670,15 @@ A_NONZERO_RINGS = (PointedRing.make(prime_field(3), 1), PointedRing.make(ZZ, 2),
                    PointedRing.make(ZZ, -1))
 
 
+def field_image(A, dom):
+    """A stored integer matrix read in the field dom, at a = 0."""
+    return graded_matrix(A.rows, A.cols, A.row_data, (0,) * A.rows,
+                         (0,) * A.cols, PointedRing.make(dom, 0))
+
+
 def test_ring_step_maps_the_integer_assembly():
     # at a = 0 the assembly writes each entry in the field itself, and
-    # mapping the Z build through over_field is the independent reference;
+    # graded_matrix of the Z build at (F, 0) is the independent reference;
     # at any other a, graded_matrix of the Z[a] build's integer sums is one
     for spec in FIELD_SPECS:
         over_z = build_complex(ComplexSpec(4, Z0, **spec))
@@ -656,7 +689,7 @@ def test_ring_step_maps_the_integer_assembly():
             for p in range(top + 1):
                 assert cx.basis[p] == over_z.basis[p]
             for p in range(1, top + 1):
-                assert cx.matrices[p] == over_field(over_z.matrices[p], dom), \
+                assert cx.matrices[p] == field_image(over_z.matrices[p], dom), \
                     (spec, dom, p)
                 assert_in_domain(cx.matrices[p], dom)
     for spec in FIELD_SPECS[:5]:
@@ -686,6 +719,10 @@ def test_builds_render_no_graded_entries(monkeypatch):
     for ring in rings:
         for spec in FIELD_SPECS[:5]:
             build_complex(ComplexSpec(4, ring, **{**spec, "max_degree": 3}))
+    # and the filtered builds, which need a = 0
+    for dom in (ZZ, *FIELDS):
+        build_complex(ComplexSpec(4, PointedRing.make(dom, 0),
+                                  **{**FIELD_SPECS[-1], "max_degree": 3}))
 
 
 def _one_state_machine(m):
@@ -749,7 +786,7 @@ def test_field_assembly_adds_same_sign_hits(monkeypatch):
     for dom in FIELDS:
         cx = build(dom)
         for p in range(1, 5):
-            assert cx.matrices[p] == over_field(over_z.matrices[p], dom), (dom, p)
+            assert cx.matrices[p] == field_image(over_z.matrices[p], dom), (dom, p)
             assert_in_domain(cx.matrices[p], dom)
 
 
@@ -763,20 +800,6 @@ def test_assembly_refuses_a_machine_that_disagrees_with_the_merges(monkeypatch):
     _use_machine(monkeypatch, m._replace(step=step))
     with pytest.raises(GraffitoError, match="merge .* hits no basis word"):
         build_complex(ComplexSpec(4, ZAU, CLOSED, max_degree=3))
-
-
-def test_field_builds_at_a_zero_map_no_integer_matrix(monkeypatch):
-    # a field build at a = 0 writes its values in one pass; no integer
-    # matrix is assembled and then read again
-    def refuse(*args, **kwargs):
-        raise AssertionError("over_field called by a field build at a = 0")
-
-    monkeypatch.setattr(homology_module, "over_field", refuse)
-    monkeypatch.setattr(loops_module, "over_field", refuse, raising=False)
-    for dom in FIELDS:
-        for spec in (FIELD_SPECS[0], FIELD_SPECS[-1]):
-            build_complex(ComplexSpec(4, PointedRing.make(dom, 0),
-                                      **{**spec, "max_degree": 3}))
 
 
 def test_basis_keeps_packed_words_in_an_array():
